@@ -16,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .dataset import generate_dataset, read_dataset, write_dataset
 from .encoding import encode_dataset, read_encoded, write_encoded
@@ -30,11 +28,11 @@ from .errors import (
     ValidationError,
 )
 from .harness import (
-    LinearModel,
-    MemorizerModel,
     compute_metrics,
+    load_model,
     predict,
     robustness_sweep,
+    save_model,
     train_linear,
     train_memorizer,
     write_sweep_csv,
@@ -46,6 +44,9 @@ from .ontology import Ontology, load_ontology_file, preset_ontology
 SEED_ENV_VAR = "DIALOFORGE_SEED"
 
 _MODE_WEIGHTS = {"relabel": (1.0, 0.0), "unk": (0.0, 1.0), "mixed": (0.5, 0.5)}
+
+# GeneratorConfig fields a subcommand may expose as flags of the same name.
+_GENERATOR_FLAGS = ("p_chitchat", "p_mind_change", "p_domain_change", "max_stack_depth")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,6 +101,12 @@ def _dataset_ontology(indir: Path) -> Ontology:
     return load_ontology_file(path)
 
 
+def _write_ontology(outdir: Path, ontology: Ontology) -> None:
+    (outdir / "ontology.json").write_text(
+        json.dumps(ontology.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
 def _parse_fractions(text: str) -> tuple[float, float, float]:
     parts = [float(x) for x in text.split(",")]
     if len(parts) != 3:
@@ -121,38 +128,30 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _build_generator_config(args, ontology: Ontology) -> GeneratorConfig:
+def _generator_config(args, ontology: Ontology) -> GeneratorConfig:
+    """Resolve generation settings: flags first, then the ontology's
+    `generation` defaults, then GeneratorConfig's own defaults."""
     defaults = ontology.generation_defaults
-    n = args.dialogues or defaults.get("n_dialogues") or 2000
-    if args.split_fractions:
-        fractions = _parse_fractions(args.split_fractions)
+    fields = {k: v for k, v in vars(args).items() if k in _GENERATOR_FLAGS}
+    if getattr(args, "split_fractions", None):
+        fields["split_fractions"] = _parse_fractions(args.split_fractions)
     elif "split" in defaults:
         counts = defaults["split"]
-        total = sum(counts)
-        fractions = tuple(c / total for c in counts)  # type: ignore[assignment]
-    else:
-        fractions = (0.6, 0.2, 0.2)
+        fields["split_fractions"] = tuple(c / sum(counts) for c in counts)
     return GeneratorConfig(
-        n_dialogues=n,
-        p_chitchat=args.p_chitchat,
-        p_mind_change=args.p_mind_change,
-        p_domain_change=args.p_domain_change,
-        max_stack_depth=args.max_stack_depth,
+        n_dialogues=args.dialogues or defaults.get("n_dialogues") or 2000,
         seed=_resolve_seed(args),
-        split_fractions=fractions,
+        **fields,
     )
 
 
 def _cmd_generate(args) -> int:
     ontology = _load_cli_ontology(args)
-    cfg = _build_generator_config(args, ontology)
+    cfg = _generator_config(args, ontology)
     dataset = generate_dataset(ontology, cfg, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "ontology.json").write_text(
-        json.dumps(ontology.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _write_ontology(out, ontology)
     write_dataset(
         dataset,
         out,
@@ -185,10 +184,7 @@ def _cmd_inject(args) -> int:
     perturbed, records = inject_errors(dataset, ontology, cfg, splits=args.splits)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "ontology.json").write_text(
-        json.dumps(ontology.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _write_ontology(out, ontology)
     write_dataset(
         perturbed,
         out,
@@ -244,21 +240,6 @@ def _cmd_train(args) -> int:
     train_split = encoded.splits["train"]
     if args.model == "memorizer":
         model = train_memorizer(train_split)
-        states = np.stack(
-            [np.frombuffer(k, dtype=np.uint8) for k in model.table.keys()]
-        )
-        targets = np.stack(list(model.table.values()))
-        with open(args.out, "wb") as fh:
-            np.savez(
-                fh,
-                kind="memorizer",
-                state_width=model.state_width,
-                target_width=model.target_width,
-                packed_states=states,
-                targets=targets,
-                fallback=model.fallback,
-                ontology_hash=encoded.ontology_hash,
-            )
     else:
         model = train_linear(
             train_split,
@@ -267,46 +248,13 @@ def _cmd_train(args) -> int:
             l2=args.l2,
             seed=_resolve_seed(args),
         )
-        with open(args.out, "wb") as fh:
-            np.savez(
-                fh,
-                kind="linear",
-                weights=model.weights,
-                bias=model.bias,
-                threshold=model.threshold,
-                loss_history=np.array(model.loss_history),
-                ontology_hash=encoded.ontology_hash,
-            )
+    save_model(model, args.out, encoded.ontology_hash)
     _log(f"trained {args.model} on {train_split[0].shape[0]} turns -> {args.out}")
     return 0
 
 
-def _load_model(path: str):
-    blob = np.load(path, allow_pickle=False)
-    kind = str(blob["kind"])
-    if kind == "memorizer":
-        table = {
-            row.tobytes(): target.copy()
-            for row, target in zip(blob["packed_states"], blob["targets"])
-        }
-        return MemorizerModel(
-            state_width=int(blob["state_width"]),
-            target_width=int(blob["target_width"]),
-            table=table,
-            fallback=blob["fallback"].copy(),
-        )
-    if kind == "linear":
-        return LinearModel(
-            weights=blob["weights"],
-            bias=blob["bias"],
-            threshold=float(blob["threshold"]),
-            loss_history=list(blob["loss_history"]),
-        )
-    raise SchemaError(f"{path}: unknown model kind {kind!r}")
-
-
 def _cmd_eval(args) -> int:
-    model = _load_model(args.model)
+    model = load_model(args.model)
     enc_dir = _find_encoded(Path(getattr(args, "in")))
     encoded = read_encoded(enc_dir)
     if args.split not in encoded.splits:
@@ -323,21 +271,13 @@ def _cmd_sweep(args) -> int:
     ontology = _load_cli_ontology(args)
     rates = [float(r) for r in args.rates.split(",")]
     models = [m.strip() for m in args.models.split(",")]
-    seed = _resolve_seed(args)
-    defaults = ontology.generation_defaults
-    n = args.dialogues or defaults.get("n_dialogues") or 2000
-    if "split" in defaults and not args.dialogues:
-        counts = defaults["split"]
-        fractions = tuple(c / sum(counts) for c in counts)
-    else:
-        fractions = (0.6, 0.2, 0.2)
-    gen_cfg = GeneratorConfig(n_dialogues=n, seed=seed, split_fractions=fractions)
+    gen_cfg = _generator_config(args, ontology)
     result = robustness_sweep(
         ontology,
         gen_cfg,
         rates,
         models,
-        seed=seed,
+        seed=gen_cfg.seed,
         n_seeds=args.seeds,
         mode_weights=_MODE_WEIGHTS[args.mode],
     )

@@ -46,8 +46,13 @@ class Dataset:
 
 
 def _generate_one(args) -> Dialogue:
-    ontology, cfg, seed, dlg_id = args
-    return generate_dialogue(ontology, cfg, seed, dlg_id)
+    ontology, cfg, index, seed = args
+    try:
+        return generate_dialogue(ontology, cfg, seed, f"dlg{index:06d}")
+    except GenerationOverflow as exc:
+        # Raised inside the worker, so both the serial and the pool path name
+        # the failing dialogue.
+        raise GenerationOverflow(f"dialogue {index}: {exc}") from None
 
 
 def generate_dataset(
@@ -58,24 +63,12 @@ def generate_dataset(
     Every dialogue owns a private seed derived from cfg.seed, so the result
     is byte-identical no matter how many worker processes are used.
     """
-    seeds = dialogue_seeds(cfg)
-    tasks = [
-        (ontology, cfg, seed, f"dlg{index:06d}")
-        for index, seed in enumerate(seeds)
-    ]
+    tasks = [(ontology, cfg, index, seed) for index, seed in enumerate(dialogue_seeds(cfg))]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            try:
-                dialogues = list(pool.map(_generate_one, tasks, chunksize=64))
-            except GenerationOverflow:
-                raise
+            dialogues = list(pool.map(_generate_one, tasks, chunksize=64))
     else:
-        dialogues = []
-        for index, task in enumerate(tasks):
-            try:
-                dialogues.append(_generate_one(task))
-            except GenerationOverflow as exc:
-                raise GenerationOverflow(f"dialogue {index}: {exc}") from None
+        dialogues = [_generate_one(task) for task in tasks]
 
     n_train, n_val, n_test = split_counts(cfg.n_dialogues, cfg.split_fractions)
     splits = {

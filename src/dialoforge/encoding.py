@@ -7,8 +7,9 @@ A state row is assembled from four blocks:
 * the previous turn's system actions (multi-hot, zeros at turn 0),
 * dialogue management -- a stack-depth>1 flag plus a phase one-hot.
 
-States are reconstructed from serialized acts alone, so encoding works on
-perturbed datasets too: an UNK intent lights the UNK position, UNK actions
+States are reconstructed from serialized acts alone, replaying the stack with
+the policy's own ``DialogueStack`` rules, so encoding works on perturbed
+datasets too: an UNK intent lights the UNK position, UNK actions
 contribute nothing, and a perturbed slot name that no longer resolves against
 the active topic simply stays unfilled.
 """
@@ -23,17 +24,14 @@ from typing import Optional
 import numpy as np
 
 from .dataset import SPLIT_NAMES, Dataset
-from .engine import Dialogue, DialogueTurn, Phase, TopicFrame
+from .engine import Dialogue, DialogueStack, DialogueTurn, Phase
 from .errors import IndexOutOfRange, UnknownLabel
 from .ontology import (
     ActionKind,
-    IntentKind,
     Ontology,
     UNK_TOKEN,
     parse_action_id,
 )
-
-_CLOSER_KINDS = {IntentKind.NEGATE, IntentKind.THANK, IntentKind.GOODBYE}
 
 MANAGEMENT_FIELDS = ("stack_depth_gt1", "phase_eliciting", "phase_notified", "phase_wrapup")
 _PHASE_OFFSET = {Phase.ELICITING: 1, Phase.NOTIFIED: 2, Phase.WRAPUP: 3}
@@ -108,55 +106,18 @@ class StateLayout:
         )
 
 
-class TurnReplay:
-    """Rebuild the stack of topics from serialized acts, turn by turn.
-
-    Tolerant of label noise by construction: acts that no longer make sense
-    against the current stack are ignored rather than rejected.
-    """
-
-    def __init__(self, ontology: Ontology):
-        self.ontology = ontology
-        self.frames: list[TopicFrame] = []
-
-    @property
-    def top(self) -> Optional[TopicFrame]:
-        return self.frames[-1] if self.frames else None
-
-    def apply_user_acts(self, turn: DialogueTurn) -> set[str]:
-        """Frame pushes and slot fills; returns the slot keys touched."""
-        changed: set[str] = set()
-        for act in turn.user_acts:
-            if act.kind is IntentKind.INFORM_INTENT:
-                if act.domain is None or self.ontology.topic(act.domain, act.topic) is None:
-                    continue
-                if self.frames and self.top.phase is Phase.WRAPUP:
-                    self.frames.pop()
-                self.frames.append(TopicFrame(domain=act.domain, topic=act.topic))
-        for act in turn.user_acts:
-            if act.kind is IntentKind.INFORM and act.slot is not None and self.frames:
-                top = self.top
-                topic = self.ontology.topic(top.domain, top.topic)
-                if topic is not None and act.slot in topic.slot_names:
-                    top.fills[act.slot] = act.value
-                    changed.add(f"{top.domain}.{top.topic}.{act.slot}")
-        return changed
-
-    def apply_system_acts(self, turn: DialogueTurn) -> None:
-        """Phase transitions announced by the system, then wrap-up pops."""
-        for aid in turn.system_acts:
-            if aid == UNK_TOKEN:
-                continue
-            parsed = parse_action_id(aid)
-            if not self.frames or parsed.domain != self.top.domain:
-                continue
-            if parsed.kind is ActionKind.NOTIFY:
-                self.top.phase = Phase.NOTIFIED
-            elif parsed.kind is ActionKind.REQ_MORE:
-                self.top.phase = Phase.WRAPUP
-        kinds = {a.kind for a in turn.user_acts}
-        if self.frames and self.top.phase is Phase.WRAPUP and kinds & _CLOSER_KINDS:
-            self.frames.pop()
+def _apply_system_acts(stack: DialogueStack, system_acts: list[str]) -> None:
+    """Phase transitions the system announced for the top frame's domain."""
+    for aid in system_acts:
+        if aid == UNK_TOKEN:
+            continue
+        parsed = parse_action_id(aid)
+        if not stack.frames or parsed.domain != stack.top.domain:
+            continue
+        if parsed.kind is ActionKind.NOTIFY:
+            stack.top.phase = Phase.NOTIFIED
+        elif parsed.kind is ActionKind.REQ_MORE:
+            stack.top.phase = Phase.WRAPUP
 
 
 def _encode_actions_indexed(
@@ -192,24 +153,25 @@ class _LayoutIndex:
 def _encode_turn_state(
     layout: StateLayout,
     idx: _LayoutIndex,
-    replay: TurnReplay,
+    stack: DialogueStack,
     turn: DialogueTurn,
     prev_system_acts: Optional[list[str]],
-    changed: set[str],
+    filled: list[str],
 ) -> np.ndarray:
     slot_index = idx.slot
     intent_index = idx.intent
     action_index = idx.action
 
     row = np.zeros(layout.state_width, dtype=np.uint8)
-    for frame in replay.frames:
+    for frame in stack.frames:
         for slot, value in frame.fills.items():
             if value is None:
                 continue
             key = f"{frame.domain}.{frame.topic}.{slot}"
             if key in slot_index:
                 row[2 * slot_index[key]] = 1
-    for key in changed:
+    for slot in filled:  # fills always land in the top frame
+        key = f"{stack.top.domain}.{stack.top.topic}.{slot}"
         if key in slot_index:
             row[2 * slot_index[key] + 1] = 1
 
@@ -228,10 +190,10 @@ def _encode_turn_state(
             row[layout.action_offset + action_index[aid]] = 1
 
     base = layout.management_offset
-    if len(replay.frames) > 1:
+    if stack.depth > 1:
         row[base] = 1
-    if replay.frames:
-        row[base + _PHASE_OFFSET[replay.top.phase]] = 1
+    if stack.frames:
+        row[base + _PHASE_OFFSET[stack.top.phase]] = 1
     return row
 
 
@@ -241,15 +203,16 @@ def encode_dialogue(
     """Per-turn (state, target) matrices for one dialogue."""
     layout = layout or StateLayout.from_ontology(ontology)
     idx = _LayoutIndex.build(layout)
-    replay = TurnReplay(ontology)
+    stack = DialogueStack(ontology)
     states = np.zeros((len(dialogue.turns), layout.state_width), dtype=np.uint8)
     targets = np.zeros((len(dialogue.turns), layout.target_width), dtype=np.uint8)
     prev: Optional[list[str]] = None
     for i, turn in enumerate(dialogue.turns):
-        changed = replay.apply_user_acts(turn)
-        states[i] = _encode_turn_state(layout, idx, replay, turn, prev, changed)
+        filled = stack.apply_user_acts(turn.user_acts)
+        states[i] = _encode_turn_state(layout, idx, stack, turn, prev, filled)
         targets[i] = _encode_actions_indexed(turn.system_acts, idx.action, layout.target_width)
-        replay.apply_system_acts(turn)
+        _apply_system_acts(stack, turn.system_acts)
+        stack.pop_if_closed({a.kind for a in turn.user_acts})
         prev = turn.system_acts
     return states, targets
 

@@ -131,6 +131,40 @@ class DialogueStack:
     def pop(self) -> TopicFrame:
         return self.frames.pop()
 
+    def apply_user_acts(self, user_acts: list[UserAct]) -> list[str]:
+        """Frame pushes, then fills of the top frame; returns the slots filled.
+
+        Acts that make no sense against the stack (an unknown topic, a slot
+        the top topic lacks, a fill with no frame) are ignored, so serialized
+        dialogues with label noise replay without error.
+        """
+        ont = self.ontology
+        for act in user_acts:
+            if (
+                act.kind is IntentKind.INFORM_INTENT
+                and ont.topic(act.domain, act.topic) is not None
+            ):
+                # A wrapped-up frame is finished business: replace it instead of
+                # nesting; frames still being elicited are preserved underneath.
+                if self.frames and self.top.phase is Phase.WRAPUP:
+                    self.pop()
+                self.push(TopicFrame(domain=act.domain, topic=act.topic))
+        filled = []
+        for act in user_acts:
+            if act.kind is IntentKind.INFORM and self.frames:
+                top = self.top
+                if act.slot in ont.topic(top.domain, top.topic).slot_names:
+                    top.fills[act.slot] = act.value
+                    filled.append(act.slot)
+        return filled
+
+    def pop_if_closed(self, kinds: set[IntentKind]) -> bool:
+        """Rule 7: a closer (NEGATE/THANK/GOODBYE) pops a wrapped-up top frame."""
+        if self.frames and self.top.phase is Phase.WRAPUP and kinds & _CLOSERS:
+            self.pop()
+            return True
+        return False
+
 
 @dataclass
 class DialogueTurn:
@@ -274,14 +308,9 @@ def step_policy(stack: DialogueStack, user_acts: list[UserAct]) -> list[str]:
         return [GENERAL_CHIT_CHAT_ID]
 
     for act in user_acts:
-        if act.kind is IntentKind.INFORM_INTENT:
-            if ont.topic(act.domain, act.topic) is None:
-                raise ValidationError(f"unknown topic {act.domain}/{act.topic}")
-            # A wrapped-up frame is finished business: replace it instead of
-            # nesting; frames still being elicited are preserved underneath.
-            if stack.frames and stack.top.phase is Phase.WRAPUP:
-                stack.pop()
-            stack.push(TopicFrame(domain=act.domain, topic=act.topic))
+        if act.kind is IntentKind.INFORM_INTENT and ont.topic(act.domain, act.topic) is None:
+            raise ValidationError(f"unknown topic {act.domain}/{act.topic}")
+    stack.apply_user_acts(user_acts)
 
     if not stack.frames:
         if any(a.slot is not None for a in user_acts):
@@ -293,12 +322,10 @@ def step_policy(stack: DialogueStack, user_acts: list[UserAct]) -> list[str]:
     phase0 = top.phase
     acts: list[str] = []
 
-    slot_names = set(topic.slot_names)
+    # Emission follows user-act order, which the serialized system acts keep.
     for act in user_acts:
-        if act.kind is IntentKind.INFORM and act.slot in slot_names:
-            top.fills[act.slot] = act.value
-            if act.slot in topic.confirm_slots:
-                acts.append(make_action_id(top.domain, ActionKind.CONFIRM, act.slot))
+        if act.kind is IntentKind.INFORM and act.slot in topic.confirm_slots:
+            acts.append(make_action_id(top.domain, ActionKind.CONFIRM, act.slot))
         elif act.kind is IntentKind.REQUEST and act.slot in topic.inform_slots:
             acts.append(make_action_id(top.domain, ActionKind.INFORM, act.slot))
 
@@ -308,12 +335,10 @@ def step_policy(stack: DialogueStack, user_acts: list[UserAct]) -> list[str]:
 
     acts.extend(_advance_frame(top, topic, phase0))
 
-    if stack.frames and stack.top.phase is Phase.WRAPUP and kinds & _CLOSERS:
-        stack.pop()
-        if stack.frames:
-            resumed = stack.top
-            resumed_topic = ont.topic(resumed.domain, resumed.topic)
-            acts.extend(_advance_frame(resumed, resumed_topic, resumed.phase))
+    if stack.pop_if_closed(kinds) and stack.frames:
+        resumed = stack.top
+        resumed_topic = ont.topic(resumed.domain, resumed.topic)
+        acts.extend(_advance_frame(resumed, resumed_topic, resumed.phase))
 
     return acts
 

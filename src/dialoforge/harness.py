@@ -18,7 +18,13 @@ import numpy as np
 from .dataset import Dataset, generate_dataset
 from .encoding import encode_dataset
 from .engine import GeneratorConfig
-from .errors import DivergenceError, EmptySplit, ValidationError, WidthMismatch
+from .errors import (
+    DivergenceError,
+    EmptySplit,
+    SchemaError,
+    ValidationError,
+    WidthMismatch,
+)
 from .injection import ErrorConfig, inject_errors
 from .metrics import MetricsReport, compute_metrics
 from .ontology import Ontology
@@ -36,12 +42,6 @@ class MemorizerModel:
     table: dict[bytes, np.ndarray]
     fallback: np.ndarray
 
-    def predict_one(self, state: np.ndarray) -> np.ndarray:
-        if state.shape[-1] != self.state_width:
-            raise WidthMismatch(f"state width {state.shape[-1]} != {self.state_width}")
-        hit = self.table.get(np.packbits(state.astype(np.uint8)).tobytes())
-        return (hit if hit is not None else self.fallback).copy()
-
 
 @dataclass
 class LinearModel:
@@ -58,15 +58,6 @@ class LinearModel:
 
     def scores(self, states: np.ndarray) -> np.ndarray:
         return _sigmoid(states.astype(np.float64) @ self.weights + self.bias)
-
-    def predict_one(self, state: np.ndarray) -> np.ndarray:
-        if state.shape[-1] != self.state_width:
-            raise WidthMismatch(f"state width {state.shape[-1]} != {self.state_width}")
-        s = self.scores(state.reshape(1, -1))[0]
-        out = (s >= self.threshold).astype(np.uint8)
-        if not out.any():
-            out[int(np.argmax(s))] = 1  # argmax ties resolve to the lowest index
-        return out
 
 
 Model = Union[MemorizerModel, LinearModel]
@@ -187,14 +178,66 @@ def predict(model: Model, states: np.ndarray) -> np.ndarray:
     if batch.shape[1] != model.state_width:
         raise WidthMismatch(f"state width {batch.shape[1]} != {model.state_width}")
     if isinstance(model, MemorizerModel):
-        out = np.stack([model.predict_one(row) for row in batch])
+        table, fallback = model.table, model.fallback
+        out = np.array(
+            [table.get(key, fallback) for key in _pack_rows(batch)], dtype=np.uint8
+        ).reshape(-1, model.target_width)
     else:
         scores = model.scores(batch)
         out = (scores >= model.threshold).astype(np.uint8)
         empty = ~out.any(axis=1)
-        if empty.any():
+        if empty.any():  # argmax ties resolve to the lowest index
             out[empty, np.argmax(scores[empty], axis=1)] = 1
     return out[0] if single else out
+
+
+def save_model(model: Model, path, ontology_hash: str) -> None:
+    """Write a model as .npz, tagged with the ontology its data came from."""
+    if isinstance(model, MemorizerModel):
+        arrays = dict(
+            kind="memorizer",
+            state_width=model.state_width,
+            target_width=model.target_width,
+            packed_states=np.stack(
+                [np.frombuffer(key, dtype=np.uint8) for key in model.table]
+            ),
+            targets=np.stack(list(model.table.values())),
+            fallback=model.fallback,
+        )
+    else:
+        arrays = dict(
+            kind="linear",
+            weights=model.weights,
+            bias=model.bias,
+            threshold=model.threshold,
+            loss_history=np.array(model.loss_history),
+        )
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays, ontology_hash=ontology_hash)
+
+
+def load_model(path) -> Model:
+    """Read a model written by save_model."""
+    with np.load(path, allow_pickle=False) as blob:
+        kind = str(blob["kind"])
+        if kind == "memorizer":
+            return MemorizerModel(
+                state_width=int(blob["state_width"]),
+                target_width=int(blob["target_width"]),
+                table={
+                    row.tobytes(): target
+                    for row, target in zip(blob["packed_states"], blob["targets"])
+                },
+                fallback=blob["fallback"],
+            )
+        if kind == "linear":
+            return LinearModel(
+                weights=blob["weights"],
+                bias=blob["bias"],
+                threshold=float(blob["threshold"]),
+                loss_history=list(blob["loss_history"]),
+            )
+    raise SchemaError(f"{path}: unknown model kind {kind!r}")
 
 
 def train_model(kind: str, train_split: tuple[np.ndarray, np.ndarray], seed: int = 0) -> Model:

@@ -226,8 +226,12 @@ def enumerate_atomic_actions(ontology: Ontology) -> list[str]:
     NOTIFY and REQ_MORE; per-slot REQUEST/CONFIRM/INFORM actions follow the
     topics' emission tables, deduplicated on (domain, kind, slot).
     """
+    return _atomic_actions(ontology.domains)
+
+
+def _atomic_actions(domains: Iterable[DomainSpec]) -> list[str]:
     ids = {GENERAL_CHIT_CHAT_ID}
-    for d in ontology.domains:
+    for d in domains:
         ids.add(make_action_id(d.name, ActionKind.NOTIFY))
         ids.add(make_action_id(d.name, ActionKind.REQ_MORE))
         for t in d.topics:
@@ -374,10 +378,9 @@ def build_ontology(domains: Iterable[DomainSpec], generation_defaults: Optional[
     names = [d.name for d in domains]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate domain names")
-    ont = Ontology(domains=domains, generation_defaults=generation_defaults or {})
     return Ontology(
         domains=domains,
-        action_catalog=tuple(enumerate_atomic_actions(ont)),
+        action_catalog=tuple(_atomic_actions(domains)),
         generation_defaults=generation_defaults or {},
     )
 

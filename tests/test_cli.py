@@ -147,6 +147,17 @@ def test_sweep_command(tmp_path):
     assert all(b <= a for a, b in zip(f1s, f1s[1:]))
 
 
+def test_sweep_dialogues_keeps_preset_split_fractions(tmp_path):
+    out = tmp_path / "sweep"
+    assert run_cli(
+        ["sweep", "--preset", "hard", "--rates", "0", "--seeds", "1",
+         "--dialogues", "100", "--out", str(out)]
+    ) == 0
+    config = json.loads((out / "manifest.json").read_text())["sweep"]["generator_config"]
+    assert config["n_dialogues"] == 100
+    assert config["split_fractions"] == [8438 / 10438, 1000 / 10438, 1000 / 10438]
+
+
 def test_missing_input_is_runtime_error(tmp_path):
     code = run_cli(["encode", "--in", str(tmp_path / "nowhere")])
     assert code in (1, 2)

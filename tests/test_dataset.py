@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import pytest
+
 from dialoforge.dataset import generate_dataset, read_dataset, write_dataset
 from dialoforge.engine import GeneratorConfig, split_counts
+from dialoforge.errors import GenerationOverflow
 
 from .conftest import preset_config
 
@@ -52,3 +55,10 @@ def test_preset_config_helper_matches_table(hard_ontology):
     cfg = preset_config(hard_ontology, seed=0)
     assert cfg.n_dialogues == 10438
     assert split_counts(cfg.n_dialogues, cfg.split_fractions) == (8438, 1000, 1000)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_overflow_names_the_dialogue_on_both_paths(simple_ontology, jobs):
+    cfg = GeneratorConfig(n_dialogues=3, p_chitchat=1.0, seed=0)
+    with pytest.raises(GenerationOverflow, match=r"^dialogue 0: .*60 turns"):
+        generate_dataset(simple_ontology, cfg, jobs=jobs)

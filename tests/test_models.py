@@ -9,8 +9,10 @@ from dialoforge.engine import GeneratorConfig
 from dialoforge.errors import EmptySplit, WidthMismatch
 from dialoforge.harness import (
     LinearModel,
+    load_model,
     logistic_loss_and_grad,
     predict,
+    save_model,
     train_linear,
     train_memorizer,
 )
@@ -171,3 +173,31 @@ def test_width_mismatch_rejected():
     model = LinearModel(weights=np.zeros((4, 2)), bias=np.zeros(2))
     with pytest.raises(WidthMismatch):
         predict(model, np.ones(5, dtype=np.uint8))
+
+
+# -- model files -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["memorizer", "linear"])
+def test_save_load_round_trip_predicts_identically(kind, simple_ontology, tmp_path):
+    ds = generate_dataset(simple_ontology, GeneratorConfig(n_dialogues=60, seed=4))
+    enc = encode_dataset(ds, simple_ontology)
+    train = enc.splits["train"]
+    model = train_memorizer(train) if kind == "memorizer" else train_linear(train, epochs=3)
+    path = tmp_path / f"{kind}.npz"
+    save_model(model, path, enc.ontology_hash)
+    loaded = load_model(path)
+    assert type(loaded) is type(model)
+    states = np.concatenate([enc.splits["test"][0], 1 - enc.splits["test"][0][:5]])
+    assert np.array_equal(predict(loaded, states), predict(model, states))
+    with np.load(path) as blob:
+        assert str(blob["ontology_hash"]) == enc.ontology_hash == simple_ontology.content_hash()
+
+
+def test_load_model_rejects_unknown_kind(tmp_path):
+    from dialoforge.errors import SchemaError
+
+    path = tmp_path / "odd.npz"
+    np.savez(path, kind="forest")
+    with pytest.raises(SchemaError):
+        load_model(path)

@@ -28,6 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .harness import (
+    MODEL_KINDS,
     compute_metrics,
     load_model,
     predict,
@@ -39,7 +40,7 @@ from .harness import (
     write_sweep_long,
 )
 from .injection import ErrorConfig, inject_errors, write_records
-from .ontology import Ontology, load_ontology_file, preset_ontology
+from .ontology import PRESET_NAMES, Ontology, load_ontology_file, preset_ontology
 
 SEED_ENV_VAR = "DIALOFORGE_SEED"
 
@@ -107,11 +108,11 @@ def _write_ontology(outdir: Path, ontology: Ontology) -> None:
     )
 
 
-def _parse_fractions(text: str) -> tuple[float, float, float]:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise ValidationError("--split-fractions needs three comma-separated numbers")
-    return tuple(parts)  # type: ignore[return-value]
+def _parse_floats(text: str, flag: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{flag} needs comma-separated numbers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +133,18 @@ def _generator_config(args, ontology: Ontology) -> GeneratorConfig:
     """Resolve generation settings: flags first, then the ontology's
     `generation` defaults, then GeneratorConfig's own defaults."""
     defaults = ontology.generation_defaults
-    fields = {k: v for k, v in vars(args).items() if k in _GENERATOR_FLAGS}
+    fields = {k: v for k, v in vars(args).items() if k in _GENERATOR_FLAGS and v is not None}
+    if args.dialogues or "n_dialogues" in defaults:
+        fields["n_dialogues"] = args.dialogues or defaults["n_dialogues"]
     if getattr(args, "split_fractions", None):
-        fields["split_fractions"] = _parse_fractions(args.split_fractions)
+        fractions = _parse_floats(args.split_fractions, "--split-fractions")
+        if len(fractions) != 3:
+            raise ValidationError("--split-fractions needs three comma-separated numbers")
+        fields["split_fractions"] = tuple(fractions)
     elif "split" in defaults:
         counts = defaults["split"]
         fields["split_fractions"] = tuple(c / sum(counts) for c in counts)
-    return GeneratorConfig(
-        n_dialogues=args.dialogues or defaults.get("n_dialogues") or 2000,
-        seed=_resolve_seed(args),
-        **fields,
-    )
+    return GeneratorConfig(seed=_resolve_seed(args), **fields)
 
 
 def _cmd_generate(args) -> int:
@@ -269,7 +271,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     ontology = _load_cli_ontology(args)
-    rates = [float(r) for r in args.rates.split(",")]
+    rates = _parse_floats(args.rates, "--rates")
     models = [m.strip() for m in args.models.split(",")]
     gen_cfg = _generator_config(args, ontology)
     result = robustness_sweep(
@@ -303,14 +305,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("generate", help="generate a clean dataset")
-    p.add_argument("--preset", choices=("simple", "medium", "hard"))
+    p.add_argument("--preset", choices=PRESET_NAMES)
     p.add_argument("--ontology", help="custom ontology file")
     p.add_argument("--dialogues", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p-chitchat", type=float, default=0.2)
-    p.add_argument("--p-mind-change", type=float, default=0.2)
-    p.add_argument("--p-domain-change", type=float, default=0.2)
-    p.add_argument("--max-stack-depth", type=int, default=2)
+    p.add_argument("--p-chitchat", type=float, default=None)
+    p.add_argument("--p-mind-change", type=float, default=None)
+    p.add_argument("--p-domain-change", type=float, default=None)
+    p.add_argument("--max-stack-depth", type=int, default=None)
     p.add_argument("--split-fractions", default=None, help="e.g. 0.6,0.2,0.2")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
@@ -334,7 +336,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("train", help="train a baseline model")
-    p.add_argument("--model", choices=("memorizer", "linear"), required=True)
+    p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -350,7 +352,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="error-rate robustness sweep")
-    p.add_argument("--preset", choices=("simple", "medium", "hard"))
+    p.add_argument("--preset", choices=PRESET_NAMES)
     p.add_argument("--ontology")
     p.add_argument("--rates", required=True, help="comma-separated ascending rates")
     p.add_argument("--models", default="memorizer")

@@ -121,48 +121,35 @@ def _apply_system_acts(stack: DialogueStack, system_acts: list[str]) -> None:
 
 
 def _encode_actions_indexed(
-    system_acts: list[str], index: dict[str, int], width: int
-) -> np.ndarray:
-    out = np.zeros(width, dtype=np.uint8)
+    system_acts: list[str], index: dict[str, int], out: np.ndarray
+) -> None:
+    """Set the multi-hot bit of every action in ``out``; UNK sets nothing."""
     for aid in system_acts:
         if aid == UNK_TOKEN:
             continue
         if aid not in index:
             raise UnknownLabel(f"action {aid!r} is not in the catalog")
         out[index[aid]] = 1
-    return out
 
 
 def encode_actions(system_acts: list[str], ontology: Ontology) -> np.ndarray:
     """Multi-hot target over the action catalog; UNK labels contribute nothing."""
     index = {a: i for i, a in enumerate(ontology.action_catalog)}
-    return _encode_actions_indexed(system_acts, index, len(index))
-
-
-@dataclass
-class _LayoutIndex:
-    slot: dict[str, int]
-    intent: dict[str, int]
-    action: dict[str, int]
-
-    @classmethod
-    def build(cls, layout: StateLayout) -> "_LayoutIndex":
-        return cls(layout.slot_index(), layout.intent_index(), layout.action_index())
+    out = np.zeros(len(index), dtype=np.uint8)
+    _encode_actions_indexed(system_acts, index, out)
+    return out
 
 
 def _encode_turn_state(
+    row: np.ndarray,
     layout: StateLayout,
-    idx: _LayoutIndex,
+    slot_index: dict[str, int],
+    intent_index: dict[str, int],
     stack: DialogueStack,
     turn: DialogueTurn,
-    prev_system_acts: Optional[list[str]],
     filled: list[str],
-) -> np.ndarray:
-    slot_index = idx.slot
-    intent_index = idx.intent
-    action_index = idx.action
-
-    row = np.zeros(layout.state_width, dtype=np.uint8)
+) -> None:
+    """Fill the slot, intent and management blocks of a zeroed state row."""
     for frame in stack.frames:
         for slot, value in frame.fills.items():
             if value is None:
@@ -175,45 +162,38 @@ def _encode_turn_state(
         if key in slot_index:
             row[2 * slot_index[key] + 1] = 1
 
-    for act in turn.user_acts:
-        name = act.kind.value
-        if name not in intent_index:
-            raise UnknownLabel(f"intent {name!r} is not in the catalog")
-        row[layout.intent_offset + intent_index[name]] = 1
-
-    if prev_system_acts:
-        for aid in prev_system_acts:
-            if aid == UNK_TOKEN:
-                continue
-            if aid not in action_index:
-                raise UnknownLabel(f"action {aid!r} is not in the catalog")
-            row[layout.action_offset + action_index[aid]] = 1
+    for act in turn.user_acts:  # every IntentKind is in every layout
+        row[layout.intent_offset + intent_index[act.kind.value]] = 1
 
     base = layout.management_offset
     if stack.depth > 1:
         row[base] = 1
     if stack.frames:
         row[base + _PHASE_OFFSET[stack.top.phase]] = 1
-    return row
 
 
 def encode_dialogue(
     dialogue: Dialogue, ontology: Ontology, layout: Optional[StateLayout] = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-turn (state, target) matrices for one dialogue."""
+    """Per-turn (state, target) matrices for one dialogue.
+
+    A turn's previous-action block is the previous turn's target row.
+    """
     layout = layout or StateLayout.from_ontology(ontology)
-    idx = _LayoutIndex.build(layout)
+    slot_index, intent_index = layout.slot_index(), layout.intent_index()
+    action_index = layout.action_index()
+    prev_actions = slice(layout.action_offset, layout.management_offset)
     stack = DialogueStack(ontology)
     states = np.zeros((len(dialogue.turns), layout.state_width), dtype=np.uint8)
     targets = np.zeros((len(dialogue.turns), layout.target_width), dtype=np.uint8)
-    prev: Optional[list[str]] = None
     for i, turn in enumerate(dialogue.turns):
         filled = stack.apply_user_acts(turn.user_acts)
-        states[i] = _encode_turn_state(layout, idx, stack, turn, prev, filled)
-        targets[i] = _encode_actions_indexed(turn.system_acts, idx.action, layout.target_width)
+        _encode_turn_state(states[i], layout, slot_index, intent_index, stack, turn, filled)
+        if i:
+            states[i, prev_actions] = targets[i - 1]
+        _encode_actions_indexed(turn.system_acts, action_index, targets[i])
         _apply_system_acts(stack, turn.system_acts)
         stack.pop_if_closed({a.kind for a in turn.user_acts})
-        prev = turn.system_acts
     return states, targets
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .errors import EmptyStackError, GenerationOverflow, ValidationError
+from .errors import EmptyStackError, GenerationOverflow, UnknownLabel, ValidationError
 from .ontology import (
     GENERAL_CHIT_CHAT_ID,
     ActionKind,
@@ -89,7 +89,10 @@ class UserAct:
     @classmethod
     def from_dict(cls, obj: dict) -> "UserAct":
         act = cls.__new__(cls)
-        act.kind = IntentKind(obj["kind"])
+        try:
+            act.kind = IntentKind(obj["kind"])
+        except ValueError:
+            raise UnknownLabel(f"intent kind {obj['kind']!r} is not in the catalog") from None
         act.domain = obj.get("domain")
         act.topic = obj.get("topic")
         act.slot = obj.get("slot")

@@ -31,6 +31,7 @@ from .ontology import Ontology
 from .rng import derive_seed
 
 MODEL_KINDS = ("memorizer", "linear")
+BATCH_SIZE = 128  # minibatch rows per gradient step of train_linear
 
 
 @dataclass
@@ -135,8 +136,6 @@ def train_linear(
     learning_rate: float = 0.5,
     l2: float = 0.0,
     seed: int = 0,
-    batch_size: int = 128,
-    threshold: float = 0.5,
 ) -> LinearModel:
     states, targets = train
     if states.shape[0] == 0:
@@ -155,8 +154,8 @@ def train_linear(
         order = shuffler.permutation(n)
         epoch_loss = 0.0
         batches = 0
-        for start in range(0, n, batch_size):
-            sel = order[start : start + batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            sel = order[start : start + BATCH_SIZE]
             loss, gw, gb = logistic_loss_and_grad(
                 weights, bias, states[sel], targets[sel], l2
             )
@@ -168,7 +167,7 @@ def train_linear(
             batches += 1
         history.append(epoch_loss / batches)
 
-    return LinearModel(weights=weights, bias=bias, threshold=threshold, loss_history=history)
+    return LinearModel(weights=weights, bias=bias, loss_history=history)
 
 
 def predict(model: Model, states: np.ndarray) -> np.ndarray:

@@ -14,9 +14,10 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterable
 
 from .dataset import Dataset
-from .engine import Dialogue
+from .engine import DialogueTurn
 from .errors import CatalogTooSmall, UnknownLabel, ValidationError
 from .ontology import IntentKind, Ontology, UNK_TOKEN
 from .rng import derive_seed
@@ -118,62 +119,30 @@ def _draw_mode(rng: random.Random, weights: tuple[float, float]) -> PerturbMode:
     return PerturbMode.UNK
 
 
-def _check_labels(dataset: Dataset, ontology: Ontology) -> None:
-    intents = set(ontology.intent_catalog) | {UNK_TOKEN}
-    actions = set(ontology.action_catalog) | {UNK_TOKEN}
-    slots = set(ontology.all_slot_names()) | {UNK_TOKEN}
-    for split, dlg in dataset.iter_dialogues():
-        for ti, turn in enumerate(dlg.turns):
-            for act in turn.user_acts:
-                if act.kind.value not in intents:
-                    raise UnknownLabel(f"{dlg.id} turn {ti}: intent {act.kind.value!r}")
-                if act.slot is not None and act.slot not in slots:
-                    raise UnknownLabel(f"{dlg.id} turn {ti}: slot {act.slot!r}")
-            for aid in turn.system_acts:
-                if aid not in actions:
-                    raise UnknownLabel(f"{dlg.id} turn {ti}: action {aid!r}")
+def _labels(turn: DialogueTurn, kind: ElementKind) -> Iterable[tuple[int, str]]:
+    """(index, label) of every label of one kind in a turn."""
+    if kind is ElementKind.INTENT:
+        return enumerate([act.kind.value for act in turn.user_acts])
+    if kind is ElementKind.SLOT:
+        return [(i, act.slot) for i, act in enumerate(turn.user_acts) if act.slot is not None]
+    return enumerate(turn.system_acts)
 
 
-def _perturb_dialogue(
-    dlg: Dialogue,
-    cfg: ErrorConfig,
-    rng: random.Random,
-    intent_catalog: list[str],
-    action_catalog: list[str],
-    slot_catalog: list[str],
-) -> list[PerturbationRecord]:
-    records = []
-    for ti, turn in enumerate(dlg.turns):
-        for ai, act in enumerate(turn.user_acts):
-            if cfg.p_intent > 0 and rng.random() < cfg.p_intent:
-                mode = _draw_mode(rng, cfg.mode_weights)
-                original = act.kind.value
-                new = perturb_label(original, intent_catalog, rng, mode)
-                if new != original:
-                    act.kind = IntentKind(new)
-                    records.append(
-                        PerturbationRecord(dlg.id, ti, ElementKind.INTENT, ai, original, new, mode)
-                    )
-        for ai, act in enumerate(turn.user_acts):
-            if act.slot is not None and cfg.p_slot > 0 and rng.random() < cfg.p_slot:
-                mode = _draw_mode(rng, cfg.mode_weights)
-                original = act.slot
-                new = perturb_label(original, slot_catalog, rng, mode)
-                if new != original:
-                    act.slot = new
-                    records.append(
-                        PerturbationRecord(dlg.id, ti, ElementKind.SLOT, ai, original, new, mode)
-                    )
-        for ai, aid in enumerate(turn.system_acts):
-            if cfg.p_action > 0 and rng.random() < cfg.p_action:
-                mode = _draw_mode(rng, cfg.mode_weights)
-                new = perturb_label(aid, action_catalog, rng, mode)
-                if new != aid:
-                    turn.system_acts[ai] = new
-                    records.append(
-                        PerturbationRecord(dlg.id, ti, ElementKind.ACTION, ai, aid, new, mode)
-                    )
-    return records
+def _set_label(turn: DialogueTurn, kind: ElementKind, index: int, label: str) -> None:
+    if kind is ElementKind.INTENT:
+        turn.user_acts[index].kind = IntentKind(label)
+    elif kind is ElementKind.SLOT:
+        turn.user_acts[index].slot = label
+    else:
+        turn.system_acts[index] = label
+
+
+def _copy(dataset: Dataset) -> Dataset:
+    return Dataset(
+        splits={k: copy.deepcopy(v) for k, v in dataset.splits.items()},
+        ontology_hash=dataset.ontology_hash,
+        config=dataset.config,
+    )
 
 
 def inject_errors(
@@ -185,58 +154,54 @@ def inject_errors(
     """Perturb a dataset's labels; returns a new dataset plus the audit log.
 
     The input dataset is left untouched.  ``splits`` may be "all" or "train"
-    to restrict which splits receive noise.
+    to restrict which splits receive noise; labels outside the ontology raise
+    ``UnknownLabel`` in every split.
     """
     if splits not in ("all", "train"):
         raise ValidationError("splits must be 'all' or 'train'")
-    _check_labels(dataset, ontology)
+    # Per turn, intents are drawn before slots before actions: this order
+    # defines the RNG stream of a seed.
+    lanes = [
+        (kind, catalog, set(catalog) | {UNK_TOKEN}, p)
+        for kind, catalog, p in (
+            (ElementKind.INTENT, list(ontology.intent_catalog), cfg.p_intent),
+            (ElementKind.SLOT, ontology.all_slot_names(), cfg.p_slot),
+            (ElementKind.ACTION, list(ontology.action_catalog), cfg.p_action),
+        )
+    ]
 
-    out = Dataset(
-        splits={k: copy.deepcopy(v) for k, v in dataset.splits.items()},
-        ontology_hash=dataset.ontology_hash,
-        config=dataset.config,
-    )
-    intent_catalog = list(ontology.intent_catalog)
-    action_catalog = list(ontology.action_catalog)
-    slot_catalog = ontology.all_slot_names()
-
+    out = _copy(dataset)
     records: list[PerturbationRecord] = []
-    ordinal = 0
-    for split, dlg in out.iter_dialogues():
-        if splits == "all" or split == "train":
-            rng = random.Random(derive_seed(cfg.seed, ordinal))
-            records.extend(
-                _perturb_dialogue(dlg, cfg, rng, intent_catalog, action_catalog, slot_catalog)
-            )
-        ordinal += 1
+    for ordinal, (split, dlg) in enumerate(out.iter_dialogues()):
+        noisy = splits == "all" or split == "train"
+        rng = random.Random(derive_seed(cfg.seed, ordinal)) if noisy else None
+        for ti, turn in enumerate(dlg.turns):
+            for kind, catalog, known, p in lanes:
+                draw = noisy and p > 0
+                for index, label in _labels(turn, kind):
+                    if label not in known:
+                        raise UnknownLabel(f"{dlg.id} turn {ti}: {kind.value} {label!r}")
+                    if not draw or rng.random() >= p:
+                        continue
+                    mode = _draw_mode(rng, cfg.mode_weights)
+                    new = perturb_label(label, catalog, rng, mode)
+                    if new != label:
+                        _set_label(turn, kind, index, new)
+                        records.append(
+                            PerturbationRecord(dlg.id, ti, kind, index, label, new, mode)
+                        )
     return out, records
 
 
 def revert_errors(dataset: Dataset, records: list[PerturbationRecord]) -> Dataset:
     """Undo a perturbation pass, restoring the original dataset exactly."""
-    out = Dataset(
-        splits={k: copy.deepcopy(v) for k, v in dataset.splits.items()},
-        ontology_hash=dataset.ontology_hash,
-        config=dataset.config,
-    )
+    out = _copy(dataset)
     by_id = {dlg.id: dlg for _, dlg in out.iter_dialogues()}
     for rec in records:
-        dlg = by_id[rec.dialogue_id]
-        turn = dlg.turns[rec.turn_index]
-        if rec.element is ElementKind.INTENT:
-            act = turn.user_acts[rec.index]
-            if act.kind.value != rec.new:
-                raise ValidationError(f"record does not match dataset: {rec}")
-            act.kind = IntentKind(rec.original)
-        elif rec.element is ElementKind.SLOT:
-            act = turn.user_acts[rec.index]
-            if act.slot != rec.new:
-                raise ValidationError(f"record does not match dataset: {rec}")
-            act.slot = rec.original
-        else:
-            if turn.system_acts[rec.index] != rec.new:
-                raise ValidationError(f"record does not match dataset: {rec}")
-            turn.system_acts[rec.index] = rec.original
+        turn = by_id[rec.dialogue_id].turns[rec.turn_index]
+        if dict(_labels(turn, rec.element)).get(rec.index) != rec.new:
+            raise ValidationError(f"record does not match dataset: {rec}")
+        _set_label(turn, rec.element, rec.index, rec.original)
     return out
 
 

@@ -119,6 +119,30 @@ def test_linear_model_pipeline(tiny_dataset, tmp_path, capsys):
     assert 0.0 <= report["micro_f1"] <= 1.0
 
 
+def test_unknown_intent_kind_in_dataset_is_a_validation_error(tiny_dataset, tmp_path):
+    train = tiny_dataset / "train.jsonl"
+    text = train.read_text()
+    train.write_text(text.replace('"kind":"inform"', '"kind":"bogus"', 1))
+    assert run_cli(["encode", "--in", str(tiny_dataset)]) == 1
+    assert run_cli(
+        ["inject", "--in", str(tiny_dataset), "--p-intent", "0.5",
+         "--out", str(tmp_path / "noisy")]
+    ) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--preset", "simple", "--rates", "0.1,abc"],
+        ["generate", "--preset", "simple", "--split-fractions", "a,b,c"],
+    ],
+    ids=["rates", "split-fractions"],
+)
+def test_non_numeric_float_list_is_a_validation_error(argv, tmp_path, capsys):
+    assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert argv[-2] in capsys.readouterr().err
+
+
 def test_inject_does_not_mutate_input(tiny_dataset, tmp_path):
     before = _dir_bytes(tiny_dataset)
     assert run_cli(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -7,8 +8,9 @@ import pytest
 
 from dialoforge.dataset import dumps_dialogue, generate_dataset
 from dialoforge.engine import GeneratorConfig
-from dialoforge.errors import CatalogTooSmall, UnknownLabel
+from dialoforge.errors import CatalogTooSmall, UnknownLabel, ValidationError
 from dialoforge.injection import (
+    ElementKind,
     ErrorConfig,
     PerturbMode,
     inject_errors,
@@ -118,11 +120,28 @@ def test_train_only_restriction(simple_ontology):
             assert dumps_dialogue(a) == dumps_dialogue(b)
 
 
-def test_unknown_label_rejected(simple_ontology):
+@pytest.mark.parametrize("element", ["action", "slot"])
+@pytest.mark.parametrize("split, noisy_splits", [("train", "all"), ("test", "train")])
+def test_unknown_label_rejected(simple_ontology, element, split, noisy_splits):
     ds = _dataset(simple_ontology, n=5)
-    ds.splits["train"][0].turns[0].system_acts[0] = "bogus-action"
+    turns = [t for d in ds.splits[split] for t in d.turns]
+    if element == "action":
+        next(t for t in turns if t.system_acts).system_acts[0] = "bogus-action"
+    else:
+        next(a for t in turns for a in t.user_acts if a.slot is not None).slot = "bogus-slot"
+    cfg = ErrorConfig(p_action=0.5, p_slot=0.5, seed=0)
     with pytest.raises(UnknownLabel):
-        inject_errors(ds, simple_ontology, ErrorConfig(p_action=0.5, seed=0))
+        inject_errors(ds, simple_ontology, cfg, splits=noisy_splits)
+
+
+@pytest.mark.parametrize("element", list(ElementKind))
+def test_revert_rejects_mismatched_record(simple_ontology, element):
+    ds = _dataset(simple_ontology, n=10)
+    cfg = ErrorConfig(**{f"p_{element.value}": 1.0}, seed=2)
+    out, records = inject_errors(ds, simple_ontology, cfg)
+    bad = dataclasses.replace(records[0], new="not-what-was-written")
+    with pytest.raises(ValidationError, match="record does not match dataset"):
+        revert_errors(out, [bad])
 
 
 def test_relabeled_labels_stay_in_catalog(medium_ontology):

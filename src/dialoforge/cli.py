@@ -14,10 +14,11 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .dataset import generate_dataset, read_dataset, write_dataset
+from .dataset import generate_dataset, read_dataset, write_dataset, write_json
 from .encoding import encode_dataset, read_encoded, write_encoded
 from .engine import GeneratorConfig
 from .errors import (
@@ -75,9 +76,7 @@ def _input_hashes(indir: Path) -> dict:
 def _write_manifest(outdir: Path, payload: dict) -> None:
     manifest = {"tool": "dialoforge", "version": __version__}
     manifest.update(payload)
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(outdir / "manifest.json", manifest)
 
 
 def _resolve_seed(args) -> int:
@@ -103,9 +102,7 @@ def _dataset_ontology(indir: Path) -> Ontology:
 
 
 def _write_ontology(outdir: Path, ontology: Ontology) -> None:
-    (outdir / "ontology.json").write_text(
-        json.dumps(ontology.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(outdir / "ontology.json", ontology.to_dict())
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -194,7 +191,7 @@ def _cmd_inject(args) -> int:
             "tool": "dialoforge",
             "version": __version__,
             "subcommand": "inject",
-            "error_config": cfg.to_dict(),
+            "error_config": asdict(cfg),
             "noise_applied_to": args.splits,
             "n_perturbations": len(records),
             "input_hashes": _input_hashes(indir),
@@ -265,7 +262,7 @@ def _cmd_eval(args) -> int:
     preds = predict(model, states)
     report = compute_metrics(preds, golds)
     _log(report.pretty(list(encoded.layout.actions)))
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(asdict(report), indent=2, sort_keys=True))
     return 0
 
 

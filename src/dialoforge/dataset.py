@@ -1,12 +1,13 @@
-"""Dataset container, JSON-Lines serialization, and dataset generation."""
+"""Dataset container, dataset generation, and the JSON / JSON-Lines readers
+and writers every on-disk record goes through."""
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .engine import (
     Dialogue,
@@ -15,10 +16,12 @@ from .engine import (
     generate_dialogue,
     split_counts,
 )
-from .errors import GenerationOverflow, SchemaError
+from .errors import DialoforgeError, GenerationOverflow, SchemaError
 from .ontology import Ontology
 
 SPLIT_NAMES = ("train", "val", "test")
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -80,35 +83,74 @@ def generate_dataset(
 
 
 # ---------------------------------------------------------------------------
+# Text formats: one writer and one reader each for JSON and JSON Lines
+
+
+def write_json(path, obj) -> None:
+    """Indented, key-sorted JSON with a trailing newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def read_json(path):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+
+
+def _compact(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+
+
+def write_jsonl(path, dicts: Iterable[dict]) -> None:
+    """One compact JSON object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_compact(d) + "\n" for d in dicts)
+
+
+def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
+    """Parse every non-blank line; a bad record names its file and line."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except DialoforgeError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from None
+            except KeyError as exc:
+                raise SchemaError(f"{path}:{lineno}: missing key {exc}") from None
+            except (ValueError, TypeError, AttributeError) as exc:  # incl. bad JSON
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+    return out
+
+
+# ---------------------------------------------------------------------------
 # On-disk layout: manifest.json + {train,val,test}.jsonl
 
 
 def dumps_dialogue(dialogue: Dialogue) -> str:
-    return json.dumps(dialogue.to_dict(), separators=(",", ":"), ensure_ascii=True)
+    return _compact(dialogue.to_dict())
 
 
 def write_dataset(dataset: Dataset, outdir, manifest_extra: Optional[dict] = None) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     for split in SPLIT_NAMES:
-        lines = [dumps_dialogue(d) for d in dataset.splits.get(split, [])]
-        (out / f"{split}.jsonl").write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8"
-        )
+        write_jsonl(out / f"{split}.jsonl", (d.to_dict() for d in dataset.splits.get(split, [])))
     manifest = {
         "format": "dialoforge-dataset",
         "version": 1,
         "ontology_hash": dataset.ontology_hash,
-        "config": dataset.config.to_dict(),
+        "config": asdict(dataset.config),
         "seed": dataset.config.seed,
         "splits": dataset.split_sizes(),
         "n_dialogues": dataset.n_dialogues,
     }
     if manifest_extra:
         manifest.update(manifest_extra)
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / "manifest.json", manifest)
 
 
 def read_dataset(indir) -> Dataset:
@@ -116,18 +158,13 @@ def read_dataset(indir) -> Dataset:
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise SchemaError(f"no manifest.json in {path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("format") != "dialoforge-dataset":
+    manifest = read_json(manifest_path)
+    if not isinstance(manifest, dict) or manifest.get("format") != "dialoforge-dataset":
         raise SchemaError(f"{manifest_path}: not a dataset manifest")
     splits: dict[str, list[Dialogue]] = {}
     for split in SPLIT_NAMES:
         fp = path / f"{split}.jsonl"
-        dialogues = []
-        if fp.exists():
-            for line in fp.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    dialogues.append(Dialogue.from_dict(json.loads(line)))
-        splits[split] = dialogues
+        splits[split] = read_jsonl(fp, Dialogue.from_dict) if fp.exists() else []
     return Dataset(
         splits=splits,
         ontology_hash=manifest["ontology_hash"],

@@ -16,14 +16,13 @@ the active topic simply stays unfilled.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .dataset import SPLIT_NAMES, Dataset
+from .dataset import SPLIT_NAMES, Dataset, read_json, write_json
 from .engine import Dialogue, DialogueStack, DialogueTurn, Phase
 from .errors import IndexOutOfRange, UnknownLabel
 from .ontology import (
@@ -251,10 +250,7 @@ _MAGIC = "dialoforge-encoded 1"
 def write_encoded(encoded: EncodedDataset, outdir, csv: bool = False) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "layout.json").write_text(
-        json.dumps(encoded.layout.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out / "layout.json", encoded.layout.to_dict())
     for split, (states, targets) in encoded.splits.items():
         header = (
             f"{_MAGIC}\n"
@@ -289,9 +285,7 @@ def _write_csv(path, layout: StateLayout, states: np.ndarray, targets: np.ndarra
 
 def read_encoded(indir) -> EncodedDataset:
     path = Path(indir)
-    layout = StateLayout.from_dict(
-        json.loads((path / "layout.json").read_text(encoding="utf-8"))
-    )
+    layout = StateLayout.from_dict(read_json(path / "layout.json"))
     splits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for split in SPLIT_NAMES:
         fp = path / f"{split}.bin"

@@ -242,17 +242,6 @@ class GeneratorConfig:
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValidationError("split_fractions must sum to 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_dialogues": self.n_dialogues,
-            "p_chitchat": self.p_chitchat,
-            "p_mind_change": self.p_mind_change,
-            "p_domain_change": self.p_domain_change,
-            "max_stack_depth": self.max_stack_depth,
-            "seed": self.seed,
-            "split_fractions": list(self.split_fractions),
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "GeneratorConfig":
         obj = dict(obj)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -319,29 +319,32 @@ def robustness_sweep(
         "n_seeds": n_seeds,
         "mode_weights": list(mode_weights),
         "noise_applied_to": "all splits",
-        "generator_config": gen_cfg.to_dict(),
+        "generator_config": asdict(gen_cfg),
         "ontology_hash": ontology.content_hash(),
     }
     return SweepResult(rows=rows, manifest=manifest)
 
 
+# (column, MetricsReport attribute) of each sweep export; the wide CSV carries
+# the first four, the long one all six.
+_SWEEP_METRICS = (
+    ("micro_f1", "micro_f1"),
+    ("micro_p", "micro_precision"),
+    ("micro_r", "micro_recall"),
+    ("macro_f1", "macro_f1"),
+    ("macro_p", "macro_precision"),
+    ("macro_r", "macro_recall"),
+)
+
+
 def write_sweep_csv(result: SweepResult, path) -> None:
+    metrics = _SWEEP_METRICS[:4]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rate", "model", "micro_f1", "micro_p", "micro_r", "macro_f1", "seed"])
+        writer.writerow(["rate", "model", *(column for column, _ in metrics), "seed"])
         for row in result.rows:
-            r = row.report
-            writer.writerow(
-                [
-                    f"{row.error_rate:g}",
-                    row.model,
-                    f"{r.micro_f1:.6f}",
-                    f"{r.micro_precision:.6f}",
-                    f"{r.micro_recall:.6f}",
-                    f"{r.macro_f1:.6f}",
-                    row.seed,
-                ]
-            )
+            values = (f"{getattr(row.report, attr):.6f}" for _, attr in metrics)
+            writer.writerow([f"{row.error_rate:g}", row.model, *values, row.seed])
 
 
 def write_sweep_long(result: SweepResult, path) -> None:
@@ -350,16 +353,9 @@ def write_sweep_long(result: SweepResult, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["rate", "model", "seed", "metric", "value"])
         for row in result.rows:
-            r = row.report
-            for name, value in (
-                ("micro_f1", r.micro_f1),
-                ("micro_p", r.micro_precision),
-                ("micro_r", r.micro_recall),
-                ("macro_f1", r.macro_f1),
-                ("macro_p", r.macro_precision),
-                ("macro_r", r.macro_recall),
-            ):
-                writer.writerow([f"{row.error_rate:g}", row.model, row.seed, name, f"{value:.6f}"])
+            for column, attr in _SWEEP_METRICS:
+                value = getattr(row.report, attr)
+                writer.writerow([f"{row.error_rate:g}", row.model, row.seed, column, f"{value:.6f}"])
 
 
 def linear_fit_r2(points: list[tuple[float, float]]) -> float:

@@ -8,16 +8,13 @@ reconstructed from the log.
 
 from __future__ import annotations
 
-import copy
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable
 
-from .dataset import Dataset
-from .engine import DialogueTurn
+from .dataset import Dataset, read_jsonl, write_jsonl
+from .engine import Dialogue, DialogueTurn
 from .errors import CatalogTooSmall, UnknownLabel, ValidationError
 from .ontology import IntentKind, Ontology, UNK_TOKEN
 from .rng import derive_seed
@@ -50,15 +47,6 @@ class ErrorConfig:
         w_relabel, w_unk = self.mode_weights
         if w_relabel < 0 or w_unk < 0 or w_relabel + w_unk == 0:
             raise ValidationError("mode_weights must be non-negative, not both zero")
-
-    def to_dict(self) -> dict:
-        return {
-            "p_intent": self.p_intent,
-            "p_action": self.p_action,
-            "p_slot": self.p_slot,
-            "mode_weights": list(self.mode_weights),
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -138,8 +126,9 @@ def _set_label(turn: DialogueTurn, kind: ElementKind, index: int, label: str) ->
 
 
 def _copy(dataset: Dataset) -> Dataset:
+    """A deep copy through the dialogue dict codec."""
     return Dataset(
-        splits={k: copy.deepcopy(v) for k, v in dataset.splits.items()},
+        splits={k: [Dialogue.from_dict(d.to_dict()) for d in v] for k, v in dataset.splits.items()},
         ontology_hash=dataset.ontology_hash,
         config=dataset.config,
     )
@@ -198,23 +187,17 @@ def revert_errors(dataset: Dataset, records: list[PerturbationRecord]) -> Datase
     out = _copy(dataset)
     by_id = {dlg.id: dlg for _, dlg in out.iter_dialogues()}
     for rec in records:
-        turn = by_id[rec.dialogue_id].turns[rec.turn_index]
-        if dict(_labels(turn, rec.element)).get(rec.index) != rec.new:
+        turns = by_id[rec.dialogue_id].turns if rec.dialogue_id in by_id else []
+        turn = turns[rec.turn_index] if 0 <= rec.turn_index < len(turns) else None
+        if turn is None or dict(_labels(turn, rec.element)).get(rec.index) != rec.new:
             raise ValidationError(f"record does not match dataset: {rec}")
         _set_label(turn, rec.element, rec.index, rec.original)
     return out
 
 
 def write_records(records: list[PerturbationRecord], path) -> None:
-    Path(path).write_text(
-        "".join(json.dumps(r.to_dict(), separators=(",", ":")) + "\n" for r in records),
-        encoding="utf-8",
-    )
+    write_jsonl(path, (r.to_dict() for r in records))
 
 
 def read_records(path) -> list[PerturbationRecord]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(PerturbationRecord.from_dict(json.loads(line)))
-    return records
+    return read_jsonl(path, PerturbationRecord.from_dict)

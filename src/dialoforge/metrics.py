@@ -40,30 +40,6 @@ class MetricsReport:
     per_action: list[ActionScore] = field(default_factory=list)
     n_samples: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "micro_precision": self.micro_precision,
-            "micro_recall": self.micro_recall,
-            "micro_f1": self.micro_f1,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "n_samples": self.n_samples,
-            "per_action": [
-                {
-                    "action_index": a.action_index,
-                    "tp": a.tp,
-                    "fp": a.fp,
-                    "fn": a.fn,
-                    "support": a.support,
-                    "precision": a.precision,
-                    "recall": a.recall,
-                    "f1": a.f1,
-                }
-                for a in self.per_action
-            ],
-        }
-
     def pretty(self, action_names: list[str] | None = None) -> str:
         lines = [
             f"samples            {self.n_samples}",

@@ -372,6 +372,26 @@ def _parse_domain(obj: object, path: str) -> DomainSpec:
     return DomainSpec(name=name, topics=topics)
 
 
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _parse_generation(obj: object) -> dict:
+    """Check the generation defaults; the dict itself is kept as written."""
+    path = "$.generation"
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: must be an object")
+    _expect_keys(obj, path, (), ("n_dialogues", "split"))
+    if "n_dialogues" in obj and not (_is_count(obj["n_dialogues"]) and obj["n_dialogues"] > 0):
+        raise ValidationError(f"{path}.n_dialogues: must be a positive integer")
+    split = obj.get("split")
+    if "split" in obj and not (
+        isinstance(split, list) and len(split) == 3 and all(map(_is_count, split)) and sum(split) > 0
+    ):
+        raise ValidationError(f"{path}.split: must be three non-negative integers with a positive sum")
+    return obj
+
+
 def build_ontology(domains: Iterable[DomainSpec], generation_defaults: Optional[dict] = None) -> Ontology:
     """Assemble an ontology from parsed domains and derive its action catalog."""
     domains = tuple(domains)
@@ -403,10 +423,7 @@ def load_ontology(source: str) -> Ontology:
     if not isinstance(raw, list):
         raise SchemaError("$.domains: must be a list")
     domains = [_parse_domain(d, f"$.domains[{i}]") for i, d in enumerate(raw)]
-    generation = doc.get("generation", {})
-    if not isinstance(generation, dict):
-        raise SchemaError("$.generation: must be an object")
-    return build_ontology(domains, generation)
+    return build_ontology(domains, _parse_generation(doc.get("generation", {})))
 
 
 def load_ontology_file(path) -> Ontology:

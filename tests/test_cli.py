@@ -131,6 +131,31 @@ def test_unknown_intent_kind_in_dataset_is_a_validation_error(tiny_dataset, tmp_
 
 
 @pytest.mark.parametrize(
+    "damage",
+    [
+        lambda line: line[: len(line) // 2],
+        lambda line: line.replace('"kind":"inform"', '"kind":"bogus"', 1),
+    ],
+    ids=["truncated-line", "bogus-intent-kind"],
+)
+def test_bad_dataset_line_names_file_and_line(damage, tiny_dataset, capsys):
+    train = tiny_dataset / "train.jsonl"
+    lines = train.read_text().splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if '"kind":"inform"' in line)
+    lines[n] = damage(lines[n].rstrip("\n")) + "\n"
+    train.write_text("".join(lines))
+    assert run_cli(["encode", "--in", str(tiny_dataset)]) == 1
+    assert f"train.jsonl:{n + 1}: " in capsys.readouterr().err
+
+
+def test_validate_rejects_bad_generation_block(tmp_path, capsys):
+    f = tmp_path / "ont.json"
+    f.write_text(json.dumps({**MINI_DOC, "generation": {"n_dialogues": "many"}}))
+    assert run_cli(["validate", str(f)]) == 1
+    assert "$.generation.n_dialogues" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sweep", "--preset", "simple", "--rates", "0.1,abc"],

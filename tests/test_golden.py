@@ -1,17 +1,23 @@
-"""Byte-level contract: pinned digests of a small generate -> inject -> encode chain.
+"""Byte-level contract: pinned digests of a small generate -> inject -> encode
+-> train -> eval chain and of a tiny sweep, per preset.
 
 A change that alters these bytes on purpose (for example a new RNG stream for
 injection) updates the pins here and says so in CHANGES.md.  Manifests are
-left out so that a version bump does not move the pins.
+pinned with the tool version masked, and so are the hashes of input manifests
+they quote, so that a version bump does not move the pins.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import re
 from pathlib import Path
 
 import pytest
 
+from dialoforge import __version__
 from dialoforge.cli import run_cli
 
 PINNED = (
@@ -59,20 +65,130 @@ GOLDEN = {
 }
 
 
-def _chain_digests(preset: str, tmp_path: Path) -> dict[str, str]:
-    clean, noisy = tmp_path / "clean", tmp_path / "noisy"
-    assert run_cli(
+MANIFEST_GOLDEN = {
+    "simple": {
+        "clean/manifest.json": "bf6210210245bec8f6d4e479b7c818e7eba7ceb19423bf656b73eb33cd62a9fe",
+        "noisy/manifest.json": "b180295e09eac05f17032ee17f410fda3baeb082577a70517ff6ecdea159b4e2",
+        "noisy/encoded/manifest.json": "5957ff8dbd0a102036cb760358bc1a3a693c149f07aff788bce3386f146aee41",
+        "sweep/manifest.json": "137428b68768449f738d6221cc20cb1ab0511367c3ee04f9424af1a2fc895b83",
+    },
+    "medium": {
+        "clean/manifest.json": "00b86a58f399cca30ccd14da9634b702ac40923044c735027cbb07ff7a1f0b8a",
+        "noisy/manifest.json": "676a347621cc79a6c314b99d6922cdf65bdd41d1c04ade749f4d329e7eb6789e",
+        "noisy/encoded/manifest.json": "095470c7f7dc158da8f109843737e0f35ca9d7351a72f6e85aa09ed028632c51",
+        "sweep/manifest.json": "ed864accf3c816f96af55d15c0609128af8e95f3d24ae0ca3467e3dde695c13c",
+    },
+    "hard": {
+        "clean/manifest.json": "4a9d864822a2650231955b9c0145ccb262bde54b67ceac9ac4882d7ea43d8bbc",
+        "noisy/manifest.json": "e40fb827bb424a4cf8ee8199c1c277f8516e5a7c849b8d6cbfe778e7134d90eb",
+        "noisy/encoded/manifest.json": "817075fc84b0a07562045a9f21aaa8c0bad6d52e3491667e93963b97a4867be0",
+        "sweep/manifest.json": "3ae09b38e3ad083c59b77d47401616a93bd01b8aef51170f4b2a3ec5c640d1bd",
+    },
+}
+
+EVAL_GOLDEN = {
+    "simple": {
+        "memorizer": "2f07565910092c94b563bd89c2210e36c55e7825880a68ed01281953e59f8ec3",
+        "linear": "e38e09f0b00e5052f372d57f339427ed65594c79f755516bfdfb438eb47aa856",
+    },
+    "medium": {
+        "memorizer": "1b521320c34395abc13e192a1cca07846ec2f6aacd749661cce9764d1464942e",
+        "linear": "2403426ab9d3f5a9b157b52374d202f2c79b389a82d5b89949e2312cfabe5df6",
+    },
+    "hard": {
+        "memorizer": "cff8815156ca2baa3a6f9dd5d93dbf398e2966ba4235332088c46aa17e9a63c0",
+        "linear": "22b7b655b0a5769a33dfe46e08bad7f257bdebfed66e0e1826414dbcef04f1f2",
+    },
+}
+
+SWEEP_GOLDEN = {
+    "simple": {
+        "sweep.csv": "85f4246a102df1d032f5866b39457c992c14155bd6338ffbdd4bfc199477bca4",
+        "sweep_long.csv": "7e944bc8a43442ec77848a4f5dfa2a1ecb16c379e146424ee36839a8740c5726",
+    },
+    "medium": {
+        "sweep.csv": "4bb2376502138047552bcea965fd7956ae10943c399df8381443300a0f3b5a75",
+        "sweep_long.csv": "d94e7c0c13986fbf4fd277ff5badbf5828764a08ad32acc495f55ea75d4c68cf",
+    },
+    "hard": {
+        "sweep.csv": "82c255e87aea55d694ac5655970d0079feb3cdf472a5a4bb8bd0b9039afa5b3d",
+        "sweep_long.csv": "9c5bc08481cd4c9e1b023ccc1a8a6397f253325efc8af2b962c96c7791725509",
+    },
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _masked_manifest(path: Path) -> str:
+    text = path.read_text(encoding="utf-8")
+    text = text.replace(f'"version": "{__version__}"', '"version": "<tool>"')
+    return re.sub(r'("manifest\.json": )"[0-9a-f]{64}"', r'\1"<manifest>"', text)
+
+
+def _cli_stdout(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert run_cli(argv) == 0
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module", params=sorted(GOLDEN))
+def chain(request, tmp_path_factory):
+    """Run the chain once per preset; the tests below read its outputs."""
+    preset = request.param
+    root = tmp_path_factory.mktemp(preset)
+    clean, noisy, sweep = root / "clean", root / "noisy", root / "sweep"
+    _cli_stdout(
         ["generate", "--preset", preset, "--dialogues", "200", "--seed", "17",
          "--out", str(clean)]
-    ) == 0
-    assert run_cli(
+    )
+    _cli_stdout(
         ["inject", "--in", str(clean), "--p-intent", "0.3", "--p-action", "0.3",
          "--p-slot", "0.3", "--mode", "mixed", "--seed", "23", "--out", str(noisy)]
-    ) == 0
-    assert run_cli(["encode", "--in", str(noisy)]) == 0
-    return {name: hashlib.sha256((noisy / name).read_bytes()).hexdigest() for name in PINNED}
+    )
+    _cli_stdout(["encode", "--in", str(noisy)])
+    evals = {}
+    for model in ("memorizer", "linear"):
+        path = root / f"{model}.npz"
+        _cli_stdout(["train", "--model", model, "--in", str(noisy), "--epochs", "5",
+                     "--seed", "29", "--out", str(path)])
+        evals[model] = _cli_stdout(["eval", "--model", str(path), "--in", str(noisy)])
+    _cli_stdout(
+        ["sweep", "--preset", preset, "--rates", "0,0.5", "--models", "memorizer,linear",
+         "--seeds", "1", "--dialogues", "60", "--seed", "31", "--out", str(sweep)]
+    )
+    return preset, root, evals
 
 
-@pytest.mark.parametrize("preset", sorted(GOLDEN))
-def test_chain_bytes_match_pins(preset, tmp_path):
-    assert _chain_digests(preset, tmp_path) == GOLDEN[preset]
+def test_chain_bytes_match_pins(chain):
+    preset, root, _ = chain
+    noisy = root / "noisy"
+    digests = {name: _sha256((noisy / name).read_bytes()) for name in PINNED}
+    assert digests == GOLDEN[preset]
+
+
+def test_manifest_bytes_match_pins(chain):
+    preset, root, _ = chain
+    digests = {
+        name: _sha256(_masked_manifest(root / name).encode("utf-8"))
+        for name in ("clean/manifest.json", "noisy/manifest.json",
+                     "noisy/encoded/manifest.json", "sweep/manifest.json")
+    }
+    assert digests == MANIFEST_GOLDEN[preset]
+
+
+def test_eval_stdout_matches_pins(chain):
+    preset, _, evals = chain
+    digests = {model: _sha256(out.encode("utf-8")) for model, out in evals.items()}
+    assert digests == EVAL_GOLDEN[preset]
+
+
+def test_sweep_exports_match_pins(chain):
+    preset, root, _ = chain
+    digests = {
+        name: _sha256((root / "sweep" / name).read_bytes())
+        for name in ("sweep.csv", "sweep_long.csv")
+    }
+    assert digests == SWEEP_GOLDEN[preset]

@@ -139,9 +139,16 @@ def test_revert_rejects_mismatched_record(simple_ontology, element):
     ds = _dataset(simple_ontology, n=10)
     cfg = ErrorConfig(**{f"p_{element.value}": 1.0}, seed=2)
     out, records = inject_errors(ds, simple_ontology, cfg)
-    bad = dataclasses.replace(records[0], new="not-what-was-written")
-    with pytest.raises(ValidationError, match="record does not match dataset"):
-        revert_errors(out, [bad])
+    rec = records[0]
+    n_turns = next(len(d.turns) for _, d in out.iter_dialogues() if d.id == rec.dialogue_id)
+    for bad in (
+        dataclasses.replace(rec, new="not-what-was-written"),
+        dataclasses.replace(rec, dialogue_id="no-such-dialogue"),
+        dataclasses.replace(rec, turn_index=n_turns),  # one past the end
+        dataclasses.replace(rec, turn_index=rec.turn_index - n_turns),  # same turn, from the end
+    ):
+        with pytest.raises(ValidationError, match="record does not match dataset"):
+            revert_errors(out, [bad])
 
 
 def test_relabeled_labels_stay_in_catalog(medium_ontology):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -109,6 +110,33 @@ def test_unknown_keys_rejected():
     doc["extras"] = 1
     with pytest.raises(SchemaError):
         load_ontology(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "generation, where",
+    [
+        ({"n_dialogues": "many"}, "$.generation.n_dialogues"),
+        ({"n_dialogues": 0}, "$.generation.n_dialogues"),
+        ({"n_dialogues": True}, "$.generation.n_dialogues"),
+        ({"split": [3, 1]}, "$.generation.split"),
+        ({"split": [0, 0, 0]}, "$.generation.split"),
+        ({"split": [3, -1, 1]}, "$.generation.split"),
+        ({"split": [0.6, 0.2, 0.2]}, "$.generation.split"),
+        ({"n_dialogues": 10, "seed": 3}, "$.generation"),
+    ],
+    ids=["n-text", "n-zero", "n-bool", "split-two", "split-zero-sum", "split-negative",
+         "split-float", "unknown-key"],
+)
+def test_bad_generation_block_rejected(generation, where):
+    doc = {**MINI_DOC, "generation": generation}
+    with pytest.raises((SchemaError, ValidationError), match=f"^{re.escape(where)}[:.]"):
+        load_ontology(json.dumps(doc))
+
+
+def test_generation_defaults_kept_as_written():
+    generation = {"n_dialogues": 12, "split": [6, 3, 3]}
+    ontology = load_ontology(json.dumps({**MINI_DOC, "generation": generation}))
+    assert ontology.generation_defaults == generation
 
 
 def test_bad_category_rejected():

@@ -171,6 +171,12 @@ def _cmd_generate(args) -> int:
 
 def _cmd_inject(args) -> int:
     indir = Path(getattr(args, "in"))
+    if (indir / "perturbations.jsonl").exists():
+        # The new log could restore only this input, not the clean data.
+        raise ValidationError(
+            f"{indir / 'perturbations.jsonl'}: input already holds injected noise; "
+            "inject into the clean dataset instead"
+        )
     dataset = read_dataset(indir)
     ontology = _dataset_ontology(indir)
     cfg = ErrorConfig(

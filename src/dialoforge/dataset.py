@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
@@ -16,8 +16,8 @@ from .engine import (
     generate_dialogue,
     split_counts,
 )
-from .errors import DialoforgeError, GenerationOverflow, SchemaError
-from .ontology import Ontology
+from .errors import DialoforgeError, GenerationOverflow, SchemaError, ValidationError
+from .ontology import Ontology, _expect_keys
 
 SPLIT_NAMES = ("train", "val", "test")
 
@@ -161,12 +161,21 @@ def read_dataset(indir) -> Dataset:
     manifest = read_json(manifest_path)
     if not isinstance(manifest, dict) or manifest.get("format") != "dialoforge-dataset":
         raise SchemaError(f"{manifest_path}: not a dataset manifest")
+    missing = [key for key in ("ontology_hash", "config") if key not in manifest]
+    if missing:
+        raise SchemaError(f"{manifest_path}: missing field(s) {missing}")
+    raw_config = manifest["config"]
+    if not isinstance(raw_config, dict):
+        raise SchemaError(f"{manifest_path}: config: must be an object")
+    _expect_keys(raw_config, f"{manifest_path}: config", [f.name for f in fields(GeneratorConfig)])
+    try:
+        config = GeneratorConfig.from_dict(raw_config)
+    except ValidationError as exc:
+        raise ValidationError(f"{manifest_path}: config: {exc}") from None
+    except TypeError as exc:  # a value of the wrong type
+        raise SchemaError(f"{manifest_path}: config: {exc}") from None
     splits: dict[str, list[Dialogue]] = {}
     for split in SPLIT_NAMES:
         fp = path / f"{split}.jsonl"
         splits[split] = read_jsonl(fp, Dialogue.from_dict) if fp.exists() else []
-    return Dataset(
-        splits=splits,
-        ontology_hash=manifest["ontology_hash"],
-        config=GeneratorConfig.from_dict(manifest["config"]),
-    )
+    return Dataset(splits=splits, ontology_hash=manifest["ontology_hash"], config=config)

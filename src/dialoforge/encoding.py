@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataset import SPLIT_NAMES, Dataset, read_json, write_json
 from .engine import Dialogue, DialogueStack, DialogueTurn, Phase
-from .errors import IndexOutOfRange, UnknownLabel
+from .errors import IndexOutOfRange, SchemaError, UnknownLabel
 from .ontology import (
     ActionKind,
     Ontology,
@@ -291,22 +291,27 @@ def read_encoded(indir) -> EncodedDataset:
         fp = path / f"{split}.bin"
         if not fp.exists():
             continue
-        blob = fp.read_bytes()
-        head, _, rest = blob.partition(b"---\n")
-        meta = dict(
-            line.split(" ", 1)
-            for line in head.decode("ascii").strip().splitlines()[1:]
-        )
-        rows = int(meta["rows"])
-        sw, tw = int(meta["state_width"]), int(meta["target_width"])
-        sbytes = rows * ((sw + 7) // 8)
-        packed_s = np.frombuffer(rest[:sbytes], dtype=np.uint8)
-        packed_t = np.frombuffer(rest[sbytes:], dtype=np.uint8)
-        if rows:
-            states = np.unpackbits(packed_s.reshape(rows, -1), axis=1)[:, :sw]
-            targets = np.unpackbits(packed_t.reshape(rows, -1), axis=1)[:, :tw]
-        else:
-            states = np.zeros((0, sw), dtype=np.uint8)
-            targets = np.zeros((0, tw), dtype=np.uint8)
+        head, _, payload = fp.read_bytes().partition(b"---\n")
+        try:  # a bad header: non-ASCII, empty, a line without a value, a missing field
+            magic, *lines = head.decode("ascii").strip().splitlines()
+            meta = dict(line.split(" ", 1) for line in lines)
+            rows, sw, tw = (int(meta[key]) for key in ("rows", "state_width", "target_width"))
+        except (ValueError, KeyError) as exc:
+            raise SchemaError(f"{fp}: bad header: {exc}") from None
+        if magic != _MAGIC:
+            raise SchemaError(f"{fp}: first line is {magic!r}, expected {_MAGIC!r}")
+        if (sw, tw) != (layout.state_width, layout.target_width):
+            raise SchemaError(
+                f"{fp}: widths {sw}/{tw} differ from layout.json's "
+                f"{layout.state_width}/{layout.target_width}"
+            )
+        sbytes, tbytes = (sw + 7) // 8, (tw + 7) // 8
+        if len(payload) != rows * (sbytes + tbytes):
+            raise SchemaError(
+                f"{fp}: payload is {len(payload)} bytes, {rows} rows need {rows * (sbytes + tbytes)}"
+            )
+        packed = np.frombuffer(payload, dtype=np.uint8)
+        states = np.unpackbits(packed[: rows * sbytes].reshape(rows, sbytes), axis=1)[:, :sw]
+        targets = np.unpackbits(packed[rows * sbytes :].reshape(rows, tbytes), axis=1)[:, :tw]
         splits[split] = (states.astype(np.uint8), targets.astype(np.uint8))
     return EncodedDataset(splits=splits, layout=layout, ontology_hash=layout.ontology_hash)

@@ -9,6 +9,7 @@ descent.
 from __future__ import annotations
 
 import csv
+import zipfile
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
@@ -217,25 +218,30 @@ def save_model(model: Model, path, ontology_hash: str) -> None:
 
 def load_model(path) -> Model:
     """Read a model written by save_model."""
-    with np.load(path, allow_pickle=False) as blob:
-        kind = str(blob["kind"])
-        if kind == "memorizer":
-            return MemorizerModel(
-                state_width=int(blob["state_width"]),
-                target_width=int(blob["target_width"]),
-                table={
-                    row.tobytes(): target
-                    for row, target in zip(blob["packed_states"], blob["targets"])
-                },
-                fallback=blob["fallback"],
-            )
-        if kind == "linear":
-            return LinearModel(
-                weights=blob["weights"],
-                bias=blob["bias"],
-                threshold=float(blob["threshold"]),
-                loss_history=list(blob["loss_history"]),
-            )
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            kind = str(blob["kind"])
+            if kind == "memorizer":
+                return MemorizerModel(
+                    state_width=int(blob["state_width"]),
+                    target_width=int(blob["target_width"]),
+                    table={
+                        row.tobytes(): target
+                        for row, target in zip(blob["packed_states"], blob["targets"])
+                    },
+                    fallback=blob["fallback"],
+                )
+            if kind == "linear":
+                return LinearModel(
+                    weights=blob["weights"],
+                    bias=blob["bias"],
+                    threshold=float(blob["threshold"]),
+                    loss_history=list(blob["loss_history"]),
+                )
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:  # not an .npz archive
+        raise SchemaError(f"{path}: not a model file: {exc}") from None
+    except KeyError as exc:
+        raise SchemaError(f"{path}: model file has no member {exc}") from None
     raise SchemaError(f"{path}: unknown model kind {kind!r}")
 
 

@@ -9,14 +9,14 @@ reconstructed from the log.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
 
 from .dataset import Dataset, read_jsonl, write_jsonl
-from .engine import Dialogue, DialogueTurn
+from .engine import DialogueTurn, UserAct
 from .errors import CatalogTooSmall, UnknownLabel, ValidationError
-from .ontology import IntentKind, Ontology, UNK_TOKEN
+from .ontology import Ontology, UNK_TOKEN
 from .rng import derive_seed
 
 
@@ -60,15 +60,7 @@ class PerturbationRecord:
     mode: PerturbMode
 
     def to_dict(self) -> dict:
-        return {
-            "dialogue_id": self.dialogue_id,
-            "turn_index": self.turn_index,
-            "element": self.element.value,
-            "index": self.index,
-            "original": self.original,
-            "new": self.new,
-            "mode": self.mode.value,
-        }
+        return dict(vars(self), element=self.element.value, mode=self.mode.value)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PerturbationRecord":
@@ -116,22 +108,40 @@ def _labels(turn: DialogueTurn, kind: ElementKind) -> Iterable[tuple[int, str]]:
     return enumerate(turn.system_acts)
 
 
-def _set_label(turn: DialogueTurn, kind: ElementKind, index: int, label: str) -> None:
-    if kind is ElementKind.INTENT:
-        turn.user_acts[index].kind = IntentKind(label)
-    elif kind is ElementKind.SLOT:
-        turn.user_acts[index].slot = label
+def _relabel(turn: DialogueTurn, kind: ElementKind, index: int, label: str) -> DialogueTurn:
+    """A new turn in which one label reads ``label``. The act goes through its
+    dict form, which does not check that a noisy kind fits its slot and value."""
+    user_acts, system_acts = list(turn.user_acts), list(turn.system_acts)
+    if kind is ElementKind.ACTION:
+        system_acts[index] = label
     else:
-        turn.system_acts[index] = label
+        act = user_acts[index].to_dict()
+        act["kind" if kind is ElementKind.INTENT else "slot"] = label
+        user_acts[index] = UserAct.from_dict(act)
+    return DialogueTurn(user_acts, system_acts, turn.event)
 
 
-def _copy(dataset: Dataset) -> Dataset:
-    """A deep copy through the dialogue dict codec."""
-    return Dataset(
-        splits={k: [Dialogue.from_dict(d.to_dict()) for d in v] for k, v in dataset.splits.items()},
-        ontology_hash=dataset.ontology_hash,
-        config=dataset.config,
-    )
+def _apply(dataset: Dataset, edits: Iterable[tuple[PerturbationRecord, str, str]]) -> Dataset:
+    """The one writer of labels: a new dataset in which each ``(record, old, new)``
+    edit turns the addressed label from ``old`` into ``new``. Untouched dialogues
+    and turns are the input's own objects, so no code may mutate a built dialogue."""
+    turns_by_id: dict[str, list[DialogueTurn]] = {}
+    for _, dlg in dataset.iter_dialogues():
+        if dlg.id in turns_by_id:
+            raise ValidationError(f"dialogue id {dlg.id!r} is repeated; the log needs unique ids")
+        turns_by_id[dlg.id] = dlg.turns
+    changed: dict[str, list[DialogueTurn]] = {}  # the new turn list of each edited dialogue
+    for rec, old, new in edits:
+        turns = changed.setdefault(rec.dialogue_id, list(turns_by_id.get(rec.dialogue_id, [])))
+        turn = turns[rec.turn_index] if 0 <= rec.turn_index < len(turns) else None
+        if turn is None or dict(_labels(turn, rec.element)).get(rec.index) != old:
+            raise ValidationError(f"record does not match dataset: {rec}")
+        turns[rec.turn_index] = _relabel(turn, rec.element, rec.index, new)
+    splits = {
+        split: [replace(d, turns=changed[d.id]) if d.id in changed else d for d in dialogues]
+        for split, dialogues in dataset.splits.items()
+    }
+    return replace(dataset, splits=splits)
 
 
 def inject_errors(
@@ -159,9 +169,8 @@ def inject_errors(
         )
     ]
 
-    out = _copy(dataset)
     records: list[PerturbationRecord] = []
-    for ordinal, (split, dlg) in enumerate(out.iter_dialogues()):
+    for ordinal, (split, dlg) in enumerate(dataset.iter_dialogues()):
         noisy = splits == "all" or split == "train"
         rng = random.Random(derive_seed(cfg.seed, ordinal)) if noisy else None
         for ti, turn in enumerate(dlg.turns):
@@ -175,24 +184,15 @@ def inject_errors(
                     mode = _draw_mode(rng, cfg.mode_weights)
                     new = perturb_label(label, catalog, rng, mode)
                     if new != label:
-                        _set_label(turn, kind, index, new)
                         records.append(
                             PerturbationRecord(dlg.id, ti, kind, index, label, new, mode)
                         )
-    return out, records
+    return _apply(dataset, ((r, r.original, r.new) for r in records)), records
 
 
 def revert_errors(dataset: Dataset, records: list[PerturbationRecord]) -> Dataset:
     """Undo a perturbation pass, restoring the original dataset exactly."""
-    out = _copy(dataset)
-    by_id = {dlg.id: dlg for _, dlg in out.iter_dialogues()}
-    for rec in records:
-        turns = by_id[rec.dialogue_id].turns if rec.dialogue_id in by_id else []
-        turn = turns[rec.turn_index] if 0 <= rec.turn_index < len(turns) else None
-        if turn is None or dict(_labels(turn, rec.element)).get(rec.index) != rec.new:
-            raise ValidationError(f"record does not match dataset: {rec}")
-        _set_label(turn, rec.element, rec.index, rec.original)
-    return out
+    return _apply(dataset, ((r, r.new, r.original) for r in records))
 
 
 def write_records(records: list[PerturbationRecord], path) -> None:

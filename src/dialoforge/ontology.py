@@ -422,13 +422,19 @@ def load_ontology(source: str) -> Ontology:
     raw = doc["domains"]
     if not isinstance(raw, list):
         raise SchemaError("$.domains: must be a list")
+    _require(len(raw) >= 1, "$.domains", "needs at least one domain")
     domains = [_parse_domain(d, f"$.domains[{i}]") for i, d in enumerate(raw)]
     return build_ontology(domains, _parse_generation(doc.get("generation", {})))
 
 
 def load_ontology_file(path) -> Ontology:
+    """load_ontology on a file; its errors start with the file's path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_ontology(fh.read())
+        source = fh.read()
+    try:
+        return load_ontology(source)
+    except (SchemaError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def preset_ontology(name: str) -> Ontology:

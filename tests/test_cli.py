@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dialoforge.cli import run_cli
@@ -36,12 +38,16 @@ def test_validate_ok(tmp_path):
     assert run_cli(["validate", str(f)]) == 0
 
 
-def test_validate_rejects_bad_file(tmp_path):
+def test_validate_rejects_bad_file(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text('{"domains": []}')
-    ok = tmp_path / "ok.json"
-    ok.write_text("{broken")
-    assert run_cli(["validate", str(ok)]) == 1
+    broken = tmp_path / "broken.json"
+    broken.write_text("{broken")
+    for path in (f, broken):
+        assert run_cli(["validate", str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
+    assert run_cli(["generate", "--ontology", str(f), "--out", str(tmp_path / "ds")]) == 1
+    assert "$.domains" in capsys.readouterr().err
 
 
 def test_usage_error_exits_64():
@@ -166,6 +172,73 @@ def test_validate_rejects_bad_generation_block(tmp_path, capsys):
 def test_non_numeric_float_list_is_a_validation_error(argv, tmp_path, capsys):
     assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 1
     assert argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda m: m.pop("config"), "config"),
+        (lambda m: m.pop("ontology_hash"), "ontology_hash"),
+        (lambda m: m["config"].update(bogus=1), "bogus"),
+        (lambda m: m["config"].update(n_dialogues=0), "n_dialogues"),
+    ],
+    ids=["no-config", "no-ontology-hash", "unknown-config-key", "invalid-config-value"],
+)
+def test_bad_dataset_manifest_names_file_and_field(edit, field, tiny_dataset, capsys):
+    path = tiny_dataset / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    assert run_cli(["encode", "--in", str(tiny_dataset)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and field in err
+
+
+def _damaged_bin(edit):
+    def damage(dataset: Path, tmp_path: Path):
+        path = dataset / "encoded" / "train.bin"
+        path.write_bytes(edit(path.read_bytes()))
+        return path, ["train", "--model", "memorizer", "--in", str(dataset),
+                      "--out", str(tmp_path / "model.npz")]
+    return damage
+
+
+def _bad_model(write):
+    def damage(dataset: Path, tmp_path: Path):
+        path = tmp_path / "model.npz"
+        with open(path, "wb") as fh:
+            write(fh)
+        return path, ["eval", "--model", str(path), "--in", str(dataset)]
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _damaged_bin(lambda blob: blob[:-1]),
+        _damaged_bin(lambda blob: blob.replace(b"dialoforge-encoded 1", b"dialoforge-encoded 2", 1)),
+        _damaged_bin(lambda blob: re.sub(rb"state_width \d+", b"state_width 1", blob, count=1)),
+        _bad_model(lambda fh: fh.write(b"not a model\n")),
+        _bad_model(lambda fh: np.save(fh, np.zeros(3))),
+    ],
+    ids=["truncated-bin", "wrong-magic", "wrong-width", "text-model", "npy-model"],
+)
+def test_bad_binary_input_names_the_file(damage, tiny_dataset, tmp_path, capsys):
+    assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
+    path, argv = damage(tiny_dataset, tmp_path)
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    assert str(path) in capsys.readouterr().err
+
+
+def test_inject_refuses_an_injected_input(tiny_dataset, tmp_path, capsys):
+    noisy, twice = tmp_path / "noisy", tmp_path / "twice"
+    argv = ["inject", "--p-intent", "0.3", "--seed", "1"]
+    assert run_cli(argv + ["--in", str(tiny_dataset), "--out", str(noisy)]) == 0
+    capsys.readouterr()
+    assert run_cli(argv + ["--in", str(noisy), "--out", str(twice)]) == 1
+    assert str(noisy / "perturbations.jsonl") in capsys.readouterr().err
+    assert not twice.exists()
 
 
 def test_inject_does_not_mutate_input(tiny_dataset, tmp_path):

@@ -56,6 +56,8 @@ def test_zero_probability_is_identity(simple_ontology):
     assert records == []
     assert _dataset_bytes(out) == _dataset_bytes(ds)
     assert out is not ds
+    # Dialogues no edit touches are shared, not copied.
+    assert all(a is b for (_, a), (_, b) in zip(ds.iter_dialogues(), out.iter_dialogues()))
 
 
 def test_certain_unk_blankets_intents(simple_ontology):
@@ -91,13 +93,29 @@ def test_category_isolation(simple_ontology):
             assert [x.slot for x in ta.user_acts] == [x.slot for x in tb.user_acts]
 
 
-def test_reversibility_byte_for_byte(simple_ontology):
+@pytest.mark.parametrize("splits", ["all", "train"])
+@pytest.mark.parametrize("p", [0.3, 1.0])
+def test_reversibility_byte_for_byte(simple_ontology, p, splits):
     ds = _dataset(simple_ontology, n=60, seed=13)
-    cfg = ErrorConfig(p_intent=0.3, p_action=0.3, p_slot=0.3, seed=77)
-    out, records = inject_errors(ds, simple_ontology, cfg)
-    assert _dataset_bytes(out) != _dataset_bytes(ds)
+    clean = _dataset_bytes(ds)
+    cfg = ErrorConfig(p_intent=p, p_action=p, p_slot=p, seed=77)
+    out, records = inject_errors(ds, simple_ontology, cfg, splits=splits)
+    noisy = _dataset_bytes(out)
+    assert noisy != clean
+    assert _dataset_bytes(ds) == clean  # inject left its input as it was
     restored = revert_errors(out, records)
-    assert _dataset_bytes(restored) == _dataset_bytes(ds)
+    assert _dataset_bytes(out) == noisy  # and so did revert
+    assert _dataset_bytes(restored) == clean
+
+
+def test_repeated_dialogue_id_rejected(simple_ontology):
+    ds = _dataset(simple_ontology, n=10)
+    repeated = ds.splits["train"][0].id
+    ds.splits["test"][0] = dataclasses.replace(ds.splits["test"][0], id=repeated)
+    with pytest.raises(ValidationError, match=repeated):
+        inject_errors(ds, simple_ontology, ErrorConfig(seed=1))
+    with pytest.raises(ValidationError, match=repeated):
+        revert_errors(ds, [])
 
 
 def test_injection_deterministic(simple_ontology):

@@ -10,6 +10,7 @@ carries no wall-clock fields so reruns stay byte-identical.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -47,8 +48,14 @@ SEED_ENV_VAR = "DIALOFORGE_SEED"
 
 _MODE_WEIGHTS = {"relabel": (1.0, 0.0), "unk": (0.0, 1.0), "mixed": (0.5, 0.5)}
 
-# GeneratorConfig fields a subcommand may expose as flags of the same name.
-_GENERATOR_FLAGS = ("p_chitchat", "p_mind_change", "p_domain_change", "max_stack_depth")
+# GeneratorConfig fields that generate and sweep expose as flags of the same
+# name, with the type each flag parses.
+_GENERATOR_FLAGS = {
+    "p_chitchat": float,
+    "p_mind_change": float,
+    "p_domain_change": float,
+    "max_stack_depth": int,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,6 +152,8 @@ def _generator_config(args, ontology: Ontology) -> GeneratorConfig:
 
 
 def _cmd_generate(args) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     ontology = _load_cli_ontology(args)
     cfg = _generator_config(args, ontology)
     dataset = generate_dataset(ontology, cfg, jobs=args.jobs)
@@ -298,6 +307,11 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_generator_flags(p: argparse.ArgumentParser) -> None:
+    for name, kind in _GENERATOR_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="dialoforge", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -312,10 +326,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ontology", help="custom ontology file")
     p.add_argument("--dialogues", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p-chitchat", type=float, default=None)
-    p.add_argument("--p-mind-change", type=float, default=None)
-    p.add_argument("--p-domain-change", type=float, default=None)
-    p.add_argument("--max-stack-depth", type=int, default=None)
+    _add_generator_flags(p)
     p.add_argument("--split-fractions", default=None, help="e.g. 0.6,0.2,0.2")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
@@ -362,6 +373,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dialogues", type=int, default=None)
+    _add_generator_flags(p)
     p.add_argument("--mode", choices=tuple(_MODE_WEIGHTS), default="mixed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
@@ -375,6 +387,13 @@ def run_cli(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 64
+    # A command builds and reads graphs of hundreds of thousands of records
+    # that hold no reference cycles, and the cyclic collector would walk them
+    # again at every threshold crossing.  The command owns its run, so the
+    # collector is paused here and not in the library; the caller's setting is
+    # back in force on every way out.  Forked pool workers inherit the pause.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (SchemaError, ValidationError, UnknownPreset, UnknownLabel) as exc:
@@ -383,6 +402,9 @@ def run_cli(argv: list[str]) -> int:
     except (DialoforgeError, OSError) as exc:
         _log(f"runtime error: {exc}")
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main() -> None:

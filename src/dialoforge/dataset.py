@@ -4,6 +4,7 @@ and writers every on-disk record goes through."""
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -64,11 +65,15 @@ def generate_dataset(
     """Generate cfg.n_dialogues dialogues and split them in generation order.
 
     Every dialogue owns a private seed derived from cfg.seed, so the result
-    is byte-identical no matter how many worker processes are used.
+    is byte-identical no matter how many worker processes are used.  The pool
+    starts no more workers than there are CPUs.
     """
+    if jobs < 1:
+        raise ValidationError("jobs must be >= 1")
     tasks = [(ontology, cfg, index, seed) for index, seed in enumerate(dialogue_seeds(cfg))]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             dialogues = list(pool.map(_generate_one, tasks, chunksize=64))
     else:
         dialogues = [_generate_one(task) for task in tasks]
@@ -96,6 +101,8 @@ def read_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8: {exc}") from None
 
 
 def _compact(obj) -> str:
@@ -112,17 +119,22 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
     """Parse every non-blank line; a bad record names its file and line."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                out.append(parse(json.loads(line)))
-            except DialoforgeError as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from None
-            except KeyError as exc:
-                raise SchemaError(f"{path}:{lineno}: missing key {exc}") from None
-            except (ValueError, TypeError, AttributeError) as exc:  # incl. bad JSON
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+        try:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    out.append(parse(json.loads(line)))
+                except DialoforgeError as exc:
+                    raise type(exc)(f"{path}:{lineno}: {exc}") from None
+                except KeyError as exc:
+                    raise SchemaError(f"{path}:{lineno}: missing key {exc}") from None
+                except (ValueError, TypeError, AttributeError) as exc:  # incl. bad JSON
+                    raise SchemaError(f"{path}:{lineno}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # Raised by the line iterator, which decodes in blocks, so the
+            # line number and the byte offset are not known here.
+            raise SchemaError(f"{path}: not UTF-8: {exc.reason}") from None
     return out
 
 

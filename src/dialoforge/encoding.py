@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataset import SPLIT_NAMES, Dataset, read_json, write_json
 from .engine import Dialogue, DialogueStack, DialogueTurn, Phase
-from .errors import IndexOutOfRange, SchemaError, UnknownLabel
+from .errors import IndexOutOfRange, SchemaError, UnknownLabel, ValidationError
 from .ontology import (
     ActionKind,
     Ontology,
@@ -296,10 +296,16 @@ def read_encoded(indir) -> EncodedDataset:
             magic, *lines = head.decode("ascii").strip().splitlines()
             meta = dict(line.split(" ", 1) for line in lines)
             rows, sw, tw = (int(meta[key]) for key in ("rows", "state_width", "target_width"))
+            ontology_hash = meta["ontology_hash"]
         except (ValueError, KeyError) as exc:
             raise SchemaError(f"{fp}: bad header: {exc}") from None
         if magic != _MAGIC:
             raise SchemaError(f"{fp}: first line is {magic!r}, expected {_MAGIC!r}")
+        if ontology_hash != layout.ontology_hash:
+            raise ValidationError(
+                f"{fp}: ontology_hash {ontology_hash} differs from "
+                f"{path / 'layout.json'}'s {layout.ontology_hash}"
+            )
         if (sw, tw) != (layout.state_width, layout.target_width):
             raise SchemaError(
                 f"{fp}: widths {sw}/{tw} differ from layout.json's "

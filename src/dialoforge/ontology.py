@@ -430,7 +430,10 @@ def load_ontology(source: str) -> Ontology:
 def load_ontology_file(path) -> Ontology:
     """load_ontology on a file; its errors start with the file's path."""
     with open(path, "r", encoding="utf-8") as fh:
-        source = fh.read()
+        try:
+            source = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8: {exc}") from None
     try:
         return load_ontology(source)
     except (SchemaError, ValidationError) as exc:

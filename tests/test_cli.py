@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -8,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dialoforge import cli
 from dialoforge.cli import run_cli
+from dialoforge.errors import DialoforgeError, ValidationError
 
 from .conftest import MINI_DOC
 
@@ -69,6 +72,13 @@ def test_generate_jobs_do_not_change_bytes(tmp_path):
     assert run_cli(args + ["--jobs", "1", "--out", str(a)]) == 0
     assert run_cli(args + ["--jobs", "2", "--out", str(b)]) == 0
     assert _dir_bytes(a) == _dir_bytes(b)
+
+
+def test_generate_rejects_jobs_below_one(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert run_cli(["generate", "--preset", "simple", "--jobs", "0", "--out", str(out)]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_env_seed_overrides_flag(tmp_path):
@@ -231,6 +241,38 @@ def test_bad_binary_input_names_the_file(damage, tiny_dataset, tmp_path, capsys)
     assert str(path) in capsys.readouterr().err
 
 
+def test_bin_header_hash_must_match_layout(tiny_dataset, tmp_path, capsys):
+    assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
+    model = tmp_path / "model.npz"
+    train = ["train", "--model", "memorizer", "--in", str(tiny_dataset), "--out", str(model)]
+    assert run_cli(train) == 0
+    encoded = tiny_dataset / "encoded"
+    path = encoded / "train.bin"
+    path.write_bytes(
+        re.sub(rb"ontology_hash \w+", b"ontology_hash " + b"0" * 64, path.read_bytes(), count=1)
+    )
+    capsys.readouterr()
+    for argv in (train, ["eval", "--model", str(model), "--in", str(tiny_dataset)]):
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and str(encoded / "layout.json") in err
+
+
+@pytest.mark.parametrize("target", ["ontology file", "manifest.json", "train.jsonl"])
+def test_non_utf8_input_names_the_file(target, tiny_dataset, tmp_path, capsys):
+    if target == "ontology file":
+        path = tmp_path / "ontology.json"
+        argv = ["validate", str(path)]
+    else:
+        path = tiny_dataset / target
+        argv = ["encode", "--in", str(tiny_dataset)]
+    path.write_bytes(bytes(range(256)))
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_inject_refuses_an_injected_input(tiny_dataset, tmp_path, capsys):
     noisy, twice = tmp_path / "noisy", tmp_path / "twice"
     argv = ["inject", "--p-intent", "0.3", "--seed", "1"]
@@ -280,6 +322,16 @@ def test_sweep_dialogues_keeps_preset_split_fractions(tmp_path):
     assert config["split_fractions"] == [8438 / 10438, 1000 / 10438, 1000 / 10438]
 
 
+def test_sweep_takes_the_generator_event_flags(tmp_path):
+    out = tmp_path / "sweep"
+    assert run_cli(
+        ["sweep", "--preset", "simple", "--rates", "0", "--seeds", "1", "--dialogues", "30",
+         "--p-chitchat", "0.35", "--max-stack-depth", "3", "--out", str(out)]
+    ) == 0
+    config = json.loads((out / "manifest.json").read_text())["sweep"]["generator_config"]
+    assert config["p_chitchat"] == 0.35 and config["max_stack_depth"] == 3
+
+
 def test_missing_input_is_runtime_error(tmp_path):
     code = run_cli(["encode", "--in", str(tmp_path / "nowhere")])
     assert code in (1, 2)
@@ -297,3 +349,81 @@ def test_generate_from_custom_ontology_file(tmp_path):
 
 def test_generate_requires_an_ontology_source(tmp_path):
     assert run_cli(["generate", "--dialogues", "5", "--out", str(tmp_path / "x")]) == 1
+
+
+# ---------------------------------------------------------------------------
+# The cyclic collector is paused for the span of a command
+
+
+def _raising(exc):
+    def command(args):
+        raise exc
+    return command
+
+
+@pytest.mark.parametrize("caller_collects", [True, False], ids=["caller-on", "caller-off"])
+@pytest.mark.parametrize(
+    "argv, command, code",
+    [
+        (["validate", "x.json"], lambda args: 0, 0),
+        (["validate", "x.json"], _raising(ValidationError("bad")), 1),
+        (["validate", "x.json"], _raising(DialoforgeError("broken")), 2),
+        (["validate"], None, 64),
+        (["validate", "x.json"], _raising(RuntimeError("bug")), RuntimeError),
+    ],
+    ids=["exit-0", "exit-1", "exit-2", "exit-64", "raises"],
+)
+def test_collector_setting_is_restored_on_every_exit(
+    argv, command, code, caller_collects, monkeypatch
+):
+    seen = []
+
+    def spy(args):
+        seen.append(gc.isenabled())
+        return command(args)
+
+    monkeypatch.setattr(cli, "_cmd_validate", spy)
+    if not caller_collects:
+        gc.disable()
+    try:
+        if code is RuntimeError:
+            with pytest.raises(RuntimeError):
+                run_cli(argv)
+        else:
+            assert run_cli(argv) == code
+        assert gc.isenabled() is caller_collects
+    finally:
+        gc.enable()
+    assert seen == ([] if command is None else [False])
+
+
+def _cyclic_garbage_per_command(root: Path, n_dialogues: int) -> list[int]:
+    ds, noisy, model = root / "ds", root / "noisy", root / "model.npz"
+    commands = [
+        ["generate", "--preset", "medium", "--dialogues", str(n_dialogues), "--jobs", "2",
+         "--out", str(ds)],
+        ["inject", "--in", str(ds), "--p-intent", "0.2", "--p-action", "0.2",
+         "--p-slot", "0.2", "--out", str(noisy)],
+        ["encode", "--in", str(noisy)],
+        ["train", "--model", "memorizer", "--in", str(noisy), "--out", str(model)],
+        ["train", "--model", "linear", "--epochs", "3", "--in", str(noisy),
+         "--out", str(root / "linear.npz")],
+        ["eval", "--model", str(model), "--in", str(noisy)],
+        ["sweep", "--preset", "medium", "--dialogues", str(n_dialogues), "--rates", "0,0.5",
+         "--seeds", "1", "--models", "memorizer,linear", "--out", str(root / "sweep")],
+    ]
+    found = []
+    for argv in commands:
+        assert run_cli(argv) == 0, argv
+        found.append(gc.collect())
+    return found
+
+
+def test_cyclic_garbage_of_a_command_does_not_grow_with_the_data(tmp_path):
+    # While a command runs nothing collects cycles, so whatever cyclic garbage
+    # it makes is held until it returns; that must be a fixed cost (the
+    # argument parser), not a share of the dialogues.
+    gc.collect()
+    small = _cyclic_garbage_per_command(tmp_path / "small", 20)
+    large = _cyclic_garbage_per_command(tmp_path / "large", 400)
+    assert small == large

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from dialoforge import dataset
 from dialoforge.dataset import generate_dataset, read_dataset, write_dataset
 from dialoforge.engine import GeneratorConfig, split_counts
-from dialoforge.errors import GenerationOverflow
+from dialoforge.errors import GenerationOverflow, ValidationError
 
 from .conftest import preset_config
 
@@ -49,6 +52,41 @@ def test_generation_is_parallel_safe(simple_ontology, tmp_path):
     write_dataset(parallel, d2)
     for name in ("train.jsonl", "val.jsonl", "test.jsonl", "manifest.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_is_rejected(simple_ontology, jobs):
+    with pytest.raises(ValidationError, match="jobs must be >= 1"):
+        generate_dataset(simple_ontology, GeneratorConfig(n_dialogues=2, seed=0), jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, pools",
+    [(5000, 3, [3]), (2, 3, [2]), (5000, None, [])],
+    ids=["capped-at-cpus", "below-cpus", "cpu-count-unknown"],
+)
+def test_pool_starts_no_more_workers_than_cpus(simple_ontology, monkeypatch, jobs, cpus, pools):
+    started = []
+
+    class SerialPool:  # records the pool size and maps in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    cfg = GeneratorConfig(n_dialogues=6, seed=5)
+    serial = generate_dataset(simple_ontology, cfg, jobs=1)
+    monkeypatch.setattr(dataset, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert generate_dataset(simple_ontology, cfg, jobs=jobs).splits == serial.splits
+    assert started == pools
 
 
 def test_preset_config_helper_matches_table(hard_ontology):

@@ -19,7 +19,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .dataset import generate_dataset, read_dataset, write_dataset, write_json
+from .dataset import Dataset, generate_dataset, read_dataset, write_dataset, write_json
 from .encoding import encode_dataset, read_encoded, write_encoded
 from .engine import GeneratorConfig
 from .errors import (
@@ -101,11 +101,19 @@ def _load_cli_ontology(args) -> Ontology:
     raise ValidationError("one of --preset or --ontology is required")
 
 
-def _dataset_ontology(indir: Path) -> Ontology:
+def _dataset_ontology(indir: Path, dataset: Dataset) -> Ontology:
+    """The dataset's ontology.json, checked against its manifest's ontology_hash."""
     path = indir / "ontology.json"
     if not path.exists():
         raise SchemaError(f"{indir} has no ontology.json (not produced by `generate`?)")
-    return load_ontology_file(path)
+    ontology = load_ontology_file(path)
+    content_hash = ontology.content_hash()
+    if content_hash != dataset.ontology_hash:
+        raise ValidationError(
+            f"{path}: content hash {content_hash} differs from "
+            f"{indir / 'manifest.json'}'s ontology_hash {dataset.ontology_hash}"
+        )
+    return ontology
 
 
 def _write_ontology(outdir: Path, ontology: Ontology) -> None:
@@ -187,7 +195,7 @@ def _cmd_inject(args) -> int:
             "inject into the clean dataset instead"
         )
     dataset = read_dataset(indir)
-    ontology = _dataset_ontology(indir)
+    ontology = _dataset_ontology(indir, dataset)
     cfg = ErrorConfig(
         p_intent=args.p_intent,
         p_action=args.p_action,
@@ -220,7 +228,7 @@ def _cmd_inject(args) -> int:
 def _cmd_encode(args) -> int:
     indir = Path(getattr(args, "in"))
     dataset = read_dataset(indir)
-    ontology = _dataset_ontology(indir)
+    ontology = _dataset_ontology(indir, dataset)
     encoded = encode_dataset(dataset, ontology)
     out = Path(args.out) if args.out else indir / "encoded"
     out.mkdir(parents=True, exist_ok=True)

@@ -26,14 +26,15 @@ from .dataset import SPLIT_NAMES, Dataset, read_json, write_json
 from .engine import Dialogue, DialogueStack, DialogueTurn, Phase
 from .errors import IndexOutOfRange, SchemaError, UnknownLabel, ValidationError
 from .ontology import (
-    ActionKind,
     Ontology,
     UNK_TOKEN,
+    _expect_keys,
     parse_action_id,
 )
 
 MANAGEMENT_FIELDS = ("stack_depth_gt1", "phase_eliciting", "phase_notified", "phase_wrapup")
 _PHASE_OFFSET = {Phase.ELICITING: 1, Phase.NOTIFIED: 2, Phase.WRAPUP: 3}
+_LAYOUT_LISTS = ("slot_keys", "intents", "actions")
 
 
 @dataclass(frozen=True)
@@ -103,20 +104,6 @@ class StateLayout:
             actions=tuple(obj["actions"]),
             ontology_hash=obj.get("ontology_hash", ""),
         )
-
-
-def _apply_system_acts(stack: DialogueStack, system_acts: list[str]) -> None:
-    """Phase transitions the system announced for the top frame's domain."""
-    for aid in system_acts:
-        if aid == UNK_TOKEN:
-            continue
-        parsed = parse_action_id(aid)
-        if not stack.frames or parsed.domain != stack.top.domain:
-            continue
-        if parsed.kind is ActionKind.NOTIFY:
-            stack.top.phase = Phase.NOTIFIED
-        elif parsed.kind is ActionKind.REQ_MORE:
-            stack.top.phase = Phase.WRAPUP
 
 
 def _encode_actions_indexed(
@@ -191,8 +178,10 @@ def encode_dialogue(
         if i:
             states[i, prev_actions] = targets[i - 1]
         _encode_actions_indexed(turn.system_acts, action_index, targets[i])
-        _apply_system_acts(stack, turn.system_acts)
-        stack.pop_if_closed({a.kind for a in turn.user_acts})
+        stack.apply_system_acts(
+            [parse_action_id(aid) for aid in turn.system_acts if aid != UNK_TOKEN],
+            {a.kind for a in turn.user_acts},
+        )
     return states, targets
 
 
@@ -283,9 +272,28 @@ def _write_csv(path, layout: StateLayout, states: np.ndarray, targets: np.ndarra
             fh.write(",".join(str(int(v)) for v in trow) + "\n")
 
 
+def _read_layout(path: Path) -> StateLayout:
+    """layout.json, with its shape checked; errors name the file and the key."""
+    obj = read_json(path)
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: top level must be an object")
+    _expect_keys(
+        obj,
+        str(path),
+        _LAYOUT_LISTS,
+        ("version", "management", "state_width", "target_width", "ontology_hash"),
+    )
+    for key in _LAYOUT_LISTS:
+        if not isinstance(obj[key], list) or not all(isinstance(v, str) for v in obj[key]):
+            raise SchemaError(f"{path}: {key}: must be a list of strings")
+    if not isinstance(obj.get("ontology_hash", ""), str):
+        raise SchemaError(f"{path}: ontology_hash: must be a string")
+    return StateLayout.from_dict(obj)
+
+
 def read_encoded(indir) -> EncodedDataset:
     path = Path(indir)
-    layout = StateLayout.from_dict(read_json(path / "layout.json"))
+    layout = _read_layout(path / "layout.json")
     splits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for split in SPLIT_NAMES:
         fp = path / f"{split}.bin"

@@ -30,11 +30,11 @@ from .errors import EmptyStackError, GenerationOverflow, UnknownLabel, Validatio
 from .ontology import (
     GENERAL_CHIT_CHAT_ID,
     ActionKind,
+    AtomicActionId,
     IntentKind,
     Ontology,
     SlotCategory,
     TopicSpec,
-    make_action_id,
 )
 from .rng import derive_seed
 
@@ -161,12 +161,28 @@ class DialogueStack:
                     filled.append(act.slot)
         return filled
 
-    def pop_if_closed(self, kinds: set[IntentKind]) -> bool:
-        """Rule 7: a closer (NEGATE/THANK/GOODBYE) pops a wrapped-up top frame."""
-        if self.frames and self.top.phase is Phase.WRAPUP and kinds & _CLOSERS:
+    def apply_system_acts(self, acts: list[AtomicActionId], kinds: set[IntentKind]) -> None:
+        """Rules 5-7: the phase changes and pops of one turn's system acts.
+
+        NOTIFY notifies the top frame of its domain and REQ_MORE wraps it up.
+        When the turn's user acts hold a closer (NEGATE/THANK/GOODBYE), a
+        wrapped-up top pops as soon as it is wrapped up: before the first act
+        if it already was, otherwise right after its REQ_MORE, so the acts
+        that follow address the resumed frame.  Acts of another domain, or
+        with no frame left, change nothing.
+        """
+        closing = not _CLOSERS.isdisjoint(kinds)
+        if closing and self.frames and self.top.phase is Phase.WRAPUP:
             self.pop()
-            return True
-        return False
+        for act in acts:
+            if not self.frames or act.domain != self.top.domain:
+                continue
+            if act.kind is ActionKind.NOTIFY:
+                self.top.phase = Phase.NOTIFIED
+            elif act.kind is ActionKind.REQ_MORE:
+                self.top.phase = Phase.WRAPUP
+                if closing:
+                    self.pop()
 
 
 @dataclass
@@ -253,10 +269,10 @@ class GeneratorConfig:
 # Policy
 
 
-def _advance_frame(frame: TopicFrame, topic: TopicSpec, phase: Phase) -> list[str]:
-    """Rules 4-6 for one frame, evaluated against the given phase."""
-    out: list[str] = []
-    if phase is Phase.ELICITING:
+def _advance_frame(frame: TopicFrame, topic: TopicSpec) -> list[AtomicActionId]:
+    """Rules 4-6 for one frame: the acts its phase calls for."""
+    out: list[AtomicActionId] = []
+    if frame.phase is Phase.ELICITING:
         frame.pending_request = None
         missing = [
             s.name
@@ -266,7 +282,7 @@ def _advance_frame(frame: TopicFrame, topic: TopicSpec, phase: Phase) -> list[st
         askable = [s for s in missing if s in topic.request_slots]
         if askable:
             frame.pending_request = askable[0]
-            out.append(make_action_id(frame.domain, ActionKind.REQUEST, askable[0]))
+            out.append(AtomicActionId(frame.domain, ActionKind.REQUEST, askable[0]))
         elif not missing:
             pending_desired = [
                 s.name
@@ -280,15 +296,13 @@ def _advance_frame(frame: TopicFrame, topic: TopicSpec, phase: Phase) -> list[st
                 slot = pending_desired[0]
                 frame.requested_desired.add(slot)
                 frame.pending_request = slot
-                out.append(make_action_id(frame.domain, ActionKind.REQUEST, slot))
+                out.append(AtomicActionId(frame.domain, ActionKind.REQUEST, slot))
             else:
-                out.append(make_action_id(frame.domain, ActionKind.NOTIFY))
-                frame.phase = Phase.NOTIFIED
+                out.append(AtomicActionId(frame.domain, ActionKind.NOTIFY))
         # else: an unrequestable mandatory slot is still empty; the policy
         # cannot ask for it and waits for the user to volunteer it.
-    elif phase is Phase.NOTIFIED:
-        out.append(make_action_id(frame.domain, ActionKind.REQ_MORE))
-        frame.phase = Phase.WRAPUP
+    elif frame.phase is Phase.NOTIFIED:
+        out.append(AtomicActionId(frame.domain, ActionKind.REQ_MORE))
     return out
 
 
@@ -311,28 +325,29 @@ def step_policy(stack: DialogueStack, user_acts: list[UserAct]) -> list[str]:
 
     top = stack.top
     topic = ont.topic(top.domain, top.topic)
-    phase0 = top.phase
-    acts: list[str] = []
+    acts: list[AtomicActionId] = []
 
     # Emission follows user-act order, which the serialized system acts keep.
     for act in user_acts:
         if act.kind is IntentKind.INFORM and act.slot in topic.confirm_slots:
-            acts.append(make_action_id(top.domain, ActionKind.CONFIRM, act.slot))
+            acts.append(AtomicActionId(top.domain, ActionKind.CONFIRM, act.slot))
         elif act.kind is IntentKind.REQUEST and act.slot in topic.inform_slots:
-            acts.append(make_action_id(top.domain, ActionKind.INFORM, act.slot))
+            acts.append(AtomicActionId(top.domain, ActionKind.INFORM, act.slot))
 
-    if IntentKind.NEGATE in kinds and phase0 is Phase.ELICITING:
+    if IntentKind.NEGATE in kinds and top.phase is Phase.ELICITING:
         # "No further preferences": stop offering the remaining desired slots.
         top.requested_desired.update(topic.desired_slots())
 
-    acts.extend(_advance_frame(top, topic, phase0))
-
-    if stack.pop_if_closed(kinds) and stack.frames:
+    acts.extend(_advance_frame(top, topic))
+    depth = stack.depth
+    stack.apply_system_acts(acts, kinds)
+    if stack.depth < depth and stack.frames:
         resumed = stack.top
-        resumed_topic = ont.topic(resumed.domain, resumed.topic)
-        acts.extend(_advance_frame(resumed, resumed_topic, resumed.phase))
+        resumed_acts = _advance_frame(resumed, ont.topic(resumed.domain, resumed.topic))
+        stack.apply_system_acts(resumed_acts, kinds)
+        acts.extend(resumed_acts)
 
-    return acts
+    return [a.id for a in acts]
 
 
 # ---------------------------------------------------------------------------

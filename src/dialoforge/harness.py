@@ -238,7 +238,10 @@ def load_model(path) -> Model:
                     threshold=float(blob["threshold"]),
                     loss_history=list(blob["loss_history"]),
                 )
-    except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:  # not an .npz archive
+    except (ValueError, TypeError, EOFError, RuntimeError, zipfile.BadZipFile) as exc:
+        # Not an .npz archive, or a member zipfile cannot read: one flagged as
+        # encrypted raises RuntimeError, an unknown compression method its
+        # subclass NotImplementedError.
         raise SchemaError(f"{path}: not a model file: {exc}") from None
     except KeyError as exc:
         raise SchemaError(f"{path}: model file has no member {exc}") from None

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
 import os
 import re
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dialoforge import cli
 from dialoforge.cli import run_cli
@@ -222,6 +225,15 @@ def _bad_model(write):
     return damage
 
 
+def _write_npz_with_unknown_compression(fh) -> None:
+    buf = io.BytesIO()
+    np.savez(buf, kind="memorizer")
+    blob = bytearray(buf.getvalue())
+    at = blob.index(b"PK\x01\x02") + 10  # compression method of the central directory entry
+    blob[at : at + 2] = (99).to_bytes(2, "little")
+    fh.write(blob)
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -230,8 +242,10 @@ def _bad_model(write):
         _damaged_bin(lambda blob: re.sub(rb"state_width \d+", b"state_width 1", blob, count=1)),
         _bad_model(lambda fh: fh.write(b"not a model\n")),
         _bad_model(lambda fh: np.save(fh, np.zeros(3))),
+        _bad_model(_write_npz_with_unknown_compression),
     ],
-    ids=["truncated-bin", "wrong-magic", "wrong-width", "text-model", "npy-model"],
+    ids=["truncated-bin", "wrong-magic", "wrong-width", "text-model", "npy-model",
+         "unknown-compression-model"],
 )
 def test_bad_binary_input_names_the_file(damage, tiny_dataset, tmp_path, capsys):
     assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
@@ -256,6 +270,96 @@ def test_bin_header_hash_must_match_layout(tiny_dataset, tmp_path, capsys):
         assert run_cli(argv) == 1
         err = capsys.readouterr().err
         assert str(path) in err and str(encoded / "layout.json") in err
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda layout: {k: v for k, v in layout.items() if k != "actions"}, "actions"),
+        (lambda layout: {k: v for k, v in layout.items() if k != "slot_keys"}, "slot_keys"),
+        (lambda layout: {**layout, "actions": 5}, "actions"),
+        (lambda layout: {**layout, "ontology_hash": 5}, "ontology_hash"),
+        (lambda layout: [1, 2], "object"),
+    ],
+    ids=["no-actions", "no-slot-keys", "actions-not-a-list", "hash-not-a-string", "not-an-object"],
+)
+def test_bad_layout_names_the_file_and_key(edit, key, tiny_dataset, tmp_path, capsys):
+    assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
+    path = tiny_dataset / "encoded" / "layout.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    argv = ["train", "--model", "memorizer", "--in", str(tiny_dataset),
+            "--out", str(tmp_path / "model.npz")]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
+
+
+def test_dataset_ontology_must_match_the_manifest_hash(tiny_dataset, tmp_path, capsys):
+    path = tiny_dataset / "ontology.json"
+    doc = json.loads(path.read_text())
+    doc["domains"][0]["topics"][0]["slots"][0]["values"].append("extra")
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ["encode", "--in", str(tiny_dataset)],
+        ["inject", "--in", str(tiny_dataset), "--p-intent", "0.1", "--out", str(tmp_path / "n")],
+    ):
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and str(tiny_dataset / "manifest.json") in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    """A 40-dialogue simple dataset, encoded, with a trained memorizer."""
+    root = tmp_path_factory.mktemp("fuzz")
+    ds = root / "ds"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run_cli(["generate", "--preset", "simple", "--dialogues", "40",
+                        "--seed", "3", "--out", str(ds)]) == 0
+        assert run_cli(["encode", "--in", str(ds)]) == 0
+        assert run_cli(["train", "--model", "memorizer", "--in", str(ds),
+                        "--out", str(root / "model.npz")]) == 0
+    return root
+
+
+def _reader_argv(name: str, root: Path) -> list[str]:
+    """The command that reads the file ``name`` under ``root``."""
+    ds = str(root / "ds")
+    if name == "model.npz":
+        return ["eval", "--model", str(root / name), "--in", ds]
+    if name.startswith("ds/encoded/"):
+        return ["train", "--model", "memorizer", "--in", ds, "--out", str(root / "m.npz")]
+    return ["encode", "--in", ds, "--out", str(root / "enc")]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    name=st.sampled_from(["ds/train.jsonl", "ds/manifest.json", "ds/ontology.json",
+                          "ds/encoded/layout.json", "ds/encoded/train.bin", "model.npz"]),
+    flip=st.booleans(),
+    at=st.integers(min_value=0, max_value=2**20),
+    bit=st.integers(min_value=0, max_value=7),
+)
+# Byte 5 of the key-sorted layout.json is the "a" of its first key, "actions".
+@example(name="ds/encoded/layout.json", flip=True, at=5, bit=0)
+def test_damaged_file_exits_with_a_code_never_a_traceback(fuzz_root, name, flip, at, bit):
+    """A truncated or bit-flipped input file ends in exit 0, 1 or 2."""
+    path = fuzz_root / name
+    data = path.read_bytes()
+    at %= len(data)
+    if flip:
+        damaged = data[:at] + bytes([data[at] ^ (1 << bit)]) + data[at + 1 :]
+    else:
+        damaged = data[:at]
+    path.write_bytes(damaged)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(_reader_argv(name, fuzz_root))
+    finally:
+        path.write_bytes(data)
+    assert code in (0, 1, 2)
 
 
 @pytest.mark.parametrize("target", ["ontology file", "manifest.json", "train.jsonl"])

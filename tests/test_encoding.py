@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -16,10 +17,19 @@ from dialoforge.encoding import (
     read_encoded,
     write_encoded,
 )
-from dialoforge.engine import GeneratorConfig, generate_dialogue
+from dialoforge.engine import (
+    MAX_TURNS,
+    DialogueStack,
+    GeneratorConfig,
+    GoalScript,
+    dialogue_seeds,
+    generate_dialogue,
+    sample_user_turn,
+    step_policy,
+)
 from dialoforge.errors import IndexOutOfRange, UnknownLabel
 from dialoforge.injection import ErrorConfig, inject_errors
-from dialoforge.ontology import UNK_TOKEN, load_ontology
+from dialoforge.ontology import UNK_TOKEN, load_ontology, parse_action_id
 
 from .conftest import events_off, preset_config
 
@@ -198,3 +208,42 @@ def test_five_turn_fixture_states_match_engine_trace():
             layout.action_index()[a] for a in turn.system_acts
         )
         prev_sys = turn.system_acts
+
+
+def _frames(stack: DialogueStack) -> list[tuple]:
+    return [(f.domain, f.topic, f.phase, f.fills) for f in stack.frames]
+
+
+@pytest.mark.parametrize(
+    "preset, overrides",
+    [
+        ("simple", {}),
+        ("medium", {}),
+        ("hard", {}),
+        ("hard", {"max_stack_depth": 4, "p_domain_change": 0.5}),
+    ],
+    ids=["simple", "medium", "hard", "hard-depth4"],
+)
+def test_serialized_acts_replay_the_generator_stack_exactly(preset, overrides, request):
+    """The encoder's replay (user acts, then parsed system acts) rebuilds the
+    generator's stack, frame for frame, after every turn of clean dialogues."""
+    ontology = request.getfixturevalue(f"{preset}_ontology")
+    cfg = GeneratorConfig(n_dialogues=1000, seed=0, **overrides)
+    diverged = []
+    for seed in dialogue_seeds(cfg):
+        rng = random.Random(seed)
+        goal = GoalScript.sample(ontology, rng)
+        stack, replay = DialogueStack(ontology), DialogueStack(ontology)
+        for index in range(MAX_TURNS):
+            user_acts, _ = sample_user_turn(stack, goal, rng, cfg)
+            system_acts = step_policy(stack, user_acts)
+            replay.apply_user_acts(user_acts)
+            replay.apply_system_acts(
+                [parse_action_id(aid) for aid in system_acts], {a.kind for a in user_acts}
+            )
+            if _frames(replay) != _frames(stack):
+                diverged.append((seed, index))
+                break
+            if goal.finished and not stack.frames:
+                break
+    assert diverged == []

@@ -38,9 +38,9 @@ GOLDEN = {
         "test.jsonl": "ade9da51ab5a90a153176572b1e0002ac7cfbc7f02f7b5d1366e1c17a0a7b0a1",
         "perturbations.jsonl": "c9de2218548485260dbea77c49a50be79d216d0ebe9bd64fcf6b873ca1e38a59",
         "encoded/layout.json": "1eee668ae9d56c01fe7cf95bbb0c2c2e9e499c070f3c53afa8392fdb3e51b810",
-        "encoded/train.bin": "1f50217e52f639a039a4147d97878ab71548f9e7f43588811c557b8cfec3c5be",
-        "encoded/val.bin": "09703b2c4652ac4655dfce323f188c87132e807665a20bec2f0e428a1094ab51",
-        "encoded/test.bin": "5f5dcb5339609c264abd09420a66a0b5ae47cd18cb35c655fb79b80203be307d",
+        "encoded/train.bin": "92a3864814ce2fb3e09bddd9339c454c5d0671bad19f7ec52c65ce9d44a7e8bb",
+        "encoded/val.bin": "753a01efbe77078a5cf59b2b6f8355dec6e876c4973cb458def68144f5f7fcb5",
+        "encoded/test.bin": "a53f35bc554c720a4abbf2551f3c3d017a192511f81bebb00bffe6e9310c6467",
     },
     "medium": {
         "train.jsonl": "84c72a9e86ebcd22f10829988ed99dd6b9813b5ae76a5a12f2020f793ecc2301",
@@ -58,7 +58,7 @@ GOLDEN = {
         "test.jsonl": "df879d506c73f0654db3cef5aa786981376c2b8438d8a9206c90ce4015d2011d",
         "perturbations.jsonl": "6ad0938bbc56589a05ecadc65b6ee52985a04df77aa109fdb410e77e473b2b49",
         "encoded/layout.json": "918606b564f97a173fc30d15336a4d3e45b3faa6a7c1ad23eec424b9225b180d",
-        "encoded/train.bin": "64869e89f09f7487e7166534b1b5228fec8776cfd9cb56185de77051abd188da",
+        "encoded/train.bin": "e95779df055fa00e28c49f6e812e40d0bd879b84067f7354cb178ad47a945993",
         "encoded/val.bin": "a6aa178c448d5f53427b09bec49f48d2f77993d88d0bc1cfe1eef3cc65351e6c",
         "encoded/test.bin": "edc5a0fd258e4315f6747c5e0a680c4a44bc6a801a432837c94d378e34b1b2ff",
     },

@@ -276,9 +276,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = load_model(args.model)
+    model, model_hash = load_model(args.model)
     enc_dir = _find_encoded(Path(getattr(args, "in")))
     encoded = read_encoded(enc_dir)
+    if model_hash != encoded.ontology_hash:
+        raise ValidationError(
+            f"{args.model}: ontology_hash {model_hash} differs from "
+            f"{enc_dir / 'layout.json'}'s {encoded.ontology_hash}"
+        )
     if args.split not in encoded.splits:
         raise ValidationError(f"split {args.split!r} not present in {enc_dir}")
     states, golds = encoded.splits[args.split]

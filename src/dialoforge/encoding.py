@@ -23,9 +23,11 @@ from typing import Optional
 import numpy as np
 
 from .dataset import SPLIT_NAMES, Dataset, read_json, write_json
-from .engine import Dialogue, DialogueStack, DialogueTurn, Phase
+from .engine import Dialogue, DialogueStack, Phase
 from .errors import IndexOutOfRange, SchemaError, UnknownLabel, ValidationError
 from .ontology import (
+    AtomicActionId,
+    IntentKind,
     Ontology,
     UNK_TOKEN,
     _expect_keys,
@@ -106,56 +108,101 @@ class StateLayout:
         )
 
 
-def _encode_actions_indexed(
-    system_acts: list[str], index: dict[str, int], out: np.ndarray
-) -> None:
-    """Set the multi-hot bit of every action in ``out``; UNK sets nothing."""
+def _action_bits(system_acts: list[str], index: dict[str, int]) -> list[int]:
+    """The multi-hot positions of a turn's actions; UNK sets nothing."""
+    bits = []
     for aid in system_acts:
         if aid == UNK_TOKEN:
             continue
         if aid not in index:
             raise UnknownLabel(f"action {aid!r} is not in the catalog")
-        out[index[aid]] = 1
+        bits.append(index[aid])
+    return bits
 
 
 def encode_actions(system_acts: list[str], ontology: Ontology) -> np.ndarray:
     """Multi-hot target over the action catalog; UNK labels contribute nothing."""
     index = {a: i for i, a in enumerate(ontology.action_catalog)}
     out = np.zeros(len(index), dtype=np.uint8)
-    _encode_actions_indexed(system_acts, index, out)
+    out[_action_bits(system_acts, index)] = 1
     return out
 
 
-def _encode_turn_state(
-    row: np.ndarray,
-    layout: StateLayout,
-    slot_index: dict[str, int],
-    intent_index: dict[str, int],
-    stack: DialogueStack,
-    turn: DialogueTurn,
-    filled: list[str],
-) -> None:
-    """Fill the slot, intent and management blocks of a zeroed state row."""
-    for frame in stack.frames:
-        for slot, value in frame.fills.items():
-            if value is None:
-                continue
-            key = f"{frame.domain}.{frame.topic}.{slot}"
-            if key in slot_index:
-                row[2 * slot_index[key]] = 1
-    for slot in filled:  # fills always land in the top frame
-        key = f"{stack.top.domain}.{stack.top.topic}.{slot}"
-        if key in slot_index:
-            row[2 * slot_index[key] + 1] = 1
+class _LayoutTable:
+    """A layout's bit positions as plain lookups, built once per encoding call:
+    the slot bits of each (domain, topic), the intent bit of each IntentKind,
+    and the parsed form of each action id met so far."""
 
-    for act in turn.user_acts:  # every IntentKind is in every layout
-        row[layout.intent_offset + intent_index[act.kind.value]] = 1
+    def __init__(self, layout: StateLayout, ontology: Ontology):
+        self.state_width = layout.state_width
+        self.target_width = layout.target_width
+        self.prev_actions = slice(layout.action_offset, layout.management_offset)
+        self.management = layout.management_offset
+        slot_index = layout.slot_index()
+        # Filled bit of each slot; its just-changed bit is the next one.
+        self.slot_bits: dict[tuple[str, str], dict[str, int]] = {}
+        for domain, topic, slot in ontology.slot_keys():
+            i = slot_index.get(f"{domain}.{topic}.{slot}")
+            if i is not None:
+                self.slot_bits.setdefault((domain, topic), {})[slot] = 2 * i
+        intent_index = layout.intent_index()
+        self.intent_bits = {
+            kind: layout.intent_offset + intent_index[kind.value] for kind in IntentKind
+        }
+        self.action_index = layout.action_index()
+        self.parsed: dict[str, AtomicActionId] = {}
 
-    base = layout.management_offset
-    if stack.depth > 1:
-        row[base] = 1
-    if stack.frames:
-        row[base + _PHASE_OFFSET[stack.top.phase]] = 1
+
+_NO_SLOTS: dict[str, int] = {}
+
+
+def _encode(
+    dialogue: Dialogue, ontology: Ontology, table: _LayoutTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-turn (state, target) matrices for one dialogue: the stack replay
+    collects the position of every set bit, and the rows are filled at the end."""
+    n, state_width, target_width = len(dialogue.turns), table.state_width, table.target_width
+    slot_bits, intent_bits, parsed = table.slot_bits, table.intent_bits, table.parsed
+    management = table.management
+    state_on: list[int] = []  # flat positions in the (turns, state_width) matrix
+    target_on: list[int] = []
+    stack = DialogueStack(ontology)
+    for i, turn in enumerate(dialogue.turns):
+        filled = stack.apply_user_acts(turn.user_acts)
+        row = i * state_width
+        for frame in stack.frames:
+            bits = slot_bits.get((frame.domain, frame.topic), _NO_SLOTS)
+            for slot, value in frame.fills.items():
+                if value is not None and slot in bits:
+                    state_on.append(row + bits[slot])
+        if filled:  # fills always land in the top frame
+            bits = slot_bits.get((stack.top.domain, stack.top.topic), _NO_SLOTS)
+            state_on.extend(row + bits[slot] + 1 for slot in filled if slot in bits)
+        for act in turn.user_acts:  # every IntentKind is in every layout
+            state_on.append(row + intent_bits[act.kind])
+        if stack.depth > 1:
+            state_on.append(row + management)
+        if stack.frames:
+            state_on.append(row + management + _PHASE_OFFSET[stack.top.phase])
+
+        target_on.extend(
+            i * target_width + bit for bit in _action_bits(turn.system_acts, table.action_index)
+        )
+        acts = []
+        for aid in turn.system_acts:
+            if aid != UNK_TOKEN:
+                act = parsed.get(aid)
+                if act is None:
+                    act = parsed[aid] = parse_action_id(aid)
+                acts.append(act)
+        stack.apply_system_acts(acts, {a.kind for a in turn.user_acts})
+
+    states = np.zeros((n, state_width), dtype=np.uint8)
+    targets = np.zeros((n, target_width), dtype=np.uint8)
+    states.reshape(-1)[state_on] = 1
+    targets.reshape(-1)[target_on] = 1
+    states[1:, table.prev_actions] = targets[:-1]
+    return states, targets
 
 
 def encode_dialogue(
@@ -165,24 +212,8 @@ def encode_dialogue(
 
     A turn's previous-action block is the previous turn's target row.
     """
-    layout = layout or StateLayout.from_ontology(ontology)
-    slot_index, intent_index = layout.slot_index(), layout.intent_index()
-    action_index = layout.action_index()
-    prev_actions = slice(layout.action_offset, layout.management_offset)
-    stack = DialogueStack(ontology)
-    states = np.zeros((len(dialogue.turns), layout.state_width), dtype=np.uint8)
-    targets = np.zeros((len(dialogue.turns), layout.target_width), dtype=np.uint8)
-    for i, turn in enumerate(dialogue.turns):
-        filled = stack.apply_user_acts(turn.user_acts)
-        _encode_turn_state(states[i], layout, slot_index, intent_index, stack, turn, filled)
-        if i:
-            states[i, prev_actions] = targets[i - 1]
-        _encode_actions_indexed(turn.system_acts, action_index, targets[i])
-        stack.apply_system_acts(
-            [parse_action_id(aid) for aid in turn.system_acts if aid != UNK_TOKEN],
-            {a.kind for a in turn.user_acts},
-        )
-    return states, targets
+    table = _LayoutTable(layout or StateLayout.from_ontology(ontology), ontology)
+    return _encode(dialogue, ontology, table)
 
 
 def encode_state(dialogue: Dialogue, turn_index: int, ontology: Ontology) -> np.ndarray:
@@ -208,13 +239,14 @@ class EncodedDataset:
 def encode_dataset(dataset: Dataset, ontology: Ontology) -> EncodedDataset:
     """Encode every turn of every split into (state, target) pairs."""
     layout = StateLayout.from_ontology(ontology)
+    table = _LayoutTable(layout, ontology)
     splits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for split in SPLIT_NAMES:
         dialogues = dataset.splits.get(split, [])
         state_rows, target_rows = [], []
         for dlg in dialogues:
             try:
-                s, t = encode_dialogue(dlg, ontology, layout)
+                s, t = _encode(dlg, ontology, table)
             except UnknownLabel as exc:
                 raise UnknownLabel(f"{split}/{dlg.id}: {exc}") from None
             state_rows.append(s)

@@ -9,6 +9,7 @@ descent.
 from __future__ import annotations
 
 import csv
+import math
 import zipfile
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -100,12 +101,11 @@ def train_memorizer(train: tuple[np.ndarray, np.ndarray]) -> MemorizerModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) without overflow.  ``minimum(z, -z)`` is -|z| that keeps
+    a NaN's sign and payload, so every z maps to the bits of the branchwise
+    formula."""
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def logistic_loss_and_grad(
@@ -123,11 +123,11 @@ def logistic_loss_and_grad(
     with np.errstate(over="ignore"):  # diverging runs overflow to inf, caught upstream
         z = x @ weights + bias
         # log(1 + e^z) - y*z, computed stably
-        loss = float(np.sum(np.logaddexp(0.0, z) - y * z) / (n * a))
-        loss += 0.5 * l2 * float(np.sum(weights * weights))
-        p = _sigmoid(z)
-        grad_w = x.T @ (p - y) / (n * a) + l2 * weights
-        grad_b = np.sum(p - y, axis=0) / (n * a)
+        loss = float((np.logaddexp(0.0, z) - y * z).sum() / (n * a))
+        loss += 0.5 * l2 * float((weights * weights).sum())
+        residual = _sigmoid(z) - y
+        grad_w = x.T @ residual / (n * a) + l2 * weights
+        grad_b = residual.sum(axis=0) / (n * a)
     return loss, grad_w, grad_b
 
 
@@ -158,9 +158,9 @@ def train_linear(
         for start in range(0, n, BATCH_SIZE):
             sel = order[start : start + BATCH_SIZE]
             loss, gw, gb = logistic_loss_and_grad(
-                weights, bias, states[sel], targets[sel], l2
+                weights, bias, states.take(sel, axis=0), targets.take(sel, axis=0), l2
             )
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite ({loss})")
             weights -= learning_rate * gw
             bias -= learning_rate * gb
@@ -216,36 +216,43 @@ def save_model(model: Model, path, ontology_hash: str) -> None:
         np.savez(fh, **arrays, ontology_hash=ontology_hash)
 
 
-def load_model(path) -> Model:
-    """Read a model written by save_model."""
-    try:
-        with np.load(path, allow_pickle=False) as blob:
-            kind = str(blob["kind"])
-            if kind == "memorizer":
-                return MemorizerModel(
-                    state_width=int(blob["state_width"]),
-                    target_width=int(blob["target_width"]),
-                    table={
-                        row.tobytes(): target
-                        for row, target in zip(blob["packed_states"], blob["targets"])
-                    },
-                    fallback=blob["fallback"],
-                )
-            if kind == "linear":
-                return LinearModel(
-                    weights=blob["weights"],
-                    bias=blob["bias"],
-                    threshold=float(blob["threshold"]),
-                    loss_history=list(blob["loss_history"]),
-                )
-    except (ValueError, TypeError, EOFError, RuntimeError, zipfile.BadZipFile) as exc:
-        # Not an .npz archive, or a member zipfile cannot read: one flagged as
-        # encrypted raises RuntimeError, an unknown compression method its
-        # subclass NotImplementedError.
-        raise SchemaError(f"{path}: not a model file: {exc}") from None
-    except KeyError as exc:
-        raise SchemaError(f"{path}: model file has no member {exc}") from None
-    raise SchemaError(f"{path}: unknown model kind {kind!r}")
+def load_model(path) -> tuple[Model, str]:
+    """Read a model written by save_model, with the ontology hash it was tagged
+    with.  A missing file raises OSError; a damaged one raises SchemaError."""
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as blob:
+                kind = str(blob["kind"])
+                if kind == "memorizer":
+                    model = MemorizerModel(
+                        state_width=int(blob["state_width"]),
+                        target_width=int(blob["target_width"]),
+                        table={
+                            row.tobytes(): target
+                            for row, target in zip(blob["packed_states"], blob["targets"])
+                        },
+                        fallback=blob["fallback"],
+                    )
+                elif kind == "linear":
+                    model = LinearModel(
+                        weights=blob["weights"],
+                        bias=blob["bias"],
+                        threshold=float(blob["threshold"]),
+                        loss_history=list(blob["loss_history"]),
+                    )
+                else:
+                    raise SchemaError(f"{path}: unknown model kind {kind!r}")
+                return model, str(blob["ontology_hash"])
+        except (
+            ValueError, TypeError, EOFError, RuntimeError, OSError, zipfile.BadZipFile
+        ) as exc:
+            # Not an .npz archive, or a member zipfile cannot read: one flagged as
+            # encrypted raises RuntimeError, an unknown compression method its
+            # subclass NotImplementedError, and a central directory offset past
+            # the end of the file an OSError from the seek.
+            raise SchemaError(f"{path}: not a model file: {exc}") from None
+        except KeyError as exc:
+            raise SchemaError(f"{path}: model file has no member {exc}") from None
 
 
 def train_model(kind: str, train_split: tuple[np.ndarray, np.ndarray], seed: int = 0) -> Model:

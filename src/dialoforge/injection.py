@@ -11,12 +11,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .dataset import Dataset, read_jsonl, write_jsonl
 from .engine import DialogueTurn, UserAct
 from .errors import CatalogTooSmall, UnknownLabel, ValidationError
-from .ontology import Ontology, UNK_TOKEN
+from .ontology import IntentKind, Ontology, UNK_TOKEN
 from .rng import derive_seed
 
 
@@ -82,12 +82,18 @@ def perturb_label(
     mode: PerturbMode,
 ) -> str:
     """Replace one label: uniform draw from catalog minus the label, or UNK."""
+    return _draw_label([c for c in catalog if c != label], len(catalog), rng, mode)
+
+
+def _draw_label(
+    candidates: list[str], catalog_size: int, rng: random.Random, mode: PerturbMode
+) -> str:
+    """The draw of ``perturb_label``, given the catalog minus the label."""
     if mode is PerturbMode.UNK:
         return UNK_TOKEN
-    candidates = [c for c in catalog if c != label]
-    if len(catalog) < 2 or not candidates:
+    if catalog_size < 2 or not candidates:
         raise CatalogTooSmall(
-            f"relabeling needs >= 2 candidates, catalog has {len(catalog)}"
+            f"relabeling needs >= 2 candidates, catalog has {catalog_size}"
         )
     return rng.choice(candidates)
 
@@ -99,32 +105,59 @@ def _draw_mode(rng: random.Random, weights: tuple[float, float]) -> PerturbMode:
     return PerturbMode.UNK
 
 
+_INTENT_LABEL = {kind: kind.value for kind in IntentKind}
+_INTENT_KIND = {kind.value: kind for kind in IntentKind}
+
+
 def _labels(turn: DialogueTurn, kind: ElementKind) -> Iterable[tuple[int, str]]:
     """(index, label) of every label of one kind in a turn."""
     if kind is ElementKind.INTENT:
-        return enumerate([act.kind.value for act in turn.user_acts])
+        return enumerate([_INTENT_LABEL[act.kind] for act in turn.user_acts])
     if kind is ElementKind.SLOT:
         return [(i, act.slot) for i, act in enumerate(turn.user_acts) if act.slot is not None]
     return enumerate(turn.system_acts)
 
 
-def _relabel(turn: DialogueTurn, kind: ElementKind, index: int, label: str) -> DialogueTurn:
-    """A new turn in which one label reads ``label``. The act goes through its
-    dict form, which does not check that a noisy kind fits its slot and value."""
-    user_acts, system_acts = list(turn.user_acts), list(turn.system_acts)
+def _label_at(turn: DialogueTurn, kind: ElementKind, index: int) -> Optional[str]:
+    """The label of one kind at ``index`` of a turn, None where there is none."""
+    acts = turn.system_acts if kind is ElementKind.ACTION else turn.user_acts
+    if not isinstance(index, int) or not 0 <= index < len(acts):
+        return None
     if kind is ElementKind.ACTION:
-        system_acts[index] = label
+        return acts[index]
+    act = acts[index]
+    return _INTENT_LABEL[act.kind] if kind is ElementKind.INTENT else act.slot
+
+
+def _relabel(turn: DialogueTurn, kind: ElementKind, index: int, label: str) -> None:
+    """Make one label of a turn that ``_apply`` copied read ``label``.  A user
+    act is replaced, never changed in place.  The new act is built attribute by
+    attribute in the order of ``UserAct.from_dict``, so that it keeps the
+    instance-dict layout every other act shares, and like ``from_dict`` it does
+    not check that a noisy kind fits its slot and value."""
+    if kind is ElementKind.ACTION:
+        turn.system_acts[index] = label
+        return
+    old = turn.user_acts[index]
+    act = UserAct.__new__(UserAct)
+    if kind is ElementKind.INTENT:
+        act.kind = _INTENT_KIND.get(label)
+        if act.kind is None:
+            raise UnknownLabel(f"intent kind {label!r} is not in the catalog")
     else:
-        act = user_acts[index].to_dict()
-        act["kind" if kind is ElementKind.INTENT else "slot"] = label
-        user_acts[index] = UserAct.from_dict(act)
-    return DialogueTurn(user_acts, system_acts, turn.event)
+        act.kind = old.kind
+    act.domain = old.domain
+    act.topic = old.topic
+    act.slot = label if kind is ElementKind.SLOT else old.slot
+    act.value = old.value
+    turn.user_acts[index] = act
 
 
 def _apply(dataset: Dataset, edits: Iterable[tuple[PerturbationRecord, str, str]]) -> Dataset:
     """The one writer of labels: a new dataset in which each ``(record, old, new)``
-    edit turns the addressed label from ``old`` into ``new``. Untouched dialogues
-    and turns are the input's own objects, so no code may mutate a built dialogue."""
+    edit turns the addressed label from ``old`` into ``new``. An edited turn is
+    copied once, at its first edit; untouched dialogues and turns are the
+    input's own objects, so no code may mutate a built dialogue."""
     turns_by_id: dict[str, list[DialogueTurn]] = {}
     for _, dlg in dataset.iter_dialogues():
         if dlg.id in turns_by_id:
@@ -132,11 +165,17 @@ def _apply(dataset: Dataset, edits: Iterable[tuple[PerturbationRecord, str, str]
         turns_by_id[dlg.id] = dlg.turns
     changed: dict[str, list[DialogueTurn]] = {}  # the new turn list of each edited dialogue
     for rec, old, new in edits:
-        turns = changed.setdefault(rec.dialogue_id, list(turns_by_id.get(rec.dialogue_id, [])))
+        turns = changed.get(rec.dialogue_id)
+        if turns is None:
+            turns = changed[rec.dialogue_id] = list(turns_by_id.get(rec.dialogue_id, []))
         turn = turns[rec.turn_index] if 0 <= rec.turn_index < len(turns) else None
-        if turn is None or dict(_labels(turn, rec.element)).get(rec.index) != old:
+        if turn is None or _label_at(turn, rec.element, rec.index) != old:
             raise ValidationError(f"record does not match dataset: {rec}")
-        turns[rec.turn_index] = _relabel(turn, rec.element, rec.index, new)
+        if turn is turns_by_id[rec.dialogue_id][rec.turn_index]:  # not yet copied
+            turn = turns[rec.turn_index] = DialogueTurn(
+                list(turn.user_acts), list(turn.system_acts), turn.event
+            )
+        _relabel(turn, rec.element, rec.index, new)
     splits = {
         split: [replace(d, turns=changed[d.id]) if d.id in changed else d for d in dialogues]
         for split, dialogues in dataset.splits.items()
@@ -158,31 +197,34 @@ def inject_errors(
     """
     if splits not in ("all", "train"):
         raise ValidationError("splits must be 'all' or 'train'")
-    # Per turn, intents are drawn before slots before actions: this order
-    # defines the RNG stream of a seed.
-    lanes = [
-        (kind, catalog, set(catalog) | {UNK_TOKEN}, p)
-        for kind, catalog, p in (
-            (ElementKind.INTENT, list(ontology.intent_catalog), cfg.p_intent),
-            (ElementKind.SLOT, ontology.all_slot_names(), cfg.p_slot),
-            (ElementKind.ACTION, list(ontology.action_catalog), cfg.p_action),
-        )
-    ]
+    # Per lane, every known label (the catalog plus UNK) maps to the catalog
+    # minus that label: the list perturb_label would build for it.  Per turn,
+    # intents are drawn before slots before actions: this order defines the
+    # RNG stream of a seed.
+    lanes = []
+    for kind, catalog, p in (
+        (ElementKind.INTENT, list(ontology.intent_catalog), cfg.p_intent),
+        (ElementKind.SLOT, ontology.all_slot_names(), cfg.p_slot),
+        (ElementKind.ACTION, list(ontology.action_catalog), cfg.p_action),
+    ):
+        others = {label: [c for c in catalog if c != label] for label in [*catalog, UNK_TOKEN]}
+        lanes.append((kind, others, len(catalog), p))
 
     records: list[PerturbationRecord] = []
     for ordinal, (split, dlg) in enumerate(dataset.iter_dialogues()):
         noisy = splits == "all" or split == "train"
         rng = random.Random(derive_seed(cfg.seed, ordinal)) if noisy else None
         for ti, turn in enumerate(dlg.turns):
-            for kind, catalog, known, p in lanes:
+            for kind, others, size, p in lanes:
                 draw = noisy and p > 0
                 for index, label in _labels(turn, kind):
-                    if label not in known:
+                    candidates = others.get(label)
+                    if candidates is None:
                         raise UnknownLabel(f"{dlg.id} turn {ti}: {kind.value} {label!r}")
                     if not draw or rng.random() >= p:
                         continue
                     mode = _draw_mode(rng, cfg.mode_weights)
-                    new = perturb_label(label, catalog, rng, mode)
+                    new = _draw_label(candidates, size, rng, mode)
                     if new != label:
                         records.append(
                             PerturbationRecord(dlg.id, ti, kind, index, label, new, mode)

@@ -234,24 +234,40 @@ def _write_npz_with_unknown_compression(fh) -> None:
     fh.write(blob)
 
 
+def _write_npz_with_bad_directory_offset(fh) -> None:
+    buf = io.BytesIO()
+    np.savez(buf, kind="memorizer")
+    blob = bytearray(buf.getvalue())
+    at = blob.rindex(b"PK\x05\x06") + 19  # top byte of the central directory's offset
+    blob[at] ^= 0x80
+    fh.write(blob)
+
+
+def _missing_model(dataset: Path, tmp_path: Path):
+    path = tmp_path / "absent.npz"
+    return path, ["eval", "--model", str(path), "--in", str(dataset)]
+
+
 @pytest.mark.parametrize(
-    "damage",
+    "damage, code",
     [
-        _damaged_bin(lambda blob: blob[:-1]),
-        _damaged_bin(lambda blob: blob.replace(b"dialoforge-encoded 1", b"dialoforge-encoded 2", 1)),
-        _damaged_bin(lambda blob: re.sub(rb"state_width \d+", b"state_width 1", blob, count=1)),
-        _bad_model(lambda fh: fh.write(b"not a model\n")),
-        _bad_model(lambda fh: np.save(fh, np.zeros(3))),
-        _bad_model(_write_npz_with_unknown_compression),
+        (_damaged_bin(lambda blob: blob[:-1]), 1),
+        (_damaged_bin(lambda blob: blob.replace(b"dialoforge-encoded 1", b"dialoforge-encoded 2", 1)), 1),
+        (_damaged_bin(lambda blob: re.sub(rb"state_width \d+", b"state_width 1", blob, count=1)), 1),
+        (_bad_model(lambda fh: fh.write(b"not a model\n")), 1),
+        (_bad_model(lambda fh: np.save(fh, np.zeros(3))), 1),
+        (_bad_model(_write_npz_with_unknown_compression), 1),
+        (_bad_model(_write_npz_with_bad_directory_offset), 1),
+        (_missing_model, 2),  # a missing file is a runtime error, not bad input
     ],
     ids=["truncated-bin", "wrong-magic", "wrong-width", "text-model", "npy-model",
-         "unknown-compression-model"],
+         "unknown-compression-model", "bad-directory-offset-model", "missing-model"],
 )
-def test_bad_binary_input_names_the_file(damage, tiny_dataset, tmp_path, capsys):
+def test_bad_binary_input_names_the_file(damage, code, tiny_dataset, tmp_path, capsys):
     assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
     path, argv = damage(tiny_dataset, tmp_path)
     capsys.readouterr()
-    assert run_cli(argv) == 1
+    assert run_cli(argv) == code
     assert str(path) in capsys.readouterr().err
 
 
@@ -293,6 +309,25 @@ def test_bad_layout_names_the_file_and_key(edit, key, tiny_dataset, tmp_path, ca
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert str(path) in err and key in err
+
+
+def test_eval_model_ontology_must_match_the_data(tiny_dataset, tmp_path, capsys):
+    model = tmp_path / "model.npz"
+    assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
+    assert run_cli(["train", "--model", "memorizer", "--in", str(tiny_dataset),
+                    "--out", str(model)]) == 0
+    # One more slot value keeps every width and changes the ontology hash.
+    doc = json.loads((tiny_dataset / "ontology.json").read_text())
+    doc["domains"][0]["topics"][0]["slots"][0]["values"].append("extra")
+    edited, other = tmp_path / "edited.json", tmp_path / "other"
+    edited.write_text(json.dumps(doc))
+    assert run_cli(["generate", "--ontology", str(edited), "--dialogues", "40", "--seed", "3",
+                    "--out", str(other)]) == 0
+    assert run_cli(["encode", "--in", str(other)]) == 0
+    capsys.readouterr()
+    assert run_cli(["eval", "--model", str(model), "--in", str(other)]) == 1
+    err = capsys.readouterr().err
+    assert str(model) in err and str(other / "encoded" / "layout.json") in err
 
 
 def test_dataset_ontology_must_match_the_manifest_hash(tiny_dataset, tmp_path, capsys):

@@ -15,10 +15,15 @@ import io
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dialoforge import __version__
 from dialoforge.cli import run_cli
+from dialoforge.dataset import read_dataset
+from dialoforge.encoding import encode_dataset, encode_dialogue, read_encoded
+from dialoforge.harness import train_linear
+from dialoforge.ontology import preset_ontology
 
 PINNED = (
     "train.jsonl",
@@ -116,6 +121,25 @@ SWEEP_GOLDEN = {
     },
 }
 
+# train_linear with its defaults (seed 29) on the chain's encoded train split.
+LINEAR_GOLDEN = {
+    "simple": {
+        "weights": "c69b59d9e838a58c8d57d2edf199f41dde01aca3862092cd5941c512ce2cfef5",
+        "bias": "6bc9e688be47782ac2599820d82dbe3b48b54608afcb8c196478446be0fd9b2f",
+        "loss_history": "a36e0d59d47f55369245e715c21545abfe9a741d24fe39464acae4eef1e28c3c",
+    },
+    "medium": {
+        "weights": "4fb372e76c8acf58f1dd80922ebb760860451f0d15f258d76bc59f2a7d09d11a",
+        "bias": "5bf30db179dd48433992cbc8c82aee26e9136f9fc36b72131d6f709bf1a2de44",
+        "loss_history": "7196afff86e82cef110067a338a68c9a975c746c7a306961de031bbe029a3523",
+    },
+    "hard": {
+        "weights": "8483f56a3fcd1e6a6ae505a2c9337275cc94182061ba0c4c936cec11c24437bf",
+        "bias": "0dad797e95937a95b474a45f9ae3967d4fc5e961603eb924c0373cd78b068591",
+        "loss_history": "1c33451c0c2a0a46ce823c41f0e083bc70540d19291f109a7e51c4aa58d9d77a",
+    },
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -192,3 +216,25 @@ def test_sweep_exports_match_pins(chain):
         for name in ("sweep.csv", "sweep_long.csv")
     }
     assert digests == SWEEP_GOLDEN[preset]
+
+
+def test_linear_model_bits_match_pins(chain):
+    preset, root, _ = chain
+    model = train_linear(read_encoded(root / "noisy" / "encoded").splits["train"], seed=29)
+    digests = {
+        "weights": _sha256(model.weights.tobytes()),
+        "bias": _sha256(model.bias.tobytes()),
+        "loss_history": _sha256(np.array(model.loss_history).tobytes()),
+    }
+    assert digests == LINEAR_GOLDEN[preset]
+
+
+def test_encode_dialogue_rows_match_encode_dataset(chain):
+    preset, root, _ = chain
+    ontology = preset_ontology(preset)
+    noisy = read_dataset(root / "noisy")
+    encoded = encode_dataset(noisy, ontology)
+    for split, dialogues in noisy.splits.items():
+        pairs = [encode_dialogue(dlg, ontology) for dlg in dialogues]
+        for block, rows in enumerate(encoded.splits[split]):
+            assert np.array_equal(np.concatenate([pair[block] for pair in pairs]), rows)

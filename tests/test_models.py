@@ -9,6 +9,7 @@ from dialoforge.engine import GeneratorConfig
 from dialoforge.errors import EmptySplit, WidthMismatch
 from dialoforge.harness import (
     LinearModel,
+    _sigmoid,
     load_model,
     logistic_loss_and_grad,
     predict,
@@ -128,6 +129,24 @@ def test_gradient_matches_central_finite_differences():
         assert abs(fd - grad_b[i]) <= 1e-5 * max(1.0, abs(fd))
 
 
+def _sigmoid_branchwise(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bits_match_the_branchwise_formula():
+    edges = [0.0, 1e-300, 5e-324, 1.0, 30.0, 36.8, 700.0, 745.2, 1e308, np.inf, np.nan]
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000123], dtype=np.uint64).view(np.float64)
+    z = np.concatenate(
+        [edges, np.negative(edges), nans, np.random.default_rng(0).normal(0.0, 20.0, 4096)]
+    )
+    assert _sigmoid(z).tobytes() == _sigmoid_branchwise(z).tobytes()
+
+
 def test_divergence_raises():
     from dialoforge.errors import DivergenceError
 
@@ -186,12 +205,11 @@ def test_save_load_round_trip_predicts_identically(kind, simple_ontology, tmp_pa
     model = train_memorizer(train) if kind == "memorizer" else train_linear(train, epochs=3)
     path = tmp_path / f"{kind}.npz"
     save_model(model, path, enc.ontology_hash)
-    loaded = load_model(path)
+    loaded, ontology_hash = load_model(path)
     assert type(loaded) is type(model)
     states = np.concatenate([enc.splits["test"][0], 1 - enc.splits["test"][0][:5]])
     assert np.array_equal(predict(loaded, states), predict(model, states))
-    with np.load(path) as blob:
-        assert str(blob["ontology_hash"]) == enc.ontology_hash == simple_ontology.content_hash()
+    assert ontology_hash == enc.ontology_hash == simple_ontology.content_hash()
 
 
 def test_load_model_rejects_unknown_kind(tmp_path):

@@ -173,7 +173,10 @@ def read_dataset(indir) -> Dataset:
     manifest = read_json(manifest_path)
     if not isinstance(manifest, dict) or manifest.get("format") != "dialoforge-dataset":
         raise SchemaError(f"{manifest_path}: not a dataset manifest")
-    missing = [key for key in ("ontology_hash", "config") if key not in manifest]
+    missing = [
+        key for key in ("ontology_hash", "config", "seed", "splits", "n_dialogues")
+        if key not in manifest
+    ]
     if missing:
         raise SchemaError(f"{manifest_path}: missing field(s) {missing}")
     raw_config = manifest["config"]
@@ -186,8 +189,26 @@ def read_dataset(indir) -> Dataset:
         raise ValidationError(f"{manifest_path}: config: {exc}") from None
     except TypeError as exc:  # a value of the wrong type
         raise SchemaError(f"{manifest_path}: config: {exc}") from None
+    if manifest["seed"] != config.seed:
+        raise SchemaError(
+            f"{manifest_path}: seed {manifest['seed']!r} differs from config.seed {config.seed}"
+        )
+    claimed = manifest["splits"]
+    if not isinstance(claimed, dict) or claimed.keys() != set(SPLIT_NAMES):
+        raise SchemaError(f"{manifest_path}: splits: must map {list(SPLIT_NAMES)} to counts")
     splits: dict[str, list[Dialogue]] = {}
     for split in SPLIT_NAMES:
         fp = path / f"{split}.jsonl"
         splits[split] = read_jsonl(fp, Dialogue.from_dict) if fp.exists() else []
-    return Dataset(splits=splits, ontology_hash=manifest["ontology_hash"], config=config)
+        if claimed[split] != len(splits[split]):
+            raise SchemaError(
+                f"{manifest_path}: splits.{split} is {claimed[split]!r}, "
+                f"but {fp} holds {len(splits[split])} dialogues"
+            )
+    dataset = Dataset(splits=splits, ontology_hash=manifest["ontology_hash"], config=config)
+    if manifest["n_dialogues"] != dataset.n_dialogues:
+        raise SchemaError(
+            f"{manifest_path}: n_dialogues is {manifest['n_dialogues']!r}, "
+            f"but the split files hold {dataset.n_dialogues}"
+        )
+    return dataset

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .dataset import SPLIT_NAMES, Dataset, read_json, write_json
 from .engine import Dialogue, DialogueStack, Phase
 from .errors import IndexOutOfRange, SchemaError, UnknownLabel, ValidationError
 from .ontology import (
+    INTENT_CATALOG,
     AtomicActionId,
     IntentKind,
     Ontology,
@@ -34,8 +35,9 @@ from .ontology import (
     parse_action_id,
 )
 
-MANAGEMENT_FIELDS = ("stack_depth_gt1", "phase_eliciting", "phase_notified", "phase_wrapup")
-_PHASE_OFFSET = {Phase.ELICITING: 1, Phase.NOTIFIED: 2, Phase.WRAPUP: 3}
+# The depth flag, then one bit per Phase in the enum's order.
+MANAGEMENT_FIELDS = ("stack_depth_gt1", *(f"phase_{phase.value}" for phase in Phase))
+_PHASE_OFFSET = {phase: i for i, phase in enumerate(Phase, 1)}
 _LAYOUT_LISTS = ("slot_keys", "intents", "actions")
 
 
@@ -44,15 +46,14 @@ class StateLayout:
     """Bit positions of every feature; serialized with the data for decoding."""
 
     slot_keys: tuple[str, ...]  # "domain.topic.slot", document order
-    intents: tuple[str, ...]
     actions: tuple[str, ...]
-    ontology_hash: str = ""
+    ontology_hash: str
+    intents: ClassVar[tuple[str, ...]] = INTENT_CATALOG
 
     @classmethod
     def from_ontology(cls, ontology: Ontology) -> "StateLayout":
         return cls(
             slot_keys=tuple(".".join(key) for key in ontology.slot_keys()),
-            intents=tuple(ontology.intent_catalog),
             actions=tuple(ontology.action_catalog),
             ontology_hash=ontology.content_hash(),
         )
@@ -97,15 +98,6 @@ class StateLayout:
             "target_width": self.target_width,
             "ontology_hash": self.ontology_hash,
         }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "StateLayout":
-        return cls(
-            slot_keys=tuple(obj["slot_keys"]),
-            intents=tuple(obj["intents"]),
-            actions=tuple(obj["actions"]),
-            ontology_hash=obj.get("ontology_hash", ""),
-        )
 
 
 def _action_bits(system_acts: list[str], index: dict[str, int]) -> list[int]:
@@ -230,7 +222,10 @@ def encode_state(dialogue: Dialogue, turn_index: int, ontology: Ontology) -> np.
 class EncodedDataset:
     splits: dict[str, tuple[np.ndarray, np.ndarray]]
     layout: StateLayout
-    ontology_hash: str
+
+    @property
+    def ontology_hash(self) -> str:
+        return self.layout.ontology_hash
 
     def n_pairs(self, split: str) -> int:
         return self.splits[split][0].shape[0] if split in self.splits else 0
@@ -258,7 +253,7 @@ def encode_dataset(dataset: Dataset, ontology: Ontology) -> EncodedDataset:
             states = np.zeros((0, layout.state_width), dtype=np.uint8)
             targets = np.zeros((0, layout.target_width), dtype=np.uint8)
         splits[split] = (states, targets)
-    return EncodedDataset(splits=splits, layout=layout, ontology_hash=layout.ontology_hash)
+    return EncodedDataset(splits=splits, layout=layout)
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +300,31 @@ def _write_csv(path, layout: StateLayout, states: np.ndarray, targets: np.ndarra
 
 
 def _read_layout(path: Path) -> StateLayout:
-    """layout.json, with its shape checked; errors name the file and the key."""
+    """layout.json, with its shape checked and every value it derives from the
+    slot keys and actions (the intents, the management bits, the widths) equal
+    to what they give; errors name the file and the key."""
     obj = read_json(path)
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: top level must be an object")
     _expect_keys(
         obj,
         str(path),
-        _LAYOUT_LISTS,
-        ("version", "management", "state_width", "target_width", "ontology_hash"),
+        (*_LAYOUT_LISTS, "version", "management", "state_width", "target_width", "ontology_hash"),
     )
     for key in _LAYOUT_LISTS:
         if not isinstance(obj[key], list) or not all(isinstance(v, str) for v in obj[key]):
             raise SchemaError(f"{path}: {key}: must be a list of strings")
-    if not isinstance(obj.get("ontology_hash", ""), str):
+    if not isinstance(obj["ontology_hash"], str):
         raise SchemaError(f"{path}: ontology_hash: must be a string")
-    return StateLayout.from_dict(obj)
+    layout = StateLayout(
+        slot_keys=tuple(obj["slot_keys"]),
+        actions=tuple(obj["actions"]),
+        ontology_hash=obj["ontology_hash"],
+    )
+    for key, value in layout.to_dict().items():
+        if obj[key] != value:
+            raise SchemaError(f"{path}: {key} is {obj[key]!r}, expected {value!r}")
+    return layout
 
 
 def read_encoded(indir) -> EncodedDataset:
@@ -337,10 +341,13 @@ def read_encoded(indir) -> EncodedDataset:
             meta = dict(line.split(" ", 1) for line in lines)
             rows, sw, tw = (int(meta[key]) for key in ("rows", "state_width", "target_width"))
             ontology_hash = meta["ontology_hash"]
+            header_split = meta["split"]
         except (ValueError, KeyError) as exc:
             raise SchemaError(f"{fp}: bad header: {exc}") from None
         if magic != _MAGIC:
             raise SchemaError(f"{fp}: first line is {magic!r}, expected {_MAGIC!r}")
+        if header_split != split:
+            raise SchemaError(f"{fp}: header names split {header_split!r}, expected {split!r}")
         if ontology_hash != layout.ontology_hash:
             raise ValidationError(
                 f"{fp}: ontology_hash {ontology_hash} differs from "
@@ -360,4 +367,4 @@ def read_encoded(indir) -> EncodedDataset:
         states = np.unpackbits(packed[: rows * sbytes].reshape(rows, sbytes), axis=1)[:, :sw]
         targets = np.unpackbits(packed[rows * sbytes :].reshape(rows, tbytes), axis=1)[:, :tw]
         splits[split] = (states.astype(np.uint8), targets.astype(np.uint8))
-    return EncodedDataset(splits=splits, layout=layout, ontology_hash=layout.ontology_hash)
+    return EncodedDataset(splits=splits, layout=layout)

@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .errors import EmptyStackError, GenerationOverflow, UnknownLabel, ValidationError
+from .errors import (
+    EmptyStackError,
+    GenerationOverflow,
+    SchemaError,
+    UnknownLabel,
+    ValidationError,
+)
 from .ontology import (
     GENERAL_CHIT_CHAT_ID,
     ActionKind,
@@ -214,24 +220,38 @@ class Dialogue:
     id: str
     seed: int
     turns: list[DialogueTurn]
-    events_log: list[tuple[int, EventKind]] = field(default_factory=list)
+
+    @property
+    def events_log(self) -> list[tuple[int, EventKind]]:
+        """(turn index, event) of every turn that carries an event."""
+        return [(i, t.event) for i, t in enumerate(self.turns) if t.event is not None]
+
+    def _events_dicts(self) -> list[list]:
+        return [[i, e.value] for i, e in self.events_log]
 
     def to_dict(self) -> dict:
         return {
             "id": self.id,
             "seed": self.seed,
             "turns": [t.to_dict() for t in self.turns],
-            "events_log": [[i, e.value] for i, e in self.events_log],
+            "events_log": self._events_dicts(),
         }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Dialogue":
-        return cls(
+        """The dialogue of a dict written by ``to_dict``; its ``events_log``
+        copy must equal the one the turns' events give."""
+        dialogue = cls(
             id=obj["id"],
             seed=obj["seed"],
             turns=[DialogueTurn.from_dict(t) for t in obj["turns"]],
-            events_log=[(i, EventKind(e)) for i, e in obj["events_log"]],
         )
+        derived = dialogue._events_dicts()
+        if obj["events_log"] != derived:
+            raise SchemaError(
+                f"events_log {obj['events_log']!r} differs from the turns' events {derived!r}"
+            )
+        return dialogue
 
 
 @dataclass(frozen=True)
@@ -573,7 +593,6 @@ def generate_dialogue(
     goal = GoalScript.sample(ontology, rng)
     stack = DialogueStack(ontology)
     turns: list[DialogueTurn] = []
-    events_log: list[tuple[int, EventKind]] = []
 
     for index in range(MAX_TURNS):
         user_acts, event = sample_user_turn(stack, goal, rng, cfg)
@@ -583,8 +602,6 @@ def generate_dialogue(
                 f"engine produced an empty system response at turn {index}"
             )
         turns.append(DialogueTurn(user_acts=user_acts, system_acts=system_acts, event=event))
-        if event is not None:
-            events_log.append((index, event))
         if goal.finished and not stack.frames:
             break
     else:
@@ -596,7 +613,6 @@ def generate_dialogue(
         id=dialogue_id or f"dlg{dialogue_seed:016x}",
         seed=dialogue_seed,
         turns=turns,
-        events_log=events_log,
     )
 
 

@@ -6,11 +6,15 @@ class DialoforgeError(Exception):
 
 
 class SchemaError(DialoforgeError):
-    """Ontology document is malformed (wrong shape, types, or keys)."""
+    """An input file is malformed: wrong shape, types or keys, or a copy it
+    carries (a count, a width, an event log) disagrees with what it is a copy
+    of.  The message names the file and the line, key or member."""
 
 
 class ValidationError(DialoforgeError):
-    """Ontology parses but violates an invariant; message names the offending element."""
+    """An input parses but breaks an invariant or a setting's range, or its
+    provenance hash differs from the file it was made from.  The message names
+    the file or setting and the offending element."""
 
 
 class UnknownPreset(DialoforgeError):

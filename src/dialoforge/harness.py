@@ -41,9 +41,12 @@ class MemorizerModel:
     """Maps each training state to its majority target set."""
 
     state_width: int
-    target_width: int
     table: dict[bytes, np.ndarray]
     fallback: np.ndarray
+
+    @property
+    def target_width(self) -> int:
+        return self.fallback.shape[0]
 
 
 @dataclass
@@ -85,8 +88,6 @@ def train_memorizer(train: tuple[np.ndarray, np.ndarray]) -> MemorizerModel:
         per_state.setdefault(key, Counter())[tb] += 1
         overall[tb] += 1
 
-    width = targets.shape[1]
-
     def majority(counter: Counter) -> np.ndarray:
         best = min(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0]
         return np.frombuffer(best, dtype=np.uint8).copy()
@@ -94,7 +95,6 @@ def train_memorizer(train: tuple[np.ndarray, np.ndarray]) -> MemorizerModel:
     table = {key: majority(c) for key, c in per_state.items()}
     return MemorizerModel(
         state_width=states.shape[1],
-        target_width=width,
         table=table,
         fallback=majority(overall),
     )
@@ -216,33 +216,60 @@ def save_model(model: Model, path, ontology_hash: str) -> None:
         np.savez(fh, **arrays, ontology_hash=ontology_hash)
 
 
+def _shape_mismatch(kind: str, arrays: dict) -> Optional[str]:
+    """The first model array whose shape disagrees with the others, if any."""
+    if kind == "memorizer":
+        packed, fallback = arrays["packed_states"], arrays["fallback"]
+        n, width = len(packed), len(fallback)
+        checks = (
+            ("fallback shape", fallback.shape, (width,)),
+            ("targets shape", arrays["targets"].shape, (n, width)),
+            ("packed_states shape", packed.shape, (n, (int(arrays["state_width"]) + 7) // 8)),
+            ("target_width", int(arrays["target_width"]), width),
+        )
+    else:
+        weights, bias = arrays["weights"], arrays["bias"]
+        checks = (
+            ("weights dimensions", weights.ndim, 2),
+            ("bias shape", bias.shape, weights.shape[1:]),
+        )
+    for what, got, expected in checks:
+        if got != expected:
+            return f"{what} {got}, expected {expected}"
+    return None
+
+
 def load_model(path) -> tuple[Model, str]:
     """Read a model written by save_model, with the ontology hash it was tagged
-    with.  A missing file raises OSError; a damaged one raises SchemaError."""
+    with.  A missing file raises OSError; a damaged one, or one whose arrays
+    disagree in shape, raises SchemaError."""
     with open(path, "rb") as fh:
         try:
             with np.load(fh, allow_pickle=False) as blob:
-                kind = str(blob["kind"])
-                if kind == "memorizer":
-                    model = MemorizerModel(
-                        state_width=int(blob["state_width"]),
-                        target_width=int(blob["target_width"]),
-                        table={
-                            row.tobytes(): target
-                            for row, target in zip(blob["packed_states"], blob["targets"])
-                        },
-                        fallback=blob["fallback"],
-                    )
-                elif kind == "linear":
-                    model = LinearModel(
-                        weights=blob["weights"],
-                        bias=blob["bias"],
-                        threshold=float(blob["threshold"]),
-                        loss_history=list(blob["loss_history"]),
-                    )
-                else:
-                    raise SchemaError(f"{path}: unknown model kind {kind!r}")
-                return model, str(blob["ontology_hash"])
+                arrays = dict(blob)  # each access to blob reads the member again
+            kind = str(arrays["kind"])
+            if kind not in MODEL_KINDS:
+                raise SchemaError(f"{path}: unknown model kind {kind!r}")
+            mismatch = _shape_mismatch(kind, arrays)
+            if mismatch is not None:
+                raise SchemaError(f"{path}: {mismatch}")
+            if kind == "memorizer":
+                model = MemorizerModel(
+                    state_width=int(arrays["state_width"]),
+                    table={
+                        row.tobytes(): target
+                        for row, target in zip(arrays["packed_states"], arrays["targets"])
+                    },
+                    fallback=arrays["fallback"],
+                )
+            else:
+                model = LinearModel(
+                    weights=arrays["weights"],
+                    bias=arrays["bias"],
+                    threshold=float(arrays["threshold"]),
+                    loss_history=list(arrays["loss_history"]),
+                )
+            return model, str(arrays["ontology_hash"])
         except (
             ValueError, TypeError, EOFError, RuntimeError, OSError, zipfile.BadZipFile
         ) as exc:

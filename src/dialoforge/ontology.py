@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
 from .errors import SchemaError, UnknownPreset, ValidationError
 
@@ -152,9 +152,13 @@ class DomainSpec:
 @dataclass(frozen=True)
 class Ontology:
     domains: tuple[DomainSpec, ...]
-    intent_catalog: tuple[str, ...] = INTENT_CATALOG
-    action_catalog: tuple[str, ...] = ()
     generation_defaults: dict = field(default_factory=dict, compare=False)
+    intent_catalog: ClassVar[tuple[str, ...]] = INTENT_CATALOG
+    # Derived from the domains: the sorted atomic action ids.
+    action_catalog: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "action_catalog", tuple(_atomic_actions(self.domains)))
 
     def domain(self, name: str) -> Optional[DomainSpec]:
         for d in self.domains:
@@ -220,13 +224,13 @@ class Ontology:
 
 
 def enumerate_atomic_actions(ontology: Ontology) -> list[str]:
-    """Derive the sorted action catalog from an ontology.
+    """The ontology's sorted action catalog.
 
     Always contains the domain-independent chit-chat answer; each domain adds
     NOTIFY and REQ_MORE; per-slot REQUEST/CONFIRM/INFORM actions follow the
     topics' emission tables, deduplicated on (domain, kind, slot).
     """
-    return _atomic_actions(ontology.domains)
+    return list(ontology.action_catalog)
 
 
 def _atomic_actions(domains: Iterable[DomainSpec]) -> list[str]:
@@ -393,16 +397,12 @@ def _parse_generation(obj: object) -> dict:
 
 
 def build_ontology(domains: Iterable[DomainSpec], generation_defaults: Optional[dict] = None) -> Ontology:
-    """Assemble an ontology from parsed domains and derive its action catalog."""
+    """Assemble an ontology from parsed domains with unique names."""
     domains = tuple(domains)
     names = [d.name for d in domains]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate domain names")
-    return Ontology(
-        domains=domains,
-        action_catalog=tuple(_atomic_actions(domains)),
-        generation_defaults=generation_defaults or {},
-    )
+    return Ontology(domains=domains, generation_defaults=generation_defaults or {})
 
 
 def load_ontology(source: str) -> Ontology:

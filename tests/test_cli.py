@@ -154,8 +154,9 @@ def test_unknown_intent_kind_in_dataset_is_a_validation_error(tiny_dataset, tmp_
     [
         lambda line: line[: len(line) // 2],
         lambda line: line.replace('"kind":"inform"', '"kind":"bogus"', 1),
+        lambda line: re.sub(r'"events_log":\[.*\]}$', '"events_log":[[99,"chit_chat"]]}', line),
     ],
-    ids=["truncated-line", "bogus-intent-kind"],
+    ids=["truncated-line", "bogus-intent-kind", "events-log-differs-from-turns"],
 )
 def test_bad_dataset_line_names_file_and_line(damage, tiny_dataset, capsys):
     train = tiny_dataset / "train.jsonl"
@@ -187,20 +188,30 @@ def test_non_numeric_float_list_is_a_validation_error(argv, tmp_path, capsys):
     assert argv[-2] in capsys.readouterr().err
 
 
+def _drop_last_train_lines(manifest: dict, dataset: Path) -> None:
+    train = dataset / "train.jsonl"
+    train.write_text("".join(train.read_text().splitlines(keepends=True)[:-5]))
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
-        (lambda m: m.pop("config"), "config"),
-        (lambda m: m.pop("ontology_hash"), "ontology_hash"),
-        (lambda m: m["config"].update(bogus=1), "bogus"),
-        (lambda m: m["config"].update(n_dialogues=0), "n_dialogues"),
+        (lambda m, _: m.pop("config"), "config"),
+        (lambda m, _: m.pop("ontology_hash"), "ontology_hash"),
+        (lambda m, _: m["config"].update(bogus=1), "bogus"),
+        (lambda m, _: m["config"].update(n_dialogues=0), "n_dialogues"),
+        (lambda m, _: m["splits"].update(train=m["splits"]["train"] + 1), "splits.train"),
+        (lambda m, _: m.update(n_dialogues=m["n_dialogues"] + 1), "n_dialogues"),
+        (lambda m, _: m.update(seed=m["seed"] + 1), "seed"),
+        (_drop_last_train_lines, "train.jsonl"),
     ],
-    ids=["no-config", "no-ontology-hash", "unknown-config-key", "invalid-config-value"],
+    ids=["no-config", "no-ontology-hash", "unknown-config-key", "invalid-config-value",
+         "splits-differ", "n-dialogues-differs", "seed-differs", "truncated-split-file"],
 )
 def test_bad_dataset_manifest_names_file_and_field(edit, field, tiny_dataset, capsys):
     path = tiny_dataset / "manifest.json"
     manifest = json.loads(path.read_text())
-    edit(manifest)
+    edit(manifest, tiny_dataset)
     path.write_text(json.dumps(manifest))
     assert run_cli(["encode", "--in", str(tiny_dataset)]) == 1
     err = capsys.readouterr().err
@@ -243,6 +254,20 @@ def _write_npz_with_bad_directory_offset(fh) -> None:
     fh.write(blob)
 
 
+def _resaved_model(kind: str, edit):
+    """A model trained on the dataset, saved again with ``edit`` applied to its arrays."""
+    def damage(dataset: Path, tmp_path: Path):
+        path = tmp_path / "model.npz"
+        assert run_cli(["train", "--model", kind, "--in", str(dataset), "--out", str(path)]) == 0
+        with np.load(path) as blob:
+            arrays = dict(blob)
+        edit(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        return path, ["eval", "--model", str(path), "--in", str(dataset)]
+    return damage
+
+
 def _missing_model(dataset: Path, tmp_path: Path):
     path = tmp_path / "absent.npz"
     return path, ["eval", "--model", str(path), "--in", str(dataset)]
@@ -254,14 +279,21 @@ def _missing_model(dataset: Path, tmp_path: Path):
         (_damaged_bin(lambda blob: blob[:-1]), 1),
         (_damaged_bin(lambda blob: blob.replace(b"dialoforge-encoded 1", b"dialoforge-encoded 2", 1)), 1),
         (_damaged_bin(lambda blob: re.sub(rb"state_width \d+", b"state_width 1", blob, count=1)), 1),
+        (_damaged_bin(lambda blob: blob.replace(b"split train", b"split test", 1)), 1),
         (_bad_model(lambda fh: fh.write(b"not a model\n")), 1),
         (_bad_model(lambda fh: np.save(fh, np.zeros(3))), 1),
         (_bad_model(_write_npz_with_unknown_compression), 1),
         (_bad_model(_write_npz_with_bad_directory_offset), 1),
+        (_resaved_model("memorizer", lambda a: a.update(fallback=a["fallback"][:5])), 1),
+        (_resaved_model("memorizer", lambda a: a.update(targets=a["targets"][:, :5])), 1),
+        (_resaved_model("memorizer", lambda a: a.update(target_width=np.array(5))), 1),
+        (_resaved_model("linear", lambda a: a.update(bias=a["bias"][:5])), 1),
         (_missing_model, 2),  # a missing file is a runtime error, not bad input
     ],
-    ids=["truncated-bin", "wrong-magic", "wrong-width", "text-model", "npy-model",
-         "unknown-compression-model", "bad-directory-offset-model", "missing-model"],
+    ids=["truncated-bin", "wrong-magic", "wrong-width", "wrong-header-split", "text-model",
+         "npy-model", "unknown-compression-model", "bad-directory-offset-model",
+         "short-fallback-model", "narrow-targets-model", "wrong-target-width-model",
+         "short-bias-model", "missing-model"],
 )
 def test_bad_binary_input_names_the_file(damage, code, tiny_dataset, tmp_path, capsys):
     assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
@@ -296,8 +328,17 @@ def test_bin_header_hash_must_match_layout(tiny_dataset, tmp_path, capsys):
         (lambda layout: {**layout, "actions": 5}, "actions"),
         (lambda layout: {**layout, "ontology_hash": 5}, "ontology_hash"),
         (lambda layout: [1, 2], "object"),
+        (lambda layout: {**layout, "state_width": 999}, "state_width"),
+        (lambda layout: {**layout, "target_width": 1}, "target_width"),
+        (lambda layout: {**layout, "management": ["x"]}, "management"),
+        (lambda layout: {**layout, "version": 2}, "version"),
+        (lambda layout: {**layout, "intents": layout["intents"][::-1]}, "intents"),
+        (lambda layout: {k: v for k, v in layout.items() if k != "ontology_hash"},
+         "missing key(s) ['ontology_hash']"),
     ],
-    ids=["no-actions", "no-slot-keys", "actions-not-a-list", "hash-not-a-string", "not-an-object"],
+    ids=["no-actions", "no-slot-keys", "actions-not-a-list", "hash-not-a-string", "not-an-object",
+         "wrong-state-width", "wrong-target-width", "wrong-management", "wrong-version",
+         "wrong-intents", "no-ontology-hash"],
 )
 def test_bad_layout_names_the_file_and_key(edit, key, tiny_dataset, tmp_path, capsys):
     assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0

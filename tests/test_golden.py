@@ -20,9 +20,10 @@ import pytest
 
 from dialoforge import __version__
 from dialoforge.cli import run_cli
-from dialoforge.dataset import read_dataset
+from dialoforge.dataset import SPLIT_NAMES, read_dataset, write_dataset
 from dialoforge.encoding import encode_dataset, encode_dialogue, read_encoded
 from dialoforge.harness import train_linear
+from dialoforge.injection import read_records, revert_errors
 from dialoforge.ontology import preset_ontology
 
 PINNED = (
@@ -238,3 +239,13 @@ def test_encode_dialogue_rows_match_encode_dataset(chain):
         pairs = [encode_dialogue(dlg, ontology) for dlg in dialogues]
         for block, rows in enumerate(encoded.splits[split]):
             assert np.array_equal(np.concatenate([pair[block] for pair in pairs]), rows)
+
+
+def test_audit_log_on_disk_restores_the_clean_splits(chain, tmp_path):
+    _, root, _ = chain
+    noisy = root / "noisy"
+    restored = revert_errors(read_dataset(noisy), read_records(noisy / "perturbations.jsonl"))
+    write_dataset(restored, tmp_path)
+    for split in SPLIT_NAMES:
+        name = f"{split}.jsonl"
+        assert (tmp_path / name).read_bytes() == (root / "clean" / name).read_bytes()

@@ -16,7 +16,7 @@ from .engine import (  # noqa: F401
     sample_user_turn,
     step_policy,
 )
-from .dataset import Dataset, generate_dataset, read_dataset, write_dataset  # noqa: F401
+from .dataset import Dataset, generate_dataset, read_dataset, write_dataset, write_generated  # noqa: F401
 from .encoding import (  # noqa: F401
     EncodedDataset,
     StateLayout,

@@ -19,7 +19,12 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .dataset import Dataset, generate_dataset, read_dataset, write_dataset, write_json
+from .dataset import Dataset, read_dataset, write_dataset, write_generated, write_json
+
+# Not called here, but bound: perfbench's tracer wraps this name on the cli
+# module (perfbench/workloads.py, install_wraps) and raises AttributeError
+# where it is missing.
+from .dataset import generate_dataset  # noqa: F401
 from .encoding import encode_dataset, read_encoded, write_encoded
 from .engine import GeneratorConfig
 from .errors import (
@@ -164,13 +169,12 @@ def _cmd_generate(args) -> int:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     ontology = _load_cli_ontology(args)
     cfg = _generator_config(args, ontology)
-    dataset = generate_dataset(ontology, cfg, jobs=args.jobs)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_ontology(out, ontology)
-    write_dataset(
-        dataset,
+    sizes = write_generated(
+        ontology,
+        cfg,
         out,
+        jobs=args.jobs,
         manifest_extra={
             "tool": "dialoforge",
             "version": __version__,
@@ -178,9 +182,10 @@ def _cmd_generate(args) -> int:
             "preset": args.preset,
         },
     )
-    sizes = dataset.split_sizes()
+    # Only after generation succeeded, so a failed run leaves no --out behind.
+    _write_ontology(out, ontology)
     _log(
-        f"generated {dataset.n_dialogues} dialogues "
+        f"generated {sum(sizes.values())} dialogues "
         f"({sizes['train']}/{sizes['val']}/{sizes['test']}) into {out}"
     )
     return 0

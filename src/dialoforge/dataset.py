@@ -18,7 +18,7 @@ from .engine import (
     split_counts,
 )
 from .errors import DialoforgeError, GenerationOverflow, SchemaError, ValidationError
-from .ontology import Ontology, _expect_keys
+from .ontology import Ontology, _expect_int, _expect_keys
 
 SPLIT_NAMES = ("train", "val", "test")
 
@@ -59,14 +59,19 @@ def _generate_one(args) -> Dialogue:
         raise GenerationOverflow(f"dialogue {index}: {exc}") from None
 
 
-def generate_dataset(
-    ontology: Ontology, cfg: GeneratorConfig, jobs: int = 1
-) -> Dataset:
-    """Generate cfg.n_dialogues dialogues and split them in generation order.
+def _generate_line(args) -> str:
+    return dumps_dialogue(_generate_one(args)) + "\n"
+
+
+def _generated(
+    ontology: Ontology, cfg: GeneratorConfig, jobs: int, work: Callable[[tuple], T]
+) -> dict[str, list[T]]:
+    """``work`` applied to every dialogue's task, split in generation order.
 
     Every dialogue owns a private seed derived from cfg.seed, so the result
     is byte-identical no matter how many worker processes are used.  The pool
-    starts no more workers than there are CPUs.
+    starts no more workers than there are CPUs, and ``work`` must be a
+    module-level function so that it can be sent to them.
     """
     if jobs < 1:
         raise ValidationError("jobs must be >= 1")
@@ -74,16 +79,23 @@ def generate_dataset(
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            dialogues = list(pool.map(_generate_one, tasks, chunksize=64))
+            items = list(pool.map(work, tasks, chunksize=64))
     else:
-        dialogues = [_generate_one(task) for task in tasks]
+        items = [work(task) for task in tasks]
 
-    n_train, n_val, n_test = split_counts(cfg.n_dialogues, cfg.split_fractions)
-    splits = {
-        "train": dialogues[:n_train],
-        "val": dialogues[n_train : n_train + n_val],
-        "test": dialogues[n_train + n_val :],
+    n_train, n_val, _ = split_counts(cfg.n_dialogues, cfg.split_fractions)
+    return {
+        "train": items[:n_train],
+        "val": items[n_train : n_train + n_val],
+        "test": items[n_train + n_val :],
     }
+
+
+def generate_dataset(
+    ontology: Ontology, cfg: GeneratorConfig, jobs: int = 1
+) -> Dataset:
+    """Generate cfg.n_dialogues dialogues and split them in generation order."""
+    splits = _generated(ontology, cfg, jobs, _generate_one)
     return Dataset(splits=splits, ontology_hash=ontology.content_hash(), config=cfg)
 
 
@@ -109,10 +121,14 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
 
 
+def _write_lines(path, lines: Iterable[str]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+
+
 def write_jsonl(path, dicts: Iterable[dict]) -> None:
     """One compact JSON object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_compact(d) + "\n" for d in dicts)
+    _write_lines(path, (_compact(d) + "\n" for d in dicts))
 
 
 def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
@@ -146,23 +162,59 @@ def dumps_dialogue(dialogue: Dialogue) -> str:
     return _compact(dialogue.to_dict())
 
 
+def _write_manifest(
+    out: Path,
+    ontology_hash: str,
+    config: GeneratorConfig,
+    sizes: dict[str, int],
+    manifest_extra: Optional[dict],
+) -> None:
+    manifest = {
+        "format": "dialoforge-dataset",
+        "version": 1,
+        "ontology_hash": ontology_hash,
+        "config": asdict(config),
+        "seed": config.seed,
+        "splits": sizes,
+        "n_dialogues": sum(sizes.values()),
+    }
+    if manifest_extra:
+        manifest.update(manifest_extra)
+    write_json(out / "manifest.json", manifest)
+
+
 def write_dataset(dataset: Dataset, outdir, manifest_extra: Optional[dict] = None) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     for split in SPLIT_NAMES:
         write_jsonl(out / f"{split}.jsonl", (d.to_dict() for d in dataset.splits.get(split, [])))
-    manifest = {
-        "format": "dialoforge-dataset",
-        "version": 1,
-        "ontology_hash": dataset.ontology_hash,
-        "config": asdict(dataset.config),
-        "seed": dataset.config.seed,
-        "splits": dataset.split_sizes(),
-        "n_dialogues": dataset.n_dialogues,
-    }
-    if manifest_extra:
-        manifest.update(manifest_extra)
-    write_json(out / "manifest.json", manifest)
+    _write_manifest(
+        out, dataset.ontology_hash, dataset.config, dataset.split_sizes(), manifest_extra
+    )
+
+
+def write_generated(
+    ontology: Ontology,
+    cfg: GeneratorConfig,
+    outdir,
+    jobs: int = 1,
+    manifest_extra: Optional[dict] = None,
+) -> dict[str, int]:
+    """Generate a dataset straight into ``outdir`` and return its split sizes.
+
+    The same files as ``write_dataset(generate_dataset(...))``, but each
+    task hands back its dialogue as a JSONL line, so no ``Dialogue`` crosses a
+    process boundary and none outlives its line.  Every line exists before
+    ``outdir`` or any file is created, so a failed generation writes nothing.
+    """
+    splits = _generated(ontology, cfg, jobs, _generate_line)
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    for split, lines in splits.items():
+        _write_lines(out / f"{split}.jsonl", lines)
+    sizes = {split: len(lines) for split, lines in splits.items()}
+    _write_manifest(out, ontology.content_hash(), cfg, sizes, manifest_extra)
+    return sizes
 
 
 def read_dataset(indir) -> Dataset:
@@ -179,6 +231,8 @@ def read_dataset(indir) -> Dataset:
     ]
     if missing:
         raise SchemaError(f"{manifest_path}: missing field(s) {missing}")
+    for key in ("seed", "n_dialogues"):
+        _expect_int(manifest[key], f"{manifest_path}: {key}")
     raw_config = manifest["config"]
     if not isinstance(raw_config, dict):
         raise SchemaError(f"{manifest_path}: config: must be an object")
@@ -196,6 +250,8 @@ def read_dataset(indir) -> Dataset:
     claimed = manifest["splits"]
     if not isinstance(claimed, dict) or claimed.keys() != set(SPLIT_NAMES):
         raise SchemaError(f"{manifest_path}: splits: must map {list(SPLIT_NAMES)} to counts")
+    for split in SPLIT_NAMES:
+        _expect_int(claimed[split], f"{manifest_path}: splits.{split}")
     splits: dict[str, list[Dialogue]] = {}
     for split in SPLIT_NAMES:
         fp = path / f"{split}.jsonl"

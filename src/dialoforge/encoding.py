@@ -31,6 +31,7 @@ from .ontology import (
     IntentKind,
     Ontology,
     UNK_TOKEN,
+    _expect_int,
     _expect_keys,
     parse_action_id,
 )
@@ -316,6 +317,8 @@ def _read_layout(path: Path) -> StateLayout:
             raise SchemaError(f"{path}: {key}: must be a list of strings")
     if not isinstance(obj["ontology_hash"], str):
         raise SchemaError(f"{path}: ontology_hash: must be a string")
+    for key in ("version", "state_width", "target_width"):
+        _expect_int(obj[key], f"{path}: {key}")
     layout = StateLayout(
         slot_keys=tuple(obj["slot_keys"]),
         actions=tuple(obj["actions"]),

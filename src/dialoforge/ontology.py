@@ -273,6 +273,12 @@ def _expect_keys(obj: dict, path: str, required: Iterable[str], optional: Iterab
         raise SchemaError(f"{path}: unknown key(s) {sorted(unknown)}")
 
 
+def _expect_int(value: object, path: str) -> None:
+    """A JSON integer: an int that is not a bool, which Python counts as one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{path}: must be an integer, got {value!r}")
+
+
 def _parse_slot(obj: object, path: str) -> SlotSpec:
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: slot must be an object")

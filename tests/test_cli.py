@@ -84,6 +84,16 @@ def test_generate_rejects_jobs_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_generation_writes_nothing(jobs, tmp_path, capsys):
+    out = tmp_path / "ds"
+    argv = ["generate", "--preset", "simple", "--p-chitchat", "1.0", "--dialogues", "3",
+            "--jobs", jobs, "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert "dialogue 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_env_seed_overrides_flag(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["generate", "--preset", "simple", "--dialogues", "10", "--out"]
@@ -193,6 +203,12 @@ def _drop_last_train_lines(manifest: dict, dataset: Path) -> None:
     train.write_text("".join(train.read_text().splitlines(keepends=True)[:-5]))
 
 
+def _bool_seed(manifest: dict, dataset: Path) -> None:
+    # True == 1, so with config.seed 1 only the type is wrong.
+    manifest["config"]["seed"] = 1
+    manifest["seed"] = True
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -204,9 +220,12 @@ def _drop_last_train_lines(manifest: dict, dataset: Path) -> None:
         (lambda m, _: m.update(n_dialogues=m["n_dialogues"] + 1), "n_dialogues"),
         (lambda m, _: m.update(seed=m["seed"] + 1), "seed"),
         (_drop_last_train_lines, "train.jsonl"),
+        (lambda m, _: m["splits"].update(train=float(m["splits"]["train"])), "splits.train"),
+        (_bool_seed, "seed"),
     ],
     ids=["no-config", "no-ontology-hash", "unknown-config-key", "invalid-config-value",
-         "splits-differ", "n-dialogues-differs", "seed-differs", "truncated-split-file"],
+         "splits-differ", "n-dialogues-differs", "seed-differs", "truncated-split-file",
+         "float-split-count", "bool-seed"],
 )
 def test_bad_dataset_manifest_names_file_and_field(edit, field, tiny_dataset, capsys):
     path = tiny_dataset / "manifest.json"
@@ -335,10 +354,12 @@ def test_bin_header_hash_must_match_layout(tiny_dataset, tmp_path, capsys):
         (lambda layout: {**layout, "intents": layout["intents"][::-1]}, "intents"),
         (lambda layout: {k: v for k, v in layout.items() if k != "ontology_hash"},
          "missing key(s) ['ontology_hash']"),
+        (lambda layout: {**layout, "version": True}, "version"),
+        (lambda layout: {**layout, "state_width": float(layout["state_width"])}, "state_width"),
     ],
     ids=["no-actions", "no-slot-keys", "actions-not-a-list", "hash-not-a-string", "not-an-object",
          "wrong-state-width", "wrong-target-width", "wrong-management", "wrong-version",
-         "wrong-intents", "no-ontology-hash"],
+         "wrong-intents", "no-ontology-hash", "bool-version", "float-state-width"],
 )
 def test_bad_layout_names_the_file_and_key(edit, key, tiny_dataset, tmp_path, capsys):
     assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0

@@ -5,9 +5,10 @@ import os
 import pytest
 
 from dialoforge import dataset
-from dialoforge.dataset import generate_dataset, read_dataset, write_dataset
+from dialoforge.dataset import generate_dataset, read_dataset, write_dataset, write_generated
 from dialoforge.engine import GeneratorConfig, split_counts
 from dialoforge.errors import GenerationOverflow, ValidationError
+from dialoforge.ontology import PRESET_NAMES, preset_ontology
 
 from .conftest import preset_config
 
@@ -54,18 +55,49 @@ def test_generation_is_parallel_safe(simple_ontology, tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-@pytest.mark.parametrize("jobs", [0, -1])
-def test_jobs_below_one_is_rejected(simple_ontology, jobs):
+def _dir_bytes(path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+# The two ways to a dataset directory: the dialogue graph, then write_dataset;
+# or write_generated, whose workers hand back JSONL lines.
+def _via_graph(ontology, cfg, jobs, out) -> None:
+    write_dataset(generate_dataset(ontology, cfg, jobs=jobs), out)
+
+
+def _via_lines(ontology, cfg, jobs, out) -> None:
+    write_generated(ontology, cfg, out, jobs=jobs)
+
+
+def _on_both_paths(cases: dict[str, tuple]) -> list:
+    """Each case through the graph under its own id, then through the lines
+    under "lines-" and that id."""
+    return [
+        pytest.param(write, *case, id=prefix + name)
+        for write, prefix in ((_via_graph, ""), (_via_lines, "lines-"))
+        for name, case in cases.items()
+    ]
+
+
+@pytest.mark.parametrize("write, jobs", _on_both_paths({"0": (0,), "-1": (-1,)}))
+def test_jobs_below_one_is_rejected(simple_ontology, tmp_path, write, jobs):
+    out = tmp_path / "ds"
     with pytest.raises(ValidationError, match="jobs must be >= 1"):
-        generate_dataset(simple_ontology, GeneratorConfig(n_dialogues=2, seed=0), jobs=jobs)
+        write(simple_ontology, GeneratorConfig(n_dialogues=2, seed=0), jobs, out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "jobs, cpus, pools",
-    [(5000, 3, [3]), (2, 3, [2]), (5000, None, [])],
-    ids=["capped-at-cpus", "below-cpus", "cpu-count-unknown"],
+    "write, jobs, cpus, pools",
+    _on_both_paths({
+        "capped-at-cpus": (5000, 3, [3]),
+        "below-cpus": (2, 3, [2]),
+        "cpu-count-unknown": (5000, None, []),
+    }),
 )
-def test_pool_starts_no_more_workers_than_cpus(simple_ontology, monkeypatch, jobs, cpus, pools):
+def test_pool_starts_no_more_workers_than_cpus(
+    simple_ontology, tmp_path, monkeypatch, write, jobs, cpus, pools
+):
     started = []
 
     class SerialPool:  # records the pool size and maps in this process
@@ -82,11 +114,25 @@ def test_pool_starts_no_more_workers_than_cpus(simple_ontology, monkeypatch, job
             return map(fn, tasks)
 
     cfg = GeneratorConfig(n_dialogues=6, seed=5)
-    serial = generate_dataset(simple_ontology, cfg, jobs=1)
+    write(simple_ontology, cfg, 1, tmp_path / "serial")
     monkeypatch.setattr(dataset, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert generate_dataset(simple_ontology, cfg, jobs=jobs).splits == serial.splits
+    write(simple_ontology, cfg, jobs, tmp_path / "pooled")
+    assert _dir_bytes(tmp_path / "pooled") == _dir_bytes(tmp_path / "serial")
     assert started == pools
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_write_generated_matches_write_dataset(preset, jobs, tmp_path):
+    ontology = preset_ontology(preset)
+    cfg = preset_config(ontology, seed=13, n_dialogues=60)
+    extra = {"subcommand": "generate", "preset": preset}
+    graph, lines = tmp_path / "graph", tmp_path / "lines"
+    write_dataset(generate_dataset(ontology, cfg), graph, manifest_extra=extra)
+    sizes = write_generated(ontology, cfg, lines, jobs=jobs, manifest_extra=extra)
+    assert _dir_bytes(lines) == _dir_bytes(graph)
+    assert sizes == read_dataset(lines).split_sizes()
 
 
 def test_preset_config_helper_matches_table(hard_ontology):

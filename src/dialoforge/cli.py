@@ -59,8 +59,10 @@ _GENERATOR_FLAGS = {
     "p_chitchat": float,
     "p_mind_change": float,
     "p_domain_change": float,
-    "max_stack_depth": int,
 }
+
+# Heads every manifest a command writes ("version" is a dataset format's).
+_MANIFEST_HEADER = {"tool": "dialoforge", "tool_version": __version__}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,16 +88,21 @@ def _input_hashes(indir: Path) -> dict:
 
 
 def _write_manifest(outdir: Path, payload: dict) -> None:
-    manifest = {"tool": "dialoforge", "version": __version__}
-    manifest.update(payload)
-    write_json(outdir / "manifest.json", manifest)
+    write_json(outdir / "manifest.json", {**_MANIFEST_HEADER, **payload})
+
+
+def _at_least(value: int, name: str, minimum: int) -> int:
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def _resolve_seed(args) -> int:
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return args.seed
+    try:
+        return args.seed if env is None else int(env)
+    except ValueError:
+        raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _load_cli_ontology(args) -> Ontology:
@@ -151,8 +158,10 @@ def _generator_config(args, ontology: Ontology) -> GeneratorConfig:
     `generation` defaults, then GeneratorConfig's own defaults."""
     defaults = ontology.generation_defaults
     fields = {k: v for k, v in vars(args).items() if k in _GENERATOR_FLAGS and v is not None}
-    if args.dialogues or "n_dialogues" in defaults:
-        fields["n_dialogues"] = args.dialogues or defaults["n_dialogues"]
+    if args.dialogues is not None:
+        fields["n_dialogues"] = _at_least(args.dialogues, "--dialogues", 1)
+    elif "n_dialogues" in defaults:
+        fields["n_dialogues"] = defaults["n_dialogues"]
     if getattr(args, "split_fractions", None):
         fractions = _parse_floats(args.split_fractions, "--split-fractions")
         if len(fractions) != 3:
@@ -165,8 +174,7 @@ def _generator_config(args, ontology: Ontology) -> GeneratorConfig:
 
 
 def _cmd_generate(args) -> int:
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
+    _at_least(args.jobs, "--jobs", 1)
     ontology = _load_cli_ontology(args)
     cfg = _generator_config(args, ontology)
     out = Path(args.out)
@@ -175,12 +183,7 @@ def _cmd_generate(args) -> int:
         cfg,
         out,
         jobs=args.jobs,
-        manifest_extra={
-            "tool": "dialoforge",
-            "version": __version__,
-            "subcommand": "generate",
-            "preset": args.preset,
-        },
+        manifest_extra={**_MANIFEST_HEADER, "subcommand": "generate", "preset": args.preset},
     )
     # Only after generation succeeded, so a failed run leaves no --out behind.
     _write_ontology(out, ontology)
@@ -216,8 +219,7 @@ def _cmd_inject(args) -> int:
         perturbed,
         out,
         manifest_extra={
-            "tool": "dialoforge",
-            "version": __version__,
+            **_MANIFEST_HEADER,
             "subcommand": "inject",
             "error_config": asdict(cfg),
             "noise_applied_to": args.splits,
@@ -242,10 +244,7 @@ def _cmd_encode(args) -> int:
         out,
         {
             "subcommand": "encode",
-            "state_width": encoded.layout.state_width,
-            "target_width": encoded.layout.target_width,
             "rows": {s: encoded.n_pairs(s) for s in encoded.splits},
-            "ontology_hash": encoded.ontology_hash,
             "input_hashes": _input_hashes(indir),
         },
     )
@@ -273,7 +272,8 @@ def _cmd_train(args) -> int:
             epochs=args.epochs,
             learning_rate=args.learning_rate,
             l2=args.l2,
-            seed=_resolve_seed(args),
+            # NumPy's generator takes no negative seed.
+            seed=_at_least(_resolve_seed(args), f"--seed ({SEED_ENV_VAR})", 0),
         )
     save_model(model, args.out, encoded.ontology_hash)
     _log(f"trained {args.model} on {train_split[0].shape[0]} turns -> {args.out}")
@@ -303,6 +303,7 @@ def _cmd_sweep(args) -> int:
     ontology = _load_cli_ontology(args)
     rates = _parse_floats(args.rates, "--rates")
     models = [m.strip() for m in args.models.split(",")]
+    _at_least(args.seeds, "--seeds", 1)
     gen_cfg = _generator_config(args, ontology)
     result = robustness_sweep(
         ontology,

@@ -21,6 +21,7 @@ from .errors import DialoforgeError, GenerationOverflow, SchemaError, Validation
 from .ontology import Ontology, _expect_int, _expect_keys
 
 SPLIT_NAMES = ("train", "val", "test")
+FORMAT_VERSION = 2  # of a dataset's manifest.json; read_dataset accepts no other
 
 T = TypeVar("T")
 
@@ -91,11 +92,10 @@ def _generated(
     }
 
 
-def generate_dataset(
-    ontology: Ontology, cfg: GeneratorConfig, jobs: int = 1
-) -> Dataset:
-    """Generate cfg.n_dialogues dialogues and split them in generation order."""
-    splits = _generated(ontology, cfg, jobs, _generate_one)
+def generate_dataset(ontology: Ontology, cfg: GeneratorConfig) -> Dataset:
+    """Generate cfg.n_dialogues dialogues in this process and split them in
+    generation order; only ``write_generated`` pools, so no ``Dialogue`` is pickled."""
+    splits = _generated(ontology, cfg, 1, _generate_one)
     return Dataset(splits=splits, ontology_hash=ontology.content_hash(), config=cfg)
 
 
@@ -171,16 +171,15 @@ def _write_manifest(
 ) -> None:
     manifest = {
         "format": "dialoforge-dataset",
-        "version": 1,
+        "version": FORMAT_VERSION,
         "ontology_hash": ontology_hash,
         "config": asdict(config),
         "seed": config.seed,
         "splits": sizes,
         "n_dialogues": sum(sizes.values()),
     }
-    if manifest_extra:
-        manifest.update(manifest_extra)
-    write_json(out / "manifest.json", manifest)
+    # An extra key never replaces one of the dataset's own.
+    write_json(out / "manifest.json", {**(manifest_extra or {}), **manifest})
 
 
 def write_dataset(dataset: Dataset, outdir, manifest_extra: Optional[dict] = None) -> None:
@@ -226,13 +225,15 @@ def read_dataset(indir) -> Dataset:
     if not isinstance(manifest, dict) or manifest.get("format") != "dialoforge-dataset":
         raise SchemaError(f"{manifest_path}: not a dataset manifest")
     missing = [
-        key for key in ("ontology_hash", "config", "seed", "splits", "n_dialogues")
+        key for key in ("version", "ontology_hash", "config", "seed", "splits", "n_dialogues")
         if key not in manifest
     ]
     if missing:
         raise SchemaError(f"{manifest_path}: missing field(s) {missing}")
-    for key in ("seed", "n_dialogues"):
+    for key in ("version", "seed", "n_dialogues"):
         _expect_int(manifest[key], f"{manifest_path}: {key}")
+    if manifest["version"] != FORMAT_VERSION:
+        raise SchemaError(f"{manifest_path}: version {manifest['version']} is not {FORMAT_VERSION}")
     raw_config = manifest["config"]
     if not isinstance(raw_config, dict):
         raise SchemaError(f"{manifest_path}: config: must be an object")

@@ -34,9 +34,7 @@ class _Frame:
     frozen_fills: Optional[dict] = None  # snapshot taken when interrupted
 
 
-def check_dialogue_invariants(
-    dialogue: Dialogue, ontology: Ontology, max_stack_depth: int = 2
-) -> list[str]:
+def check_dialogue_invariants(dialogue: Dialogue, ontology: Ontology) -> list[str]:
     """Return a list of violation descriptions (empty when the trace is clean)."""
     bad: list[str] = []
     catalog = set(ontology.action_catalog)
@@ -82,8 +80,8 @@ def check_dialogue_invariants(
                 elif frames:
                     frames[-1].frozen_fills = dict(frames[-1].fills)
                 frames.append(_Frame(domain=act.domain, topic=act.topic))
-                if len(frames) > max_stack_depth:
-                    sig(ti, f"stack depth {len(frames)} exceeds {max_stack_depth}")
+                if len(frames) > 2:  # one domain change, onto a one-frame stack
+                    sig(ti, f"stack depth {len(frames)} exceeds 2")
 
         for act in turn.user_acts:
             if act.kind is IntentKind.INFORM and act.slot is not None and frames:

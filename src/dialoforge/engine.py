@@ -260,15 +260,12 @@ class GeneratorConfig:
     p_chitchat: float = 0.2
     p_mind_change: float = 0.2
     p_domain_change: float = 0.2
-    max_stack_depth: int = 2
     seed: int = 0
     split_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
     def __post_init__(self):
         if self.n_dialogues < 1:
             raise ValidationError("n_dialogues must be positive")
-        if self.max_stack_depth < 1:
-            raise ValidationError("max_stack_depth must be positive")
         for name in ("p_chitchat", "p_mind_change", "p_domain_change"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -389,7 +386,7 @@ class GoalScript:
     topics: list[TopicGoal]
     topic_index: int = 0
     active: list[TopicGoal] = field(default_factory=list)
-    domain_changes_done: int = 0
+    domain_changed: bool = False
     finished: bool = False
 
     @classmethod
@@ -499,19 +496,21 @@ def sample_user_turn(
                 act = UserAct(IntentKind.INFORM, slot=slot, value=rng.choice(options))
             return [act], EventKind.MIND_CHANGE
 
+    # Once per dialogue, onto a one-frame stack: the state does not say which
+    # frame resumes, so a third frame would make clean states collide.
     if (
         top is not None
         and top.phase is Phase.ELICITING
         and cfg.p_domain_change > 0
-        and stack.depth < cfg.max_stack_depth
-        and goal.domain_changes_done < cfg.max_stack_depth - 1
+        and stack.depth == 1
+        and not goal.domain_changed
     ):
         pairs = [p for p in ont.topic_pairs() if p != (top.domain, top.topic)]
         if pairs and rng.random() < cfg.p_domain_change:
             domain, topic_name = rng.choice(pairs)
             pushed = sample_topic_goal(ont, domain, topic_name, rng)
             goal.active.append(pushed)
-            goal.domain_changes_done += 1
+            goal.domain_changed = True
             return _intent_turn_acts(pushed, ont, rng, opening=False), EventKind.DOMAIN_CHANGE
 
     return _scripted_turn(stack, goal, rng), None

@@ -186,7 +186,7 @@ def test_criterion_rule_invariant_suite():
         ds = generate_dataset(ontology, cfg)
         violations = []
         for _, d in ds.iter_dialogues():
-            violations += check_dialogue_invariants(d, ontology, cfg.max_stack_depth)
+            violations += check_dialogue_invariants(d, ontology)
         ok &= not violations
         details.append(f"{preset}: {len(violations)} violations / 1000 dialogues")
         if violations:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dialoforge import cli
+from dialoforge import __version__, cli
 from dialoforge.cli import run_cli
 from dialoforge.errors import DialoforgeError, ValidationError
 
@@ -114,6 +114,7 @@ def test_generate_manifest_reports_table_splits(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["n_dialogues"] == 2000
     assert manifest["splits"] == {"train": 1200, "val": 400, "test": 400}
+    assert (manifest["version"], manifest["tool_version"]) == (2, __version__)
 
 
 def test_inject_encode_train_eval_pipeline(tiny_dataset, tmp_path, capsys):
@@ -203,6 +204,12 @@ def _drop_last_train_lines(manifest: dict, dataset: Path) -> None:
     train.write_text("".join(train.read_text().splitlines(keepends=True)[:-5]))
 
 
+def _set_version(value):
+    def edit(manifest: dict, dataset: Path) -> None:
+        manifest["version"] = value
+    return edit
+
+
 def _bool_seed(manifest: dict, dataset: Path) -> None:
     # True == 1, so with config.seed 1 only the type is wrong.
     manifest["config"]["seed"] = 1
@@ -222,10 +229,15 @@ def _bool_seed(manifest: dict, dataset: Path) -> None:
         (_drop_last_train_lines, "train.jsonl"),
         (lambda m, _: m["splits"].update(train=float(m["splits"]["train"])), "splits.train"),
         (_bool_seed, "seed"),
+        (_set_version("0.1.0"), "version"),
+        (_set_version(True), "version"),
+        (lambda m, _: m.pop("version"), "version"),
+        (lambda m, _: m["config"].update(max_stack_depth=2), "max_stack_depth"),
     ],
     ids=["no-config", "no-ontology-hash", "unknown-config-key", "invalid-config-value",
          "splits-differ", "n-dialogues-differs", "seed-differs", "truncated-split-file",
-         "float-split-count", "bool-seed"],
+         "float-split-count", "bool-seed", "tool-version-string", "bool-version",
+         "no-version", "stack-depth-in-config"],
 )
 def test_bad_dataset_manifest_names_file_and_field(edit, field, tiny_dataset, capsys):
     path = tiny_dataset / "manifest.json"
@@ -527,10 +539,49 @@ def test_sweep_takes_the_generator_event_flags(tmp_path):
     out = tmp_path / "sweep"
     assert run_cli(
         ["sweep", "--preset", "simple", "--rates", "0", "--seeds", "1", "--dialogues", "30",
-         "--p-chitchat", "0.35", "--max-stack-depth", "3", "--out", str(out)]
+         "--p-chitchat", "0.35", "--p-mind-change", "0.1", "--p-domain-change", "0.5",
+         "--out", str(out)]
     ) == 0
     config = json.loads((out / "manifest.json").read_text())["sweep"]["generator_config"]
-    assert config["p_chitchat"] == 0.35 and config["max_stack_depth"] == 3
+    assert (config["p_chitchat"], config["p_mind_change"], config["p_domain_change"]) == (
+        0.35, 0.1, 0.5
+    )
+
+
+@pytest.mark.parametrize("command", [["generate"], ["sweep", "--rates", "0"]],
+                         ids=["generate", "sweep"])
+def test_there_is_no_stack_depth_flag(command, tmp_path):
+    # The stack holds at most two frames; --p-domain-change 0 keeps it at one.
+    out = tmp_path / "out"
+    assert run_cli([*command, "--preset", "simple", "--max-stack-depth", "2",
+                    "--out", str(out)]) == 64
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, env, name",
+    [
+        (["generate", "--preset", "simple", "--dialogues", "0"], None, "--dialogues"),
+        (["generate", "--preset", "simple", "--dialogues", "5"], "abc", "DIALOFORGE_SEED"),
+        (["train", "--model", "linear", "--seed", "-1"], None, "--seed"),
+        (["sweep", "--preset", "simple", "--rates", "0", "--dialogues", "30", "--seeds", "0"],
+         None, "--seeds"),
+    ],
+    ids=["zero-dialogues", "non-integer-env-seed", "negative-linear-seed", "zero-seeds"],
+)
+def test_bad_flag_value_names_the_flag(argv, env, name, tiny_dataset, tmp_path, monkeypatch,
+                                       capsys):
+    if argv[0] == "train":
+        assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
+        argv = argv + ["--in", str(tiny_dataset)]
+    if env is not None:
+        monkeypatch.setenv("DIALOFORGE_SEED", env)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_input_is_runtime_error(tmp_path):

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 
-from dialoforge import dataset
+from dialoforge import cli, dataset
 from dialoforge.dataset import generate_dataset, read_dataset, write_dataset, write_generated
 from dialoforge.engine import GeneratorConfig, split_counts
 from dialoforge.errors import GenerationOverflow, ValidationError
@@ -44,25 +45,28 @@ def test_dataset_round_trip_bytes(simple_ontology, tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-def test_generation_is_parallel_safe(simple_ontology, tmp_path):
-    cfg = GeneratorConfig(n_dialogues=16, seed=21)
-    serial = generate_dataset(simple_ontology, cfg, jobs=1)
-    parallel = generate_dataset(simple_ontology, cfg, jobs=2)
-    d1, d2 = tmp_path / "serial", tmp_path / "parallel"
-    write_dataset(serial, d1)
-    write_dataset(parallel, d2)
-    for name in ("train.jsonl", "val.jsonl", "test.jsonl", "manifest.json"):
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-
-
 def _dir_bytes(path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
 
-# The two ways to a dataset directory: the dialogue graph, then write_dataset;
-# or write_generated, whose workers hand back JSONL lines.
-def _via_graph(ontology, cfg, jobs, out) -> None:
-    write_dataset(generate_dataset(ontology, cfg, jobs=jobs), out)
+def test_generation_is_parallel_safe(simple_ontology, tmp_path):
+    cfg = GeneratorConfig(n_dialogues=16, seed=21)
+    write_generated(simple_ontology, cfg, tmp_path / "serial", jobs=1)
+    write_generated(simple_ontology, cfg, tmp_path / "parallel", jobs=2)
+    assert _dir_bytes(tmp_path / "parallel") == _dir_bytes(tmp_path / "serial")
+
+
+# The two ways to a dataset directory through the pool: the generate command,
+# or a direct call to write_generated, whose workers hand back JSONL lines.
+def _via_command(ontology, cfg, jobs, out) -> None:
+    """The generate command on the simple preset, called past run_cli so that
+    its error reaches the test."""
+    assert ontology == preset_ontology("simple")
+    args = cli.build_parser().parse_args([
+        "generate", "--preset", "simple", "--dialogues", str(cfg.n_dialogues),
+        "--seed", str(cfg.seed), "--jobs", str(jobs), "--out", str(out),
+    ])
+    args.func(args)
 
 
 def _via_lines(ontology, cfg, jobs, out) -> None:
@@ -70,11 +74,11 @@ def _via_lines(ontology, cfg, jobs, out) -> None:
 
 
 def _on_both_paths(cases: dict[str, tuple]) -> list:
-    """Each case through the graph under its own id, then through the lines
-    under "lines-" and that id."""
+    """Each case through the command under its own id, then through
+    write_generated under "lines-" and that id."""
     return [
         pytest.param(write, *case, id=prefix + name)
-        for write, prefix in ((_via_graph, ""), (_via_lines, "lines-"))
+        for write, prefix in ((_via_command, ""), (_via_lines, "lines-"))
         for name, case in cases.items()
     ]
 
@@ -135,6 +139,13 @@ def test_write_generated_matches_write_dataset(preset, jobs, tmp_path):
     assert sizes == read_dataset(lines).split_sizes()
 
 
+def test_manifest_extra_cannot_replace_a_dataset_key(simple_ontology, tmp_path):
+    ds = generate_dataset(simple_ontology, GeneratorConfig(n_dialogues=2, seed=0))
+    write_dataset(ds, tmp_path, manifest_extra={"version": "0.1.0", "subcommand": "x"})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert (manifest["version"], manifest["subcommand"]) == (2, "x")
+
+
 def test_preset_config_helper_matches_table(hard_ontology):
     cfg = preset_config(hard_ontology, seed=0)
     assert cfg.n_dialogues == 10438
@@ -142,7 +153,8 @@ def test_preset_config_helper_matches_table(hard_ontology):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_overflow_names_the_dialogue_on_both_paths(simple_ontology, jobs):
+def test_overflow_names_the_dialogue_on_both_paths(simple_ontology, tmp_path, jobs):
+    """In this process and in a pool worker."""
     cfg = GeneratorConfig(n_dialogues=3, p_chitchat=1.0, seed=0)
     with pytest.raises(GenerationOverflow, match=r"^dialogue 0: .*60 turns"):
-        generate_dataset(simple_ontology, cfg, jobs=jobs)
+        write_generated(simple_ontology, cfg, tmp_path / "ds", jobs=jobs)

@@ -220,9 +220,9 @@ def _frames(stack: DialogueStack) -> list[tuple]:
         ("simple", {}),
         ("medium", {}),
         ("hard", {}),
-        ("hard", {"max_stack_depth": 4, "p_domain_change": 0.5}),
+        ("hard", {"p_domain_change": 1.0}),
     ],
-    ids=["simple", "medium", "hard", "hard-depth4"],
+    ids=["simple", "medium", "hard", "hard-domain-change-1"],
 )
 def test_serialized_acts_replay_the_generator_stack_exactly(preset, overrides, request):
     """The encoder's replay (user acts, then parsed system acts) rebuilds the

@@ -219,8 +219,7 @@ def test_same_seed_same_bytes(simple_ontology):
 
 def test_forced_domain_change_single_push(two_domain_ontology):
     cfg = GeneratorConfig(
-        n_dialogues=1, p_chitchat=0.0, p_mind_change=0.0, p_domain_change=1.0,
-        max_stack_depth=2, seed=0,
+        n_dialogues=1, p_chitchat=0.0, p_mind_change=0.0, p_domain_change=1.0, seed=0
     )
     for seed in range(25):
         d = generate_dialogue(two_domain_ontology, cfg, seed)

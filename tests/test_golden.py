@@ -73,22 +73,22 @@ GOLDEN = {
 
 MANIFEST_GOLDEN = {
     "simple": {
-        "clean/manifest.json": "bf6210210245bec8f6d4e479b7c818e7eba7ceb19423bf656b73eb33cd62a9fe",
-        "noisy/manifest.json": "b180295e09eac05f17032ee17f410fda3baeb082577a70517ff6ecdea159b4e2",
-        "noisy/encoded/manifest.json": "5957ff8dbd0a102036cb760358bc1a3a693c149f07aff788bce3386f146aee41",
-        "sweep/manifest.json": "137428b68768449f738d6221cc20cb1ab0511367c3ee04f9424af1a2fc895b83",
+        "clean/manifest.json": "78bf3ecea760ae5e72998d9c0cf460f7653b0ee4fc735945de2f3763dc02e4d2",
+        "noisy/manifest.json": "54b51581e1faf500bbd32e9983fa3306aeb120b1e435c2d67462cdee0fadc199",
+        "noisy/encoded/manifest.json": "9e2646188d3547e8e61c4ae28ed56338d716d0b00a00505bd4198ae3f752e132",
+        "sweep/manifest.json": "702f3612675fb45c91f4bbdc1d4b12c4fa037a068ebb0dc8921e63ac6b23fdeb",
     },
     "medium": {
-        "clean/manifest.json": "00b86a58f399cca30ccd14da9634b702ac40923044c735027cbb07ff7a1f0b8a",
-        "noisy/manifest.json": "676a347621cc79a6c314b99d6922cdf65bdd41d1c04ade749f4d329e7eb6789e",
-        "noisy/encoded/manifest.json": "095470c7f7dc158da8f109843737e0f35ca9d7351a72f6e85aa09ed028632c51",
-        "sweep/manifest.json": "ed864accf3c816f96af55d15c0609128af8e95f3d24ae0ca3467e3dde695c13c",
+        "clean/manifest.json": "38d13535ab39b663c9b767fc508bbad54ddc21277026167d44a3bb4b96ae9ec7",
+        "noisy/manifest.json": "ef6ecc967c9a6138382b8a033b8a5d65483bbeec9cf8ce5c72ce68dd95326987",
+        "noisy/encoded/manifest.json": "95bf9a37067b0f955d53aa5849ab3fa68f3b5e3563a1822dda6d9d848b08b4bb",
+        "sweep/manifest.json": "cdf0e902000b60dca1b7bbed156f2a7feac519a71af73a4c00a406d7cbe7498b",
     },
     "hard": {
-        "clean/manifest.json": "4a9d864822a2650231955b9c0145ccb262bde54b67ceac9ac4882d7ea43d8bbc",
-        "noisy/manifest.json": "e40fb827bb424a4cf8ee8199c1c277f8516e5a7c849b8d6cbfe778e7134d90eb",
-        "noisy/encoded/manifest.json": "817075fc84b0a07562045a9f21aaa8c0bad6d52e3491667e93963b97a4867be0",
-        "sweep/manifest.json": "3ae09b38e3ad083c59b77d47401616a93bd01b8aef51170f4b2a3ec5c640d1bd",
+        "clean/manifest.json": "68ba8f953aa742a521acb2b7c069bccad99b0df022a811b63b33f7789d6ca434",
+        "noisy/manifest.json": "010afd1cde37727ced96e505fc6a05b6706375d8b238c938e6af1a384da2d028",
+        "noisy/encoded/manifest.json": "7c6cee6d9b08982870c7675a080a96c3c0268148cae2d238c8dee2a977077a2b",
+        "sweep/manifest.json": "dceb7527466552ae85659c025c3836a2d3eac219666981a7f4e9600a5eca426d",
     },
 }
 
@@ -148,7 +148,7 @@ def _sha256(data: bytes) -> str:
 
 def _masked_manifest(path: Path) -> str:
     text = path.read_text(encoding="utf-8")
-    text = text.replace(f'"version": "{__version__}"', '"version": "<tool>"')
+    text = text.replace(f'"tool_version": "{__version__}"', '"tool_version": "<tool>"')
     return re.sub(r'("manifest\.json": )"[0-9a-f]{64}"', r'\1"<manifest>"', text)
 
 

@@ -19,7 +19,7 @@ def test_engine_invariants_hold_on_random_dialogues(preset, request):
     violations = []
     for seed in range(200):
         d = generate_dialogue(ontology, cfg, seed)
-        violations += check_dialogue_invariants(d, ontology, cfg.max_stack_depth)
+        violations += check_dialogue_invariants(d, ontology)
     assert violations == []
 
 
@@ -31,7 +31,7 @@ def test_context_preserved_across_interruptions(two_domain_ontology):
     for seed in range(150):
         d = generate_dialogue(two_domain_ontology, cfg, seed)
         pushes += sum(1 for _, e in d.events_log if e is EventKind.DOMAIN_CHANGE)
-        assert check_dialogue_invariants(d, two_domain_ontology, cfg.max_stack_depth) == []
+        assert check_dialogue_invariants(d, two_domain_ontology) == []
     assert pushes > 50  # the scenario actually exercises interruptions
 
 
@@ -47,10 +47,18 @@ def test_chit_chat_turns_isolated(simple_ontology):
     assert seen > 100
 
 
-@pytest.mark.parametrize("preset", ["simple", "medium", "hard"])
-def test_events_on_collisions_are_action_identical(preset, request):
+@pytest.mark.parametrize(
+    "preset, p_domain_change",
+    [  # 0.2, the default, runs under the preset's own id
+        pytest.param(preset, p, id=preset if p == 0.2 else f"{preset}-domain-change-{p:g}")
+        for preset in ("simple", "medium", "hard")
+        for p in (0.2, 0.0, 0.5, 1.0)
+    ],
+)
+def test_events_on_collisions_are_action_identical(preset, p_domain_change, request):
+    """Clean states are collision-free at every domain-change rate."""
     ontology = request.getfixturevalue(f"{preset}_ontology")
-    cfg = GeneratorConfig(n_dialogues=500, seed=31)
+    cfg = GeneratorConfig(n_dialogues=500, p_domain_change=p_domain_change, seed=31)
     ds = generate_dataset(ontology, cfg)
     enc = encode_dataset(ds, ontology)
     states = np.concatenate([enc.splits[s][0] for s in ("train", "val", "test")])

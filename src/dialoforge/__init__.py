@@ -20,9 +20,7 @@ from .dataset import Dataset, generate_dataset, read_dataset, write_dataset, wri
 from .encoding import (  # noqa: F401
     EncodedDataset,
     StateLayout,
-    encode_actions,
     encode_dataset,
-    encode_state,
 )
 from .injection import (  # noqa: F401
     ErrorConfig,
@@ -47,7 +45,6 @@ from .ontology import (  # noqa: F401
     IntentKind,
     Ontology,
     SlotCategory,
-    enumerate_atomic_actions,
     load_ontology,
     parse_action_id,
     preset_ontology,

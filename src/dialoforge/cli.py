@@ -292,6 +292,8 @@ def _cmd_eval(args) -> int:
     if args.split not in encoded.splits:
         raise ValidationError(f"split {args.split!r} not present in {enc_dir}")
     states, golds = encoded.splits[args.split]
+    if not states.shape[0]:
+        raise ValidationError(f"{enc_dir / (args.split + '.bin')}: split {args.split!r} has no rows")
     preds = predict(model, states)
     report = compute_metrics(preds, golds)
     _log(report.pretty(list(encoded.layout.actions)))

@@ -31,7 +31,6 @@ class _Frame:
     notified: bool = False
     wrapup: bool = False
     desired_requests: dict[str, int] = field(default_factory=dict)
-    frozen_fills: Optional[dict] = None  # snapshot taken when interrupted
 
 
 def check_dialogue_invariants(dialogue: Dialogue, ontology: Ontology) -> list[str]:
@@ -65,10 +64,6 @@ def check_dialogue_invariants(dialogue: Dialogue, ontology: Ontology) -> list[st
         def maybe_pop() -> None:
             if frames and frames[-1].wrapup and closers:
                 frames.pop()
-                if frames and frames[-1].frozen_fills is not None:
-                    if frames[-1].fills != frames[-1].frozen_fills:
-                        sig(ti, "resumed frame lost context")
-                    frames[-1].frozen_fills = None
 
         for act in turn.user_acts:
             if act.kind is IntentKind.INFORM_INTENT:
@@ -77,8 +72,6 @@ def check_dialogue_invariants(dialogue: Dialogue, ontology: Ontology) -> list[st
                     continue
                 if frames and frames[-1].wrapup:
                     frames.pop()
-                elif frames:
-                    frames[-1].frozen_fills = dict(frames[-1].fills)
                 frames.append(_Frame(domain=act.domain, topic=act.topic))
                 if len(frames) > 2:  # one domain change, onto a one-frame stack
                     sig(ti, f"stack depth {len(frames)} exceeds 2")

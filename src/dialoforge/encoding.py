@@ -18,16 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 import numpy as np
 
 from .dataset import SPLIT_NAMES, Dataset, read_json, write_json
 from .engine import Dialogue, DialogueStack, Phase
-from .errors import IndexOutOfRange, SchemaError, UnknownLabel, ValidationError
+from .errors import SchemaError, UnknownLabel, ValidationError
 from .ontology import (
     INTENT_CATALOG,
-    AtomicActionId,
     IntentKind,
     Ontology,
     UNK_TOKEN,
@@ -79,12 +78,6 @@ class StateLayout:
     def target_width(self) -> int:
         return len(self.actions)
 
-    def slot_index(self) -> dict[str, int]:
-        return {key: i for i, key in enumerate(self.slot_keys)}
-
-    def action_index(self) -> dict[str, int]:
-        return {a: i for i, a in enumerate(self.actions)}
-
     def intent_index(self) -> dict[str, int]:
         return {k: i for i, k in enumerate(self.intents)}
 
@@ -101,49 +94,26 @@ class StateLayout:
         }
 
 
-def _action_bits(system_acts: list[str], index: dict[str, int]) -> list[int]:
-    """The multi-hot positions of a turn's actions; UNK sets nothing."""
-    bits = []
-    for aid in system_acts:
-        if aid == UNK_TOKEN:
-            continue
-        if aid not in index:
-            raise UnknownLabel(f"action {aid!r} is not in the catalog")
-        bits.append(index[aid])
-    return bits
-
-
-def encode_actions(system_acts: list[str], ontology: Ontology) -> np.ndarray:
-    """Multi-hot target over the action catalog; UNK labels contribute nothing."""
-    index = {a: i for i, a in enumerate(ontology.action_catalog)}
-    out = np.zeros(len(index), dtype=np.uint8)
-    out[_action_bits(system_acts, index)] = 1
-    return out
-
-
 class _LayoutTable:
     """A layout's bit positions as plain lookups, built once per encoding call:
     the slot bits of each (domain, topic), the intent bit of each IntentKind,
-    and the parsed form of each action id met so far."""
+    and the target bit and parsed form of each action id."""
 
-    def __init__(self, layout: StateLayout, ontology: Ontology):
+    def __init__(self, layout: StateLayout):
         self.state_width = layout.state_width
         self.target_width = layout.target_width
         self.prev_actions = slice(layout.action_offset, layout.management_offset)
         self.management = layout.management_offset
-        slot_index = layout.slot_index()
         # Filled bit of each slot; its just-changed bit is the next one.
         self.slot_bits: dict[tuple[str, str], dict[str, int]] = {}
-        for domain, topic, slot in ontology.slot_keys():
-            i = slot_index.get(f"{domain}.{topic}.{slot}")
-            if i is not None:
-                self.slot_bits.setdefault((domain, topic), {})[slot] = 2 * i
+        for i, key in enumerate(layout.slot_keys):
+            domain, topic, slot = key.split(".")
+            self.slot_bits.setdefault((domain, topic), {})[slot] = 2 * i
         intent_index = layout.intent_index()
         self.intent_bits = {
             kind: layout.intent_offset + intent_index[kind.value] for kind in IntentKind
         }
-        self.action_index = layout.action_index()
-        self.parsed: dict[str, AtomicActionId] = {}
+        self.actions = {aid: (i, parse_action_id(aid)) for i, aid in enumerate(layout.actions)}
 
 
 _NO_SLOTS: dict[str, int] = {}
@@ -155,7 +125,7 @@ def _encode(
     """Per-turn (state, target) matrices for one dialogue: the stack replay
     collects the position of every set bit, and the rows are filled at the end."""
     n, state_width, target_width = len(dialogue.turns), table.state_width, table.target_width
-    slot_bits, intent_bits, parsed = table.slot_bits, table.intent_bits, table.parsed
+    slot_bits, intent_bits, actions = table.slot_bits, table.intent_bits, table.actions
     management = table.management
     state_on: list[int] = []  # flat positions in the (turns, state_width) matrix
     target_on: list[int] = []
@@ -178,16 +148,15 @@ def _encode(
         if stack.frames:
             state_on.append(row + management + _PHASE_OFFSET[stack.top.phase])
 
-        target_on.extend(
-            i * target_width + bit for bit in _action_bits(turn.system_acts, table.action_index)
-        )
         acts = []
-        for aid in turn.system_acts:
-            if aid != UNK_TOKEN:
-                act = parsed.get(aid)
-                if act is None:
-                    act = parsed[aid] = parse_action_id(aid)
-                acts.append(act)
+        for aid in turn.system_acts:  # UNK sets no bit and changes no frame
+            if aid == UNK_TOKEN:
+                continue
+            if aid not in actions:
+                raise UnknownLabel(f"action {aid!r} is not in the catalog")
+            bit, act = actions[aid]
+            target_on.append(i * target_width + bit)
+            acts.append(act)
         stack.apply_system_acts(acts, {a.kind for a in turn.user_acts})
 
     states = np.zeros((n, state_width), dtype=np.uint8)
@@ -198,25 +167,12 @@ def _encode(
     return states, targets
 
 
-def encode_dialogue(
-    dialogue: Dialogue, ontology: Ontology, layout: Optional[StateLayout] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def encode_dialogue(dialogue: Dialogue, ontology: Ontology) -> tuple[np.ndarray, np.ndarray]:
     """Per-turn (state, target) matrices for one dialogue.
 
     A turn's previous-action block is the previous turn's target row.
     """
-    table = _LayoutTable(layout or StateLayout.from_ontology(ontology), ontology)
-    return _encode(dialogue, ontology, table)
-
-
-def encode_state(dialogue: Dialogue, turn_index: int, ontology: Ontology) -> np.ndarray:
-    """State vector for a single turn (replays the dialogue prefix)."""
-    if not 0 <= turn_index < len(dialogue.turns):
-        raise IndexOutOfRange(
-            f"turn {turn_index} outside dialogue of {len(dialogue.turns)} turns"
-        )
-    states, _ = encode_dialogue(dialogue, ontology)
-    return states[turn_index]
+    return _encode(dialogue, ontology, _LayoutTable(StateLayout.from_ontology(ontology)))
 
 
 @dataclass
@@ -235,7 +191,7 @@ class EncodedDataset:
 def encode_dataset(dataset: Dataset, ontology: Ontology) -> EncodedDataset:
     """Encode every turn of every split into (state, target) pairs."""
     layout = StateLayout.from_ontology(ontology)
-    table = _LayoutTable(layout, ontology)
+    table = _LayoutTable(layout)
     splits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for split in SPLIT_NAMES:
         dialogues = dataset.splits.get(split, [])

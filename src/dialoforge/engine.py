@@ -381,13 +381,21 @@ class TopicGoal:
 
 @dataclass
 class GoalScript:
-    """What the simulated user wants and how far the script has advanced."""
+    """What the simulated user wants and how far the script has advanced.
+
+    The goal being pursued follows the dialogue stack: the domain-change goal
+    while the stack holds its two frames, the scripted topic otherwise.
+    """
 
     topics: list[TopicGoal]
     topic_index: int = 0
-    active: list[TopicGoal] = field(default_factory=list)
-    domain_changed: bool = False
+    domain_change: Optional[TopicGoal] = None  # set once, when the push happens
     finished: bool = False
+
+    def current(self, stack: DialogueStack) -> TopicGoal:
+        if stack.depth > 1:
+            return self.domain_change
+        return self.topics[self.topic_index]
 
     @classmethod
     def sample(cls, ontology: Ontology, rng: random.Random) -> "GoalScript":
@@ -503,15 +511,14 @@ def sample_user_turn(
         and top.phase is Phase.ELICITING
         and cfg.p_domain_change > 0
         and stack.depth == 1
-        and not goal.domain_changed
+        and goal.domain_change is None
     ):
         pairs = [p for p in ont.topic_pairs() if p != (top.domain, top.topic)]
         if pairs and rng.random() < cfg.p_domain_change:
             domain, topic_name = rng.choice(pairs)
-            pushed = sample_topic_goal(ont, domain, topic_name, rng)
-            goal.active.append(pushed)
-            goal.domain_changed = True
-            return _intent_turn_acts(pushed, ont, rng, opening=False), EventKind.DOMAIN_CHANGE
+            goal.domain_change = sample_topic_goal(ont, domain, topic_name, rng)
+            acts = _intent_turn_acts(goal.domain_change, ont, rng, opening=False)
+            return acts, EventKind.DOMAIN_CHANGE
 
     return _scripted_turn(stack, goal, rng), None
 
@@ -520,15 +527,13 @@ def _scripted_turn(
     stack: DialogueStack, goal: GoalScript, rng: random.Random
 ) -> list[UserAct]:
     ont = stack.ontology
+    current = goal.current(stack)
 
     if not stack.frames:
-        current = goal.topics[goal.topic_index]
-        goal.active.append(current)
         return _intent_turn_acts(current, ont, rng)
 
     top = stack.top
     topic = ont.topic(top.domain, top.topic)
-    current = goal.active[-1]
 
     if top.phase is Phase.ELICITING:
         if not current.user_requested:
@@ -540,29 +545,19 @@ def _scripted_turn(
             if askable and rng.random() < P_USER_REQUEST:
                 current.user_requested = True
                 return [UserAct(IntentKind.REQUEST, slot=rng.choice(askable))]
+        # An eliciting frame always holds an open request: _advance_frame sets
+        # one after the turn's fills, and the opening turn volunteers every
+        # slot the policy cannot request.
         pending = top.pending_request
-        if pending is not None and not top.filled(pending):
-            if pending in current.values:
-                return [UserAct(IntentKind.INFORM, slot=pending, value=current.values[pending])]
-            return [UserAct(IntentKind.NEGATE)]
-        # No open request: volunteer something still missing, or decline.
-        unspoken = [
-            s.name
-            for s in topic.slots
-            if s.name in current.values and not top.filled(s.name)
-        ]
-        if unspoken:
-            slot = unspoken[0]
-            return [UserAct(IntentKind.INFORM, slot=slot, value=current.values[slot])]
+        if pending in current.values:
+            return [UserAct(IntentKind.INFORM, slot=pending, value=current.values[pending])]
         return [UserAct(IntentKind.NEGATE)]
 
     if top.phase is Phase.NOTIFIED:
         if stack.depth > 1:
-            goal.active.pop()
             return [UserAct(IntentKind.NEGATE)]
         if goal.topic_index + 1 < len(goal.topics):
             return [UserAct(IntentKind.AFFIRM)]
-        goal.active.pop()
         goal.finished = True
         return [
             UserAct(IntentKind.NEGATE),
@@ -572,9 +567,7 @@ def _scripted_turn(
 
     # WRAPUP after an AFFIRM: open the next scripted topic (replaces the frame).
     goal.topic_index += 1
-    nxt = goal.topics[goal.topic_index]
-    goal.active[-1] = nxt
-    return _intent_turn_acts(nxt, ont, rng, opening=False)
+    return _intent_turn_acts(goal.topics[goal.topic_index], ont, rng, opening=False)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,3 @@ class WidthMismatch(DialoforgeError):
 
 class LengthMismatch(DialoforgeError):
     """Prediction and gold sequences differ in length or width."""
-
-
-class IndexOutOfRange(DialoforgeError):
-    """Turn index outside the dialogue."""

@@ -336,7 +336,26 @@ def robustness_sweep(
         if kind not in MODEL_KINDS:
             raise ValidationError(f"unknown model kind {kind!r}")
 
+    if base_dataset is not None:  # the manifest describes it by gen_cfg and the ontology
+        if base_dataset.config != gen_cfg:
+            raise ValidationError(
+                f"base_dataset was generated with {base_dataset.config}, not gen_cfg {gen_cfg}"
+            )
+        if base_dataset.ontology_hash != ontology.content_hash():
+            raise ValidationError(
+                f"base_dataset's ontology_hash {base_dataset.ontology_hash} differs from "
+                f"the ontology's {ontology.content_hash()}"
+            )
+
     clean = base_dataset if base_dataset is not None else generate_dataset(ontology, gen_cfg)
+    sizes = clean.split_sizes()
+    for split in ("train", "test"):
+        if not sizes[split]:
+            raise ValidationError(
+                f"the {split} split is empty (train/val/test {sizes['train']}/"
+                f"{sizes['val']}/{sizes['test']} dialogues); the sweep trains on "
+                "train and scores on test"
+            )
 
     rows: list[SweepRow] = []
     for rate_index, rate in enumerate(error_rates):

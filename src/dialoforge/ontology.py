@@ -81,10 +81,6 @@ class AtomicActionId:
         return f"{self.domain}-{self.kind.value}-{self.slot}"
 
 
-def make_action_id(domain: str, kind: ActionKind, slot: Optional[str] = None) -> str:
-    return AtomicActionId(domain, kind, slot).id
-
-
 def parse_action_id(action_id: str) -> AtomicActionId:
     """Split a canonical action id back into its (domain, kind, slot) triple."""
     parts = action_id.split("-")
@@ -223,28 +219,24 @@ class Ontology:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def enumerate_atomic_actions(ontology: Ontology) -> list[str]:
-    """The ontology's sorted action catalog.
+def _atomic_actions(domains: Iterable[DomainSpec]) -> list[str]:
+    """The sorted action catalog of these domains.
 
     Always contains the domain-independent chit-chat answer; each domain adds
     NOTIFY and REQ_MORE; per-slot REQUEST/CONFIRM/INFORM actions follow the
     topics' emission tables, deduplicated on (domain, kind, slot).
     """
-    return list(ontology.action_catalog)
-
-
-def _atomic_actions(domains: Iterable[DomainSpec]) -> list[str]:
     ids = {GENERAL_CHIT_CHAT_ID}
     for d in domains:
-        ids.add(make_action_id(d.name, ActionKind.NOTIFY))
-        ids.add(make_action_id(d.name, ActionKind.REQ_MORE))
+        ids.add(AtomicActionId(d.name, ActionKind.NOTIFY).id)
+        ids.add(AtomicActionId(d.name, ActionKind.REQ_MORE).id)
         for t in d.topics:
             for s in t.request_slots:
-                ids.add(make_action_id(d.name, ActionKind.REQUEST, s))
+                ids.add(AtomicActionId(d.name, ActionKind.REQUEST, s).id)
             for s in t.confirm_slots:
-                ids.add(make_action_id(d.name, ActionKind.CONFIRM, s))
+                ids.add(AtomicActionId(d.name, ActionKind.CONFIRM, s).id)
             for s in t.inform_slots:
-                ids.add(make_action_id(d.name, ActionKind.INFORM, s))
+                ids.add(AtomicActionId(d.name, ActionKind.INFORM, s).id)
     return sorted(ids)
 
 

@@ -679,3 +679,81 @@ def test_cyclic_garbage_of_a_command_does_not_grow_with_the_data(tmp_path):
     small = _cyclic_garbage_per_command(tmp_path / "small", 20)
     large = _cyclic_garbage_per_command(tmp_path / "large", 400)
     assert small == large
+
+
+def test_sweep_with_an_empty_test_split_exits_1(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep", "--preset", "simple", "--dialogues", "3", "--rates", "0,0.5",
+                    "--seeds", "1", "--out", str(out)]) == 1
+    assert "the test split is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_on_a_split_with_no_rows_exits_1(tmp_path, capsys):
+    ds, model = tmp_path / "ds", tmp_path / "m.npz"
+    assert run_cli(["generate", "--preset", "simple", "--dialogues", "2", "--out", str(ds)]) == 0
+    assert run_cli(["encode", "--in", str(ds)]) == 0
+    assert run_cli(["train", "--model", "memorizer", "--in", str(ds), "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert run_cli(["eval", "--model", str(model), "--in", str(ds)]) == 1
+    captured = capsys.readouterr()
+    assert str(ds / "encoded" / "test.bin") in captured.err and "'test'" in captured.err
+    assert captured.out == ""
+
+
+def _encode(ds: Path, tmp: Path) -> None:
+    assert run_cli(["encode", "--in", str(ds)]) == 0
+
+
+def _encode_and_train(ds: Path, tmp: Path) -> None:
+    _encode(ds, tmp)
+    assert run_cli(["train", "--model", "memorizer", "--in", str(ds),
+                    "--out", str(tmp / "m.npz")]) == 0
+
+
+def _bogus_action_in_first_train_dialogue(ds: Path, tmp: Path) -> None:
+    train = ds / "train.jsonl"
+    first, *rest = train.read_text().splitlines(keepends=True)
+    dialogue = json.loads(first)
+    dialogue["turns"][0]["system_acts"] = ["restaurant-CONFIRM-bogus"]
+    train.write_text(json.dumps(dialogue) + "\n" + "".join(rest))
+
+
+def test_generate_records_split_fractions(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["generate", "--preset", "simple", "--dialogues", "8",
+                    "--split-fractions", "0.5,0.25,0.25", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["split_fractions"] == [0.5, 0.25, 0.25]
+    assert manifest["splits"] == {"train": 4, "val": 2, "test": 2}
+
+
+@pytest.mark.parametrize(
+    "prepare, argv, code, says",
+    [
+        (None, ["generate", "--preset", "simple", "--split-fractions", "0.5,0.5",
+                "--out", "{tmp}/out"], 1, "--split-fractions"),
+        (_encode, ["train", "--model", "memorizer", "--in", "{ds}/encoded",
+                   "--out", "{tmp}/m.npz"], 0, None),
+        (_encode_and_train, ["eval", "--model", "{tmp}/m.npz", "--in", "{ds}/encoded"], 0, None),
+        (None, ["train", "--model", "memorizer", "--in", "{ds}", "--out", "{tmp}/m.npz"], 1,
+         "run `encode` first"),
+        (_encode_and_train, ["eval", "--model", "{tmp}/m.npz", "--in", "{ds}",
+                             "--split", "bogus"], 1, "split 'bogus'"),
+        (lambda ds, tmp: (ds / "ontology.json").unlink(), ["encode", "--in", "{ds}"], 1,
+         "has no ontology.json"),
+        (_bogus_action_in_first_train_dialogue, ["encode", "--in", "{ds}"], 1,
+         "train/dlg000000: action 'restaurant-CONFIRM-bogus' is not in the catalog"),
+    ],
+    ids=["two-split-fractions", "train-in-encoded", "eval-in-encoded",
+         "train-unencoded", "eval-bogus-split", "encode-without-ontology",
+         "encode-action-outside-catalog"],
+)
+def test_cli_path(prepare, argv, code, says, tiny_dataset, tmp_path, capsys):
+    if prepare is not None:
+        prepare(tiny_dataset, tmp_path)
+    capsys.readouterr()
+    argv = [a.format(ds=tiny_dataset, tmp=tmp_path) for a in argv]
+    assert run_cli(argv) == code
+    err = capsys.readouterr().err
+    assert (says or "") in err and "Traceback" not in err

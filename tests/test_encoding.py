@@ -10,10 +10,8 @@ from dialoforge.dataset import generate_dataset
 from dialoforge.diagnostics import find_state_collisions
 from dialoforge.encoding import (
     StateLayout,
-    encode_actions,
     encode_dataset,
     encode_dialogue,
-    encode_state,
     read_encoded,
     write_encoded,
 )
@@ -27,7 +25,7 @@ from dialoforge.engine import (
     sample_user_turn,
     step_policy,
 )
-from dialoforge.errors import IndexOutOfRange, UnknownLabel
+from dialoforge.errors import UnknownLabel
 from dialoforge.injection import ErrorConfig, inject_errors
 from dialoforge.ontology import UNK_TOKEN, load_ontology, parse_action_id
 
@@ -47,7 +45,7 @@ def test_width_formula(preset, request):
 def test_turn_zero_has_no_previous_system_block(mini_ontology):
     d = generate_dialogue(mini_ontology, events_off(), 0)
     layout = StateLayout.from_ontology(mini_ontology)
-    state = encode_state(d, 0, mini_ontology)
+    state = encode_dialogue(d, mini_ontology)[0][0]
     block = state[layout.action_offset : layout.action_offset + len(layout.actions)]
     assert not block.any()
 
@@ -55,14 +53,14 @@ def test_turn_zero_has_no_previous_system_block(mini_ontology):
 def test_hand_encoded_bits_after_first_inform(mini_ontology):
     d = generate_dialogue(mini_ontology, events_off(), 0)
     layout = StateLayout.from_ontology(mini_ontology)
-    state = encode_state(d, 1, mini_ontology)
+    state = encode_dialogue(d, mini_ontology)[0][1]
 
-    slot_pos = layout.slot_index()["restaurant.book.food"]
+    slot_pos = layout.slot_keys.index("restaurant.book.food")
     expected = set()
     expected.add(2 * slot_pos)  # food filled
     expected.add(2 * slot_pos + 1)  # food just changed this turn
     expected.add(layout.intent_offset + layout.intent_index()["inform"])
-    expected.add(layout.action_offset + layout.action_index()["restaurant-REQUEST-food"])
+    expected.add(layout.action_offset + layout.actions.index("restaurant-REQUEST-food"))
     expected.add(layout.management_offset + 1)  # phase one-hot: eliciting
     assert set(np.flatnonzero(state)) == expected
 
@@ -77,21 +75,22 @@ def test_identical_prefixes_encode_identically(mini_ontology):
     assert np.array_equal(sa, sb)
 
 
-def test_encode_actions_cases(simple_ontology):
+def test_target_row_cases(simple_ontology):
+    """A turn's target row is multi-hot over the catalog; UNK sets nothing."""
     catalog = list(simple_ontology.action_catalog)
-    assert not encode_actions([], simple_ontology).any()
-    two = encode_actions([catalog[2], catalog[5]], simple_ontology)
+    d = generate_dialogue(simple_ontology, events_off(), 0)
+
+    def target(system_acts):
+        d.turns[0].system_acts = system_acts
+        return encode_dialogue(d, simple_ontology)[1][0]
+
+    assert not target([]).any()
+    two = target([catalog[2], catalog[5]])
     assert two.sum() == 2 and two[2] == 1 and two[5] == 1
-    assert encode_actions(catalog, simple_ontology).all()
-    assert not encode_actions([UNK_TOKEN], simple_ontology).any()
+    assert target(catalog).all()
+    assert not target([UNK_TOKEN]).any()
     with pytest.raises(UnknownLabel):
-        encode_actions(["bogus-INFORM-x"], simple_ontology)
-
-
-def test_index_out_of_range(mini_ontology):
-    d = generate_dialogue(mini_ontology, events_off(), 0)
-    with pytest.raises(IndexOutOfRange):
-        encode_state(d, len(d.turns), mini_ontology)
+        target(["bogus-INFORM-x"])
 
 
 def test_pair_count_equals_turn_count(simple_ontology):
@@ -132,7 +131,7 @@ def test_perturbed_slots_encode_as_unfilled(mini_ontology):
     d = generate_dialogue(mini_ontology, events_off(), 0)
     d.turns[1].user_acts[0].slot = "unk"  # simulate slot-label noise
     layout = StateLayout.from_ontology(mini_ontology)
-    state = encode_state(d, 1, mini_ontology)
+    state = encode_dialogue(d, mini_ontology)[0][1]
     assert not state[: layout.intent_offset].any()
 
 
@@ -205,7 +204,7 @@ def test_five_turn_fixture_states_match_engine_trace():
         else:
             assert list(phase_bits) == [0, 0, 1, 0]  # notified, awaiting close
         assert list(np.flatnonzero(targets[i])) == sorted(
-            layout.action_index()[a] for a in turn.system_acts
+            layout.actions.index(a) for a in turn.system_acts
         )
         prev_sys = turn.system_acts
 

@@ -151,7 +151,6 @@ def test_zero_probabilities_follow_script(mini_ontology):
     goal = GoalScript(
         topics=[TopicGoal("restaurant", "book", {"food": "thai", "people": "two"})],
     )
-    goal.active = [goal.topics[0]]
     acts, event = sample_user_turn(stack, goal, rng, cfg)
     assert event is None
     assert [a.kind for a in acts] == [IntentKind.INFORM]
@@ -180,7 +179,6 @@ def test_event_rates_match_ordered_conditional_draws(simple_ontology):
         goal = GoalScript(
             topics=[TopicGoal("restaurant", "book", {"food": "thai", "people": "two"})],
         )
-        goal.active = [goal.topics[0]]
         _, event = sample_user_turn(stack, goal, rng, cfg)
         counts[event] += 1
     # ordered independent draws at 0.2 each: 0.2, 0.8*0.2, 0.8*0.8*0.2
@@ -250,7 +248,6 @@ def test_mind_change_reinform_changes_value(two_domain_ontology):
     rng = random.Random(3)
     stack = _stack_with_frame(two_domain_ontology, fills={"food": "thai", "people": "two"})
     goal = GoalScript(topics=[TopicGoal("restaurant", "book", {"food": "thai", "people": "two"})])
-    goal.active = [goal.topics[0]]
     acts, event = sample_user_turn(stack, goal, rng, cfg)
     assert event is EventKind.MIND_CHANGE
     act = acts[0]

@@ -13,9 +13,7 @@ from dialoforge.ontology import (
     AtomicActionId,
     IntentKind,
     build_ontology,
-    enumerate_atomic_actions,
     load_ontology,
-    make_action_id,
     parse_action_id,
     preset_ontology,
 )
@@ -61,14 +59,13 @@ def test_unknown_preset():
 
 def test_enumerate_empty_domains():
     ont = build_ontology([])
-    assert enumerate_atomic_actions(ont) == [GENERAL_CHIT_CHAT_ID]
+    assert ont.action_catalog == (GENERAL_CHIT_CHAT_ID,)
 
 
 def test_enumerate_deterministic_and_sorted(hard_ontology):
-    a = enumerate_atomic_actions(hard_ontology)
-    b = enumerate_atomic_actions(hard_ontology)
-    assert a == b == sorted(a)
-    assert list(hard_ontology.action_catalog) == a
+    a = hard_ontology.action_catalog
+    b = load_ontology(json.dumps(hard_ontology.to_dict())).action_catalog
+    assert a == b == tuple(sorted(a))
 
 
 def test_catalog_cardinalities(medium_ontology):
@@ -89,7 +86,7 @@ _ident = st.from_regex(r"[a-z0-9_]{1,32}", fullmatch=True)
 
 @given(domain=_ident, kind=st.sampled_from(list(ActionKind)), slot=st.none() | _ident)
 def test_action_id_round_trip_property(domain, kind, slot):
-    aid = make_action_id(domain, kind, slot)
+    aid = AtomicActionId(domain, kind, slot).id
     parsed = parse_action_id(aid)
     assert (parsed.domain, parsed.kind, parsed.slot) == (domain, kind, slot)
     assert parsed.id == aid

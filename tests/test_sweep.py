@@ -96,3 +96,29 @@ def test_linear_fit_r2_on_perfect_line():
     assert linear_fit_r2(pts) == pytest.approx(1.0)
     noisy = [(0.0, 1.0), (0.25, 0.9), (0.5, 0.55), (0.75, 0.4), (1.0, 0.1)]
     assert 0.9 < linear_fit_r2(noisy) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "split, cfg",
+    [
+        ("test", GeneratorConfig(n_dialogues=3, seed=1)),  # splits 3/0/0
+        ("train", GeneratorConfig(n_dialogues=4, seed=1, split_fractions=(0.0, 0.5, 0.5))),
+    ],
+)
+def test_sweep_rejects_an_empty_split(split, cfg, simple_ontology):
+    with pytest.raises(ValidationError, match=f"the {split} split is empty"):
+        robustness_sweep(simple_ontology, cfg, [0.0], ["memorizer"], n_seeds=1)
+
+
+def test_sweep_base_dataset_must_be_the_one_described(simple_ontology, medium_ontology):
+    cfg = _small_cfg(seed=2, n=30)
+    base = generate_dataset(simple_ontology, cfg)
+    with pytest.raises(ValidationError, match="gen_cfg"):
+        robustness_sweep(simple_ontology, _small_cfg(seed=3, n=30), [0.0], ["memorizer"],
+                         n_seeds=1, base_dataset=base)
+    with pytest.raises(ValidationError, match="ontology_hash"):
+        robustness_sweep(medium_ontology, cfg, [0.0], ["memorizer"], n_seeds=1,
+                         base_dataset=base)
+    result = robustness_sweep(simple_ontology, cfg, [0.0], ["memorizer"], n_seeds=1,
+                              base_dataset=base)
+    assert result.manifest["generator_config"]["seed"] == 2

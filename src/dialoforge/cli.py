@@ -25,15 +25,9 @@ from .dataset import Dataset, read_dataset, write_dataset, write_generated, writ
 # module (perfbench/workloads.py, install_wraps) and raises AttributeError
 # where it is missing.
 from .dataset import generate_dataset  # noqa: F401
-from .encoding import encode_dataset, read_encoded, write_encoded
+from .encoding import EncodedDataset, encode_dataset, read_encoded, write_encoded
 from .engine import GeneratorConfig
-from .errors import (
-    DialoforgeError,
-    SchemaError,
-    UnknownLabel,
-    UnknownPreset,
-    ValidationError,
-)
+from .errors import DialoforgeError, SchemaError, ValidationError
 from .harness import (
     MODEL_KINDS,
     compute_metrics,
@@ -260,10 +254,19 @@ def _find_encoded(indir: Path) -> Path:
     raise SchemaError(f"no encoded data under {indir}; run `encode` first")
 
 
+def _rows(encoded: EncodedDataset, enc_dir: Path, split: str) -> tuple:
+    """The (states, targets) of one split, which must hold rows."""
+    if split not in encoded.splits:
+        raise ValidationError(f"split {split!r} not present in {enc_dir}")
+    if not encoded.n_pairs(split):
+        raise ValidationError(f"{enc_dir / (split + '.bin')}: split {split!r} has no rows")
+    return encoded.splits[split]
+
+
 def _cmd_train(args) -> int:
     enc_dir = _find_encoded(Path(getattr(args, "in")))
     encoded = read_encoded(enc_dir)
-    train_split = encoded.splits["train"]
+    train_split = _rows(encoded, enc_dir, "train")
     if args.model == "memorizer":
         model = train_memorizer(train_split)
     else:
@@ -289,11 +292,7 @@ def _cmd_eval(args) -> int:
             f"{args.model}: ontology_hash {model_hash} differs from "
             f"{enc_dir / 'layout.json'}'s {encoded.ontology_hash}"
         )
-    if args.split not in encoded.splits:
-        raise ValidationError(f"split {args.split!r} not present in {enc_dir}")
-    states, golds = encoded.splits[args.split]
-    if not states.shape[0]:
-        raise ValidationError(f"{enc_dir / (args.split + '.bin')}: split {args.split!r} has no rows")
+    states, golds = _rows(encoded, enc_dir, args.split)
     preds = predict(model, states)
     report = compute_metrics(preds, golds)
     _log(report.pretty(list(encoded.layout.actions)))
@@ -417,7 +416,7 @@ def run_cli(argv: list[str]) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (SchemaError, ValidationError, UnknownPreset, UnknownLabel) as exc:
+    except (SchemaError, ValidationError) as exc:
         _log(f"error: {exc}")
         return 1
     except (DialoforgeError, OSError) as exc:

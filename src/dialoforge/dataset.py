@@ -17,7 +17,7 @@ from .engine import (
     generate_dialogue,
     split_counts,
 )
-from .errors import DialoforgeError, GenerationOverflow, SchemaError, ValidationError
+from .errors import DialoforgeError, SchemaError, ValidationError
 from .ontology import Ontology, _expect_int, _expect_keys
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -54,10 +54,10 @@ def _generate_one(args) -> Dialogue:
     ontology, cfg, index, seed = args
     try:
         return generate_dialogue(ontology, cfg, seed, f"dlg{index:06d}")
-    except GenerationOverflow as exc:
+    except DialoforgeError as exc:
         # Raised inside the worker, so both the serial and the pool path name
         # the failing dialogue.
-        raise GenerationOverflow(f"dialogue {index}: {exc}") from None
+        raise type(exc)(f"dialogue {index}: {exc}") from None
 
 
 def _generate_line(args) -> str:
@@ -223,7 +223,9 @@ def read_dataset(indir) -> Dataset:
         raise SchemaError(f"no manifest.json in {path}")
     manifest = read_json(manifest_path)
     if not isinstance(manifest, dict) or manifest.get("format") != "dialoforge-dataset":
-        raise SchemaError(f"{manifest_path}: not a dataset manifest")
+        raise SchemaError(
+            f"{manifest_path}: not a dataset manifest (format is not 'dialoforge-dataset')"
+        )
     missing = [
         key for key in ("version", "ontology_hash", "config", "seed", "splits", "n_dialogues")
         if key not in manifest
@@ -267,5 +269,12 @@ def read_dataset(indir) -> Dataset:
         raise SchemaError(
             f"{manifest_path}: n_dialogues is {manifest['n_dialogues']!r}, "
             f"but the split files hold {dataset.n_dialogues}"
+        )
+    sizes = [claimed[split] for split in SPLIT_NAMES]
+    expected = list(split_counts(config.n_dialogues, config.split_fractions))
+    if sizes != expected:
+        raise SchemaError(
+            f"{manifest_path}: config: n_dialogues {config.n_dialogues!r} and split_fractions "
+            f"{list(config.split_fractions)} give split sizes {expected}, but splits holds {sizes}"
         )
     return dataset

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataset import SPLIT_NAMES, Dataset, read_json, write_json
 from .engine import Dialogue, DialogueStack, Phase
-from .errors import SchemaError, UnknownLabel, ValidationError
+from .errors import SchemaError, ValidationError
 from .ontology import (
     INTENT_CATALOG,
     IntentKind,
@@ -153,7 +153,7 @@ def _encode(
             if aid == UNK_TOKEN:
                 continue
             if aid not in actions:
-                raise UnknownLabel(f"action {aid!r} is not in the catalog")
+                raise ValidationError(f"action {aid!r} is not in the catalog")
             bit, act = actions[aid]
             target_on.append(i * target_width + bit)
             acts.append(act)
@@ -199,8 +199,8 @@ def encode_dataset(dataset: Dataset, ontology: Ontology) -> EncodedDataset:
         for dlg in dialogues:
             try:
                 s, t = _encode(dlg, ontology, table)
-            except UnknownLabel as exc:
-                raise UnknownLabel(f"{split}/{dlg.id}: {exc}") from None
+            except ValidationError as exc:
+                raise ValidationError(f"{split}/{dlg.id}: {exc}") from None
             state_rows.append(s)
             target_rows.append(t)
         if state_rows:

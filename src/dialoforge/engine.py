@@ -26,13 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .errors import (
-    EmptyStackError,
-    GenerationOverflow,
-    SchemaError,
-    UnknownLabel,
-    ValidationError,
-)
+from .errors import DialoforgeError, SchemaError, ValidationError
 from .ontology import (
     GENERAL_CHIT_CHAT_ID,
     ActionKind,
@@ -98,7 +92,7 @@ class UserAct:
         try:
             act.kind = IntentKind(obj["kind"])
         except ValueError:
-            raise UnknownLabel(f"intent kind {obj['kind']!r} is not in the catalog") from None
+            raise ValidationError(f"intent kind {obj['kind']!r} is not in the catalog") from None
         act.domain = obj.get("domain")
         act.topic = obj.get("topic")
         act.slot = obj.get("slot")
@@ -337,7 +331,7 @@ def step_policy(stack: DialogueStack, user_acts: list[UserAct]) -> list[str]:
 
     if not stack.frames:
         if any(a.slot is not None for a in user_acts):
-            raise EmptyStackError("slot-bearing act with no frame and no INFORM_INTENT")
+            raise DialoforgeError("slot-bearing act with no frame and no INFORM_INTENT")
         return []
 
     top = stack.top
@@ -597,7 +591,7 @@ def generate_dialogue(
         if goal.finished and not stack.frames:
             break
     else:
-        raise GenerationOverflow(
+        raise DialoforgeError(
             f"dialogue exceeded {MAX_TURNS} turns; check event probabilities"
         )
 

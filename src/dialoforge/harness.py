@@ -20,13 +20,7 @@ import numpy as np
 from .dataset import Dataset, generate_dataset
 from .encoding import encode_dataset
 from .engine import GeneratorConfig
-from .errors import (
-    DivergenceError,
-    EmptySplit,
-    SchemaError,
-    ValidationError,
-    WidthMismatch,
-)
+from .errors import DialoforgeError, SchemaError, ValidationError
 from .injection import ErrorConfig, inject_errors
 from .metrics import MetricsReport, compute_metrics
 from .ontology import Ontology
@@ -79,7 +73,7 @@ def train_memorizer(train: tuple[np.ndarray, np.ndarray]) -> MemorizerModel:
     smallest serialized target, and the fallback is the global majority."""
     states, targets = train
     if states.shape[0] == 0:
-        raise EmptySplit("cannot train a memorizer on an empty split")
+        raise ValidationError("cannot train a memorizer on an empty split")
 
     per_state: dict[bytes, Counter] = {}
     overall: Counter = Counter()
@@ -140,7 +134,7 @@ def train_linear(
 ) -> LinearModel:
     states, targets = train
     if states.shape[0] == 0:
-        raise EmptySplit("cannot train on an empty split")
+        raise ValidationError("cannot train on an empty split")
     if epochs < 1 or learning_rate < 0:
         raise ValidationError("epochs must be >= 1 and learning_rate >= 0")
 
@@ -161,7 +155,7 @@ def train_linear(
                 weights, bias, states.take(sel, axis=0), targets.take(sel, axis=0), l2
             )
             if not math.isfinite(loss):
-                raise DivergenceError(f"loss became non-finite ({loss})")
+                raise DialoforgeError(f"loss became non-finite ({loss})")
             weights -= learning_rate * gw
             bias -= learning_rate * gb
             epoch_loss += loss
@@ -176,7 +170,7 @@ def predict(model: Model, states: np.ndarray) -> np.ndarray:
     single = states.ndim == 1
     batch = states.reshape(1, -1) if single else states
     if batch.shape[1] != model.state_width:
-        raise WidthMismatch(f"state width {batch.shape[1]} != {model.state_width}")
+        raise DialoforgeError(f"state width {batch.shape[1]} != {model.state_width}")
     if isinstance(model, MemorizerModel):
         table, fallback = model.table, model.fallback
         out = np.array(

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from .dataset import Dataset, read_jsonl, write_jsonl
 from .engine import DialogueTurn, UserAct
-from .errors import CatalogTooSmall, UnknownLabel, ValidationError
+from .errors import DialoforgeError, ValidationError
 from .ontology import IntentKind, Ontology, UNK_TOKEN
 from .rng import derive_seed
 
@@ -82,19 +82,11 @@ def perturb_label(
     mode: PerturbMode,
 ) -> str:
     """Replace one label: uniform draw from catalog minus the label, or UNK."""
-    return _draw_label([c for c in catalog if c != label], len(catalog), rng, mode)
-
-
-def _draw_label(
-    candidates: list[str], catalog_size: int, rng: random.Random, mode: PerturbMode
-) -> str:
-    """The draw of ``perturb_label``, given the catalog minus the label."""
     if mode is PerturbMode.UNK:
         return UNK_TOKEN
-    if catalog_size < 2 or not candidates:
-        raise CatalogTooSmall(
-            f"relabeling needs >= 2 candidates, catalog has {catalog_size}"
-        )
+    candidates = [c for c in catalog if c != label]
+    if len(catalog) < 2 or not candidates:
+        raise DialoforgeError(f"relabeling needs >= 2 candidates, catalog has {len(catalog)}")
     return rng.choice(candidates)
 
 
@@ -143,7 +135,7 @@ def _relabel(turn: DialogueTurn, kind: ElementKind, index: int, label: str) -> N
     if kind is ElementKind.INTENT:
         act.kind = _INTENT_KIND.get(label)
         if act.kind is None:
-            raise UnknownLabel(f"intent kind {label!r} is not in the catalog")
+            raise ValidationError(f"intent kind {label!r} is not in the catalog")
     else:
         act.kind = old.kind
     act.domain = old.domain
@@ -193,7 +185,9 @@ def inject_errors(
 
     The input dataset is left untouched.  ``splits`` may be "all" or "train"
     to restrict which splits receive noise; labels outside the ontology raise
-    ``UnknownLabel`` in every split.
+    a ``ValidationError`` in every split, and so does a lane that may relabel
+    (its ``p_`` and the relabel weight above 0) over a catalog of fewer than
+    two labels, before anything is drawn.
     """
     if splits not in ("all", "train"):
         raise ValidationError("splits must be 'all' or 'train'")
@@ -207,24 +201,29 @@ def inject_errors(
         (ElementKind.SLOT, ontology.all_slot_names(), cfg.p_slot),
         (ElementKind.ACTION, list(ontology.action_catalog), cfg.p_action),
     ):
+        if p > 0 and cfg.mode_weights[0] > 0 and len(catalog) < 2:
+            raise ValidationError(
+                f"p_{kind.value} is {p} and relabeling is on, but the {kind.value} "
+                f"catalog has {len(catalog)} label(s); relabeling needs >= 2"
+            )
         others = {label: [c for c in catalog if c != label] for label in [*catalog, UNK_TOKEN]}
-        lanes.append((kind, others, len(catalog), p))
+        lanes.append((kind, others, p))
 
     records: list[PerturbationRecord] = []
     for ordinal, (split, dlg) in enumerate(dataset.iter_dialogues()):
         noisy = splits == "all" or split == "train"
         rng = random.Random(derive_seed(cfg.seed, ordinal)) if noisy else None
         for ti, turn in enumerate(dlg.turns):
-            for kind, others, size, p in lanes:
+            for kind, others, p in lanes:
                 draw = noisy and p > 0
                 for index, label in _labels(turn, kind):
                     candidates = others.get(label)
                     if candidates is None:
-                        raise UnknownLabel(f"{dlg.id} turn {ti}: {kind.value} {label!r}")
+                        raise ValidationError(f"{dlg.id} turn {ti}: {kind.value} {label!r}")
                     if not draw or rng.random() >= p:
                         continue
                     mode = _draw_mode(rng, cfg.mode_weights)
-                    new = _draw_label(candidates, size, rng, mode)
+                    new = UNK_TOKEN if mode is PerturbMode.UNK else rng.choice(candidates)
                     if new != label:
                         records.append(
                             PerturbationRecord(dlg.id, ti, kind, index, label, new, mode)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import DialoforgeError
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -60,9 +60,9 @@ def compute_metrics(predictions, golds) -> MetricsReport:
     preds = np.asarray(predictions, dtype=np.uint8)
     gold = np.asarray(golds, dtype=np.uint8)
     if preds.shape != gold.shape:
-        raise LengthMismatch(f"shape mismatch: {preds.shape} vs {gold.shape}")
+        raise DialoforgeError(f"shape mismatch: {preds.shape} vs {gold.shape}")
     if preds.ndim != 2:
-        raise LengthMismatch("expected 2-D (samples x actions) inputs")
+        raise DialoforgeError("expected 2-D (samples x actions) inputs")
 
     tp = ((preds == 1) & (gold == 1)).sum(axis=0)
     fp = ((preds == 1) & (gold == 0)).sum(axis=0)

@@ -15,7 +15,7 @@ from enum import Enum
 from importlib import resources
 from typing import ClassVar, Iterable, Optional
 
-from .errors import SchemaError, UnknownPreset, ValidationError
+from .errors import SchemaError, ValidationError
 
 IDENT_RE = re.compile(r"^[a-z0-9_]{1,32}$")
 
@@ -324,9 +324,9 @@ def _parse_topic(obj: object, path: str) -> TopicSpec:
     if not isinstance(emit, dict):
         raise SchemaError(f"{path}.emit: must be an object")
     _expect_keys(emit, f"{path}.emit", (), ("request", "confirm", "inform"))
-    request = _parse_emit_list(emit, "request", path)
-    confirm = _parse_emit_list(emit, "confirm", path) or frozenset()
-    inform = _parse_emit_list(emit, "inform", path) or frozenset()
+    request = _parse_emit_list(emit, "request", f"{path}.emit")
+    confirm = _parse_emit_list(emit, "confirm", f"{path}.emit") or frozenset()
+    inform = _parse_emit_list(emit, "inform", f"{path}.emit") or frozenset()
     if request is None:
         # Default rule: the policy may ask for every mandatory and desired slot.
         request = frozenset(
@@ -441,6 +441,6 @@ def load_ontology_file(path) -> Ontology:
 def preset_ontology(name: str) -> Ontology:
     """Load one of the bundled preset ontologies (simple, medium, hard)."""
     if name not in PRESET_NAMES:
-        raise UnknownPreset(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+        raise ValidationError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     text = resources.files("dialoforge.presets").joinpath(f"{name}.json").read_text("utf-8")
     return load_ontology(text)

@@ -166,8 +166,9 @@ def test_unknown_intent_kind_in_dataset_is_a_validation_error(tiny_dataset, tmp_
         lambda line: line[: len(line) // 2],
         lambda line: line.replace('"kind":"inform"', '"kind":"bogus"', 1),
         lambda line: re.sub(r'"events_log":\[.*\]}$', '"events_log":[[99,"chit_chat"]]}', line),
+        lambda line: line.replace('"seed":', '"sead":', 1),
     ],
-    ids=["truncated-line", "bogus-intent-kind", "events-log-differs-from-turns"],
+    ids=["truncated-line", "bogus-intent-kind", "events-log-differs-from-turns", "missing-key"],
 )
 def test_bad_dataset_line_names_file_and_line(damage, tiny_dataset, capsys):
     train = tiny_dataset / "train.jsonl"
@@ -233,11 +234,21 @@ def _bool_seed(manifest: dict, dataset: Path) -> None:
         (_set_version(True), "version"),
         (lambda m, _: m.pop("version"), "version"),
         (lambda m, _: m["config"].update(max_stack_depth=2), "max_stack_depth"),
+        (lambda m, _: m["config"].update(n_dialogues=999), "config: n_dialogues 999"),
+        (lambda m, _: m["config"].update(split_fractions=[0.1, 0.1, 0.8]),
+         "config: n_dialogues 40 and split_fractions [0.1, 0.1, 0.8]"),
+        (lambda m, _: m.update(format="other"), "format"),
+        (_set_version(1), "version 1"),
+        (lambda m, _: m.update(config=[]), "config: must be an object"),
+        (lambda m, _: m["config"].update(n_dialogues="forty"), "config: "),
+        (lambda m, _: m.update(splits=[24, 8, 8]), "splits: must map"),
     ],
     ids=["no-config", "no-ontology-hash", "unknown-config-key", "invalid-config-value",
          "splits-differ", "n-dialogues-differs", "seed-differs", "truncated-split-file",
          "float-split-count", "bool-seed", "tool-version-string", "bool-version",
-         "no-version", "stack-depth-in-config"],
+         "no-version", "stack-depth-in-config", "config-n-dialogues-differs",
+         "config-split-fractions-differ", "wrong-format", "int-version-not-2",
+         "config-not-object", "config-value-of-wrong-type", "splits-not-a-map"],
 )
 def test_bad_dataset_manifest_names_file_and_field(edit, field, tiny_dataset, capsys):
     path = tiny_dataset / "manifest.json"
@@ -699,6 +710,38 @@ def test_eval_on_a_split_with_no_rows_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert str(ds / "encoded" / "test.bin") in captured.err and "'test'" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("model", ["memorizer", "linear"])
+def test_train_on_a_split_with_no_rows_exits_1(model, tmp_path, capsys):
+    ds, out = tmp_path / "ds", tmp_path / "m.npz"
+    assert run_cli(["generate", "--preset", "simple", "--dialogues", "4",
+                    "--split-fractions", "0,0.5,0.5", "--out", str(ds)]) == 0
+    assert run_cli(["encode", "--in", str(ds)]) == 0
+    capsys.readouterr()
+    assert run_cli(["train", "--model", model, "--in", str(ds), "--out", str(out)]) == 1
+    assert f"{ds / 'encoded' / 'train.bin'}: split 'train' has no rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# One slot name in the whole ontology, so the slot catalog has one label.
+ONE_SLOT_DOC = {"domains": [{"name": "d", "topics": [{"name": "t", "slots": [
+    {"name": "s", "category": "mandatory", "values": ["a", "b"]}]}]}]}
+
+
+@pytest.mark.parametrize("mode, code", [("relabel", 1), ("mixed", 1), ("unk", 0)])
+def test_relabel_over_a_one_label_catalog_is_a_validation_error(mode, code, tmp_path, capsys):
+    ontology, ds, out = tmp_path / "ont.json", tmp_path / "ds", tmp_path / "noisy"
+    ontology.write_text(json.dumps(ONE_SLOT_DOC))
+    assert run_cli(["generate", "--ontology", str(ontology), "--dialogues", "5",
+                    "--out", str(ds)]) == 0
+    capsys.readouterr()
+    assert run_cli(["inject", "--in", str(ds), "--p-slot", "1", "--mode", mode,
+                    "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "p_slot is 1.0" in err and "slot catalog has 1 label(s)" in err
+        assert not out.exists()
 
 
 def _encode(ds: Path, tmp: Path) -> None:

@@ -8,7 +8,7 @@ import pytest
 from dialoforge import cli, dataset
 from dialoforge.dataset import generate_dataset, read_dataset, write_dataset, write_generated
 from dialoforge.engine import GeneratorConfig, split_counts
-from dialoforge.errors import GenerationOverflow, ValidationError
+from dialoforge.errors import DialoforgeError, ValidationError
 from dialoforge.ontology import PRESET_NAMES, preset_ontology
 
 from .conftest import preset_config
@@ -156,5 +156,6 @@ def test_preset_config_helper_matches_table(hard_ontology):
 def test_overflow_names_the_dialogue_on_both_paths(simple_ontology, tmp_path, jobs):
     """In this process and in a pool worker."""
     cfg = GeneratorConfig(n_dialogues=3, p_chitchat=1.0, seed=0)
-    with pytest.raises(GenerationOverflow, match=r"^dialogue 0: .*60 turns"):
+    with pytest.raises(DialoforgeError, match=r"^dialogue 0: .*60 turns") as err:
         write_generated(simple_ontology, cfg, tmp_path / "ds", jobs=jobs)
+    assert type(err.value) is DialoforgeError

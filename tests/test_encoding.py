@@ -25,7 +25,7 @@ from dialoforge.engine import (
     sample_user_turn,
     step_policy,
 )
-from dialoforge.errors import UnknownLabel
+from dialoforge.errors import ValidationError
 from dialoforge.injection import ErrorConfig, inject_errors
 from dialoforge.ontology import UNK_TOKEN, load_ontology, parse_action_id
 
@@ -89,7 +89,7 @@ def test_target_row_cases(simple_ontology):
     assert two.sum() == 2 and two[2] == 1 and two[5] == 1
     assert target(catalog).all()
     assert not target([UNK_TOKEN]).any()
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(ValidationError, match="action 'bogus-INFORM-x' is not in the catalog"):
         target(["bogus-INFORM-x"])
 
 

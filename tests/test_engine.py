@@ -19,7 +19,7 @@ from dialoforge.engine import (
     sample_user_turn,
     step_policy,
 )
-from dialoforge.errors import EmptyStackError, GenerationOverflow, ValidationError
+from dialoforge.errors import DialoforgeError, ValidationError
 from dialoforge.ontology import IntentKind
 
 from .conftest import events_off
@@ -102,8 +102,9 @@ def test_close_pops_root_in_req_more_turn(mini_ontology):
 
 def test_slot_bearing_act_without_frame_raises(mini_ontology):
     stack = DialogueStack(mini_ontology)
-    with pytest.raises(EmptyStackError):
+    with pytest.raises(DialoforgeError, match="slot-bearing act with no frame") as err:
         step_policy(stack, [UserAct(IntentKind.INFORM, slot="food", value="thai")])
+    assert type(err.value) is DialoforgeError
 
 
 def test_inform_intent_creates_frame_in_same_turn(mini_ontology):
@@ -229,8 +230,9 @@ def test_forced_domain_change_single_push(two_domain_ontology):
 
 def test_certain_chit_chat_overflows(simple_ontology):
     cfg = GeneratorConfig(n_dialogues=1, p_chitchat=1.0, seed=0)
-    with pytest.raises(GenerationOverflow):
+    with pytest.raises(DialoforgeError, match="exceeded 60 turns") as err:
         generate_dialogue(simple_ontology, cfg, 7)
+    assert type(err.value) is DialoforgeError
 
 
 def test_final_turn_contains_goodbye_or_thank(simple_ontology):

@@ -8,7 +8,7 @@ import pytest
 
 from dialoforge.dataset import dumps_dialogue, generate_dataset
 from dialoforge.engine import GeneratorConfig
-from dialoforge.errors import CatalogTooSmall, UnknownLabel, ValidationError
+from dialoforge.errors import DialoforgeError, ValidationError
 from dialoforge.injection import (
     ElementKind,
     ErrorConfig,
@@ -46,8 +46,9 @@ def test_relabel_uniform_over_other_labels():
 
 
 def test_relabel_needs_two_candidates():
-    with pytest.raises(CatalogTooSmall):
+    with pytest.raises(DialoforgeError, match="relabeling needs >= 2 candidates") as err:
         perturb_label("only", ["only"], random.Random(0), PerturbMode.RELABEL)
+    assert type(err.value) is DialoforgeError
 
 
 def test_zero_probability_is_identity(simple_ontology):
@@ -148,7 +149,7 @@ def test_unknown_label_rejected(simple_ontology, element, split, noisy_splits):
     else:
         next(a for t in turns for a in t.user_acts if a.slot is not None).slot = "bogus-slot"
     cfg = ErrorConfig(p_action=0.5, p_slot=0.5, seed=0)
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(ValidationError, match=f"turn .*: {element} 'bogus-{element}'"):
         inject_errors(ds, simple_ontology, cfg, splits=noisy_splits)
 
 
@@ -159,13 +160,20 @@ def test_revert_rejects_mismatched_record(simple_ontology, element):
     out, records = inject_errors(ds, simple_ontology, cfg)
     rec = records[0]
     n_turns = next(len(d.turns) for _, d in out.iter_dialogues() if d.id == rec.dialogue_id)
-    for bad in (
-        dataclasses.replace(rec, new="not-what-was-written"),
-        dataclasses.replace(rec, dialogue_id="no-such-dialogue"),
-        dataclasses.replace(rec, turn_index=n_turns),  # one past the end
-        dataclasses.replace(rec, turn_index=rec.turn_index - n_turns),  # same turn, from the end
-    ):
-        with pytest.raises(ValidationError, match="record does not match dataset"):
+    mismatch = "record does not match dataset"
+    cases = [
+        (dataclasses.replace(rec, new="not-what-was-written"), mismatch),
+        (dataclasses.replace(rec, dialogue_id="no-such-dialogue"), mismatch),
+        (dataclasses.replace(rec, turn_index=n_turns), mismatch),  # one past the end
+        # same turn, from the end
+        (dataclasses.replace(rec, turn_index=rec.turn_index - n_turns), mismatch),
+        (dataclasses.replace(rec, index=99), mismatch),  # past the end of the act list
+    ]
+    if element is ElementKind.INTENT:
+        cases.append((dataclasses.replace(rec, original="bogus"),
+                      "intent kind 'bogus' is not in the catalog"))
+    for bad, says in cases:
+        with pytest.raises(ValidationError, match=says):
             revert_errors(out, [bad])
 
 

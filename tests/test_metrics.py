@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dialoforge.errors import LengthMismatch
+from dialoforge.errors import DialoforgeError
 from dialoforge.metrics import compute_metrics
 
 
@@ -87,7 +87,7 @@ def test_brute_force_oracle_agreement():
 
 
 def test_shape_mismatch_rejected():
-    with pytest.raises(LengthMismatch):
-        compute_metrics(np.zeros((2, 3), dtype=np.uint8), np.zeros((3, 3), dtype=np.uint8))
-    with pytest.raises(LengthMismatch):
-        compute_metrics(np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 4), dtype=np.uint8))
+    for preds, gold in (((2, 3), (3, 3)), ((2, 3), (2, 4))):
+        with pytest.raises(DialoforgeError, match="shape mismatch") as err:
+            compute_metrics(np.zeros(preds, dtype=np.uint8), np.zeros(gold, dtype=np.uint8))
+        assert type(err.value) is DialoforgeError

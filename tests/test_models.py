@@ -6,7 +6,7 @@ import pytest
 from dialoforge.dataset import generate_dataset
 from dialoforge.encoding import encode_dataset
 from dialoforge.engine import GeneratorConfig
-from dialoforge.errors import EmptySplit, WidthMismatch
+from dialoforge.errors import DialoforgeError, ValidationError
 from dialoforge.harness import (
     LinearModel,
     _sigmoid,
@@ -67,9 +67,9 @@ def test_memorizer_perfect_on_own_training_split(simple_ontology):
 
 
 def test_empty_split_rejected():
-    with pytest.raises(EmptySplit):
+    with pytest.raises(ValidationError, match="cannot train a memorizer on an empty split"):
         train_memorizer(_split(np.zeros((0, 3)), np.zeros((0, 2))))
-    with pytest.raises(EmptySplit):
+    with pytest.raises(ValidationError, match="cannot train on an empty split"):
         train_linear(_split(np.zeros((0, 3)), np.zeros((0, 2))))
 
 
@@ -148,12 +148,11 @@ def test_sigmoid_bits_match_the_branchwise_formula():
 
 
 def test_divergence_raises():
-    from dialoforge.errors import DivergenceError
-
     states = np.eye(4, dtype=np.uint8)
     targets = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.uint8)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DialoforgeError, match="loss became non-finite") as err:
         train_linear(_split(states, targets), epochs=50, learning_rate=1e307, seed=0)
+    assert type(err.value) is DialoforgeError  # a runtime error: exit 2
 
 
 def test_linear_deterministic_given_seed():
@@ -190,8 +189,9 @@ def test_argmax_tie_breaks_to_lowest_index():
 
 def test_width_mismatch_rejected():
     model = LinearModel(weights=np.zeros((4, 2)), bias=np.zeros(2))
-    with pytest.raises(WidthMismatch):
+    with pytest.raises(DialoforgeError, match="state width 5 != 4") as err:
         predict(model, np.ones(5, dtype=np.uint8))
+    assert type(err.value) is DialoforgeError
 
 
 # -- model files -------------------------------------------------------------

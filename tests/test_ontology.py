@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from dialoforge.errors import SchemaError, UnknownPreset, ValidationError
+from dialoforge.errors import SchemaError, ValidationError
 from dialoforge.ontology import (
     GENERAL_CHIT_CHAT_ID,
     ActionKind,
@@ -14,6 +14,7 @@ from dialoforge.ontology import (
     IntentKind,
     build_ontology,
     load_ontology,
+    load_ontology_file,
     parse_action_id,
     preset_ontology,
 )
@@ -53,7 +54,7 @@ def test_preset_table_counts(name, domains, actions):
 
 
 def test_unknown_preset():
-    with pytest.raises(UnknownPreset):
+    with pytest.raises(ValidationError, match="unknown preset 'extreme'"):
         preset_ontology("extreme")
 
 
@@ -95,6 +96,62 @@ def test_action_id_round_trip_property(domain, kind, slot):
 def test_catalog_parses_losslessly(hard_ontology):
     for aid in hard_ontology.action_catalog:
         assert parse_action_id(aid).id == aid
+
+
+@pytest.mark.parametrize(
+    "aid, says",
+    [("restaurant-CONFIRM-people-two", "not a canonical action id"),
+     ("restaurant-BOGUS-people", "unknown action kind in id")],
+    ids=["four-parts", "unknown-kind"],
+)
+def test_non_canonical_action_id_rejected(aid, says):
+    with pytest.raises(ValidationError, match=f"^{says}: '{aid}'$"):
+        parse_action_id(aid)
+
+
+def _topic(doc: dict) -> dict:
+    return doc["domains"][0]["topics"][0]
+
+
+def _setitem(container, key, value):
+    container[key] = value
+
+
+@pytest.mark.parametrize(
+    "edit, error, where",
+    [
+        (lambda d: d["domains"][0].update(name=3), SchemaError, "$.domains[0].name: "),
+        (lambda d: _setitem(_topic(d)["slots"], 0, "food"), SchemaError,
+         "$.domains[0].topics[0].slots[0]: "),
+        (lambda d: _setitem(d["domains"][0]["topics"], 0, ["book"]), SchemaError,
+         "$.domains[0].topics[0]: "),
+        (lambda d: _setitem(d["domains"], 0, None), SchemaError, "$.domains[0]: "),
+        (lambda d: _topic(d)["slots"][0].update(values="thai"), SchemaError,
+         "$.domains[0].topics[0].slots[0].values: "),
+        (lambda d: _topic(d)["emit"].update(confirm="food"), SchemaError,
+         "$.domains[0].topics[0].emit.confirm: "),
+        (lambda d: _topic(d).update(slots={}), SchemaError, "$.domains[0].topics[0].slots: "),
+        (lambda d: d["domains"][0].update(topics="book"), SchemaError, "$.domains[0].topics: "),
+        (lambda d: _topic(d).update(emit=[]), SchemaError, "$.domains[0].topics[0].emit: "),
+        (lambda d: d.update(generation=[]), SchemaError, "$.generation: "),
+        (lambda d: d["domains"].append(d["domains"][0]), ValidationError,
+         "duplicate domain names"),
+        (lambda d: d.update(domains={}), SchemaError, "$.domains: "),
+        (lambda d: [d], SchemaError, "top level must be an object"),
+    ],
+    ids=["non-string-name", "slot-not-object", "topic-not-object", "domain-not-object",
+         "values-not-list", "emit-list-not-list", "slots-not-list", "topics-not-list",
+         "emit-not-object", "generation-not-object", "duplicate-domains", "domains-not-list",
+         "top-level-not-object"],
+)
+def test_malformed_ontology_names_file_and_path(edit, error, where, tmp_path):
+    """``edit`` changes MINI_DOC in place or returns a document to replace it."""
+    doc = json.loads(json.dumps(MINI_DOC))
+    replaced = edit(doc)
+    path = tmp_path / "ont.json"
+    path.write_text(json.dumps(doc if replaced is None else replaced))
+    with pytest.raises(error, match=f"^{re.escape(f'{path}: {where}')}"):
+        load_ontology_file(path)
 
 
 def test_malformed_json_rejected():

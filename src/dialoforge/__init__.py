@@ -27,7 +27,6 @@ from .injection import (  # noqa: F401
     PerturbationRecord,
     PerturbMode,
     inject_errors,
-    perturb_label,
     revert_errors,
 )
 from .harness import (  # noqa: F401

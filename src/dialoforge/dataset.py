@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
@@ -18,7 +18,7 @@ from .engine import (
     split_counts,
 )
 from .errors import DialoforgeError, SchemaError, ValidationError
-from .ontology import Ontology, _expect_int, _expect_keys
+from .ontology import Ontology, check_object
 
 SPLIT_NAMES = ("train", "val", "test")
 FORMAT_VERSION = 2  # of a dataset's manifest.json; read_dataset accepts no other
@@ -216,65 +216,61 @@ def write_generated(
     return sizes
 
 
+# Key tables of a dataset manifest; other keys (the tool's name and version, an
+# injection's settings) may ride along at its top level only.
+_MANIFEST_KEYS = {
+    "format": "string", "version": "integer", "ontology_hash": "string", "config": "object",
+    "seed": "integer", "splits": "object", "n_dialogues": "integer",
+}
+_CONFIG_KEYS = {  # one per GeneratorConfig field
+    "n_dialogues": "integer", "seed": "integer", "split_fractions": "list of numbers",
+    **dict.fromkeys(("p_chitchat", "p_mind_change", "p_domain_change"), "number"),
+}
+_SPLITS_KEYS = dict.fromkeys(SPLIT_NAMES, "integer")
+
+
 def read_dataset(indir) -> Dataset:
     path = Path(indir)
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise SchemaError(f"no manifest.json in {path}")
-    manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict) or manifest.get("format") != "dialoforge-dataset":
-        raise SchemaError(
-            f"{manifest_path}: not a dataset manifest (format is not 'dialoforge-dataset')"
-        )
-    missing = [
-        key for key in ("version", "ontology_hash", "config", "seed", "splits", "n_dialogues")
-        if key not in manifest
-    ]
-    if missing:
-        raise SchemaError(f"{manifest_path}: missing field(s) {missing}")
-    for key in ("version", "seed", "n_dialogues"):
-        _expect_int(manifest[key], f"{manifest_path}: {key}")
+    where = f"{manifest_path}: $"
+    manifest = check_object(read_json(manifest_path), where, _MANIFEST_KEYS, extra=True)
+    if manifest["format"] != "dialoforge-dataset":
+        raise SchemaError(f"{where}.format: {manifest['format']!r} is not 'dialoforge-dataset'")
     if manifest["version"] != FORMAT_VERSION:
-        raise SchemaError(f"{manifest_path}: version {manifest['version']} is not {FORMAT_VERSION}")
-    raw_config = manifest["config"]
-    if not isinstance(raw_config, dict):
-        raise SchemaError(f"{manifest_path}: config: must be an object")
-    _expect_keys(raw_config, f"{manifest_path}: config", [f.name for f in fields(GeneratorConfig)])
-    try:
-        config = GeneratorConfig.from_dict(raw_config)
-    except ValidationError as exc:
-        raise ValidationError(f"{manifest_path}: config: {exc}") from None
-    except TypeError as exc:  # a value of the wrong type
-        raise SchemaError(f"{manifest_path}: config: {exc}") from None
-    if manifest["seed"] != config.seed:
         raise SchemaError(
-            f"{manifest_path}: seed {manifest['seed']!r} differs from config.seed {config.seed}"
+            f"{where}.version: format version {manifest['version']} is not {FORMAT_VERSION}"
         )
-    claimed = manifest["splits"]
-    if not isinstance(claimed, dict) or claimed.keys() != set(SPLIT_NAMES):
-        raise SchemaError(f"{manifest_path}: splits: must map {list(SPLIT_NAMES)} to counts")
-    for split in SPLIT_NAMES:
-        _expect_int(claimed[split], f"{manifest_path}: splits.{split}")
+    try:
+        config = GeneratorConfig.from_dict(
+            check_object(manifest["config"], f"{where}.config", _CONFIG_KEYS)
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{where}.config: {exc}") from None
+    if manifest["seed"] != config.seed:
+        raise SchemaError(f"{where}.seed: {manifest['seed']} differs from config.seed")
+    claimed = check_object(manifest["splits"], f"{where}.splits", _SPLITS_KEYS)
     splits: dict[str, list[Dialogue]] = {}
     for split in SPLIT_NAMES:
         fp = path / f"{split}.jsonl"
         splits[split] = read_jsonl(fp, Dialogue.from_dict) if fp.exists() else []
         if claimed[split] != len(splits[split]):
             raise SchemaError(
-                f"{manifest_path}: splits.{split} is {claimed[split]!r}, "
-                f"but {fp} holds {len(splits[split])} dialogues"
+                f"{where}.splits.{split}: {claimed[split]} differs from the "
+                f"{len(splits[split])} dialogues in {fp}"
             )
     dataset = Dataset(splits=splits, ontology_hash=manifest["ontology_hash"], config=config)
     if manifest["n_dialogues"] != dataset.n_dialogues:
         raise SchemaError(
-            f"{manifest_path}: n_dialogues is {manifest['n_dialogues']!r}, "
-            f"but the split files hold {dataset.n_dialogues}"
+            f"{where}.n_dialogues: {manifest['n_dialogues']} differs from the "
+            f"{dataset.n_dialogues} dialogues in the split files"
         )
     sizes = [claimed[split] for split in SPLIT_NAMES]
     expected = list(split_counts(config.n_dialogues, config.split_fractions))
     if sizes != expected:
         raise SchemaError(
-            f"{manifest_path}: config: n_dialogues {config.n_dialogues!r} and split_fractions "
+            f"{where}.config: n_dialogues {config.n_dialogues} and split_fractions "
             f"{list(config.split_fractions)} give split sizes {expected}, but splits holds {sizes}"
         )
     return dataset

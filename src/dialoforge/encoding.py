@@ -30,15 +30,13 @@ from .ontology import (
     IntentKind,
     Ontology,
     UNK_TOKEN,
-    _expect_int,
-    _expect_keys,
+    check_object,
     parse_action_id,
 )
 
 # The depth flag, then one bit per Phase in the enum's order.
 MANAGEMENT_FIELDS = ("stack_depth_gt1", *(f"phase_{phase.value}" for phase in Phase))
 _PHASE_OFFSET = {phase: i for i, phase in enumerate(Phase, 1)}
-_LAYOUT_LISTS = ("slot_keys", "intents", "actions")
 
 
 @dataclass(frozen=True)
@@ -256,25 +254,19 @@ def _write_csv(path, layout: StateLayout, states: np.ndarray, targets: np.ndarra
             fh.write(",".join(str(int(v)) for v in trow) + "\n")
 
 
+_LAYOUT_KEYS = {
+    **dict.fromkeys(("version", "state_width", "target_width"), "integer"),
+    **dict.fromkeys(("slot_keys", "intents", "actions", "management"), "list of strings"),
+    "ontology_hash": "string",
+}
+
+
 def _read_layout(path: Path) -> StateLayout:
     """layout.json, with its shape checked and every value it derives from the
     slot keys and actions (the intents, the management bits, the widths) equal
     to what they give; errors name the file and the key."""
-    obj = read_json(path)
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: top level must be an object")
-    _expect_keys(
-        obj,
-        str(path),
-        (*_LAYOUT_LISTS, "version", "management", "state_width", "target_width", "ontology_hash"),
-    )
-    for key in _LAYOUT_LISTS:
-        if not isinstance(obj[key], list) or not all(isinstance(v, str) for v in obj[key]):
-            raise SchemaError(f"{path}: {key}: must be a list of strings")
-    if not isinstance(obj["ontology_hash"], str):
-        raise SchemaError(f"{path}: ontology_hash: must be a string")
-    for key in ("version", "state_width", "target_width"):
-        _expect_int(obj[key], f"{path}: {key}")
+    where = f"{path}: $"
+    obj = check_object(read_json(path), where, _LAYOUT_KEYS)
     layout = StateLayout(
         slot_keys=tuple(obj["slot_keys"]),
         actions=tuple(obj["actions"]),
@@ -282,7 +274,7 @@ def _read_layout(path: Path) -> StateLayout:
     )
     for key, value in layout.to_dict().items():
         if obj[key] != value:
-            raise SchemaError(f"{path}: {key} is {obj[key]!r}, expected {value!r}")
+            raise SchemaError(f"{where}.{key}: {obj[key]!r} differs from the expected {value!r}")
     return layout
 
 

@@ -15,8 +15,8 @@ from typing import Iterable, Optional
 
 from .dataset import Dataset, read_jsonl, write_jsonl
 from .engine import DialogueTurn, UserAct
-from .errors import DialoforgeError, ValidationError
-from .ontology import IntentKind, Ontology, UNK_TOKEN
+from .errors import ValidationError
+from .ontology import IntentKind, Ontology, UNK_TOKEN, check_object
 from .rng import derive_seed
 
 
@@ -49,6 +49,12 @@ class ErrorConfig:
             raise ValidationError("mode_weights must be non-negative, not both zero")
 
 
+_RECORD_KEYS = {
+    **dict.fromkeys(("dialogue_id", "element", "original", "new", "mode"), "string"),
+    **dict.fromkeys(("turn_index", "index"), "integer"),
+}
+
+
 @dataclass(frozen=True)
 class PerturbationRecord:
     dialogue_id: str
@@ -64,30 +70,8 @@ class PerturbationRecord:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PerturbationRecord":
-        return cls(
-            dialogue_id=obj["dialogue_id"],
-            turn_index=obj["turn_index"],
-            element=ElementKind(obj["element"]),
-            index=obj["index"],
-            original=obj["original"],
-            new=obj["new"],
-            mode=PerturbMode(obj["mode"]),
-        )
-
-
-def perturb_label(
-    label: str,
-    catalog: list[str],
-    rng: random.Random,
-    mode: PerturbMode,
-) -> str:
-    """Replace one label: uniform draw from catalog minus the label, or UNK."""
-    if mode is PerturbMode.UNK:
-        return UNK_TOKEN
-    candidates = [c for c in catalog if c != label]
-    if len(catalog) < 2 or not candidates:
-        raise DialoforgeError(f"relabeling needs >= 2 candidates, catalog has {len(catalog)}")
-    return rng.choice(candidates)
+        check_object(obj, "$", _RECORD_KEYS)
+        return cls(**dict(obj, element=ElementKind(obj["element"]), mode=PerturbMode(obj["mode"])))
 
 
 def _draw_mode(rng: random.Random, weights: tuple[float, float]) -> PerturbMode:
@@ -132,12 +116,7 @@ def _relabel(turn: DialogueTurn, kind: ElementKind, index: int, label: str) -> N
         return
     old = turn.user_acts[index]
     act = UserAct.__new__(UserAct)
-    if kind is ElementKind.INTENT:
-        act.kind = _INTENT_KIND.get(label)
-        if act.kind is None:
-            raise ValidationError(f"intent kind {label!r} is not in the catalog")
-    else:
-        act.kind = old.kind
+    act.kind = _INTENT_KIND[label] if kind is ElementKind.INTENT else old.kind
     act.domain = old.domain
     act.topic = old.topic
     act.slot = label if kind is ElementKind.SLOT else old.slot
@@ -161,7 +140,11 @@ def _apply(dataset: Dataset, edits: Iterable[tuple[PerturbationRecord, str, str]
         if turns is None:
             turns = changed[rec.dialogue_id] = list(turns_by_id.get(rec.dialogue_id, []))
         turn = turns[rec.turn_index] if 0 <= rec.turn_index < len(turns) else None
-        if turn is None or _label_at(turn, rec.element, rec.index) != old:
+        if (
+            turn is None
+            or _label_at(turn, rec.element, rec.index) != old
+            or (rec.element is ElementKind.INTENT and new not in _INTENT_KIND)
+        ):
             raise ValidationError(f"record does not match dataset: {rec}")
         if turn is turns_by_id[rec.dialogue_id][rec.turn_index]:  # not yet copied
             turn = turns[rec.turn_index] = DialogueTurn(
@@ -192,7 +175,7 @@ def inject_errors(
     if splits not in ("all", "train"):
         raise ValidationError("splits must be 'all' or 'train'")
     # Per lane, every known label (the catalog plus UNK) maps to the catalog
-    # minus that label: the list perturb_label would build for it.  Per turn,
+    # minus that label, the list a relabel draws from uniformly.  Per turn,
     # intents are drawn before slots before actions: this order defines the
     # RNG stream of a seed.
     lanes = []

@@ -245,46 +245,79 @@ def _require(cond: bool, path: str, msg: str) -> None:
         raise ValidationError(f"{path}: {msg}")
 
 
-def _check_ident(value: object, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{path}: expected string, got {type(value).__name__}")
-    if not IDENT_RE.match(value):
-        raise ValidationError(
-            f"{path}: identifier {value!r} must match [a-z0-9_]{{1,32}}"
-        )
+def _check_ident(value: str, path: str) -> str:
+    _require(
+        bool(IDENT_RE.match(value)), path, f"identifier {value!r} must match [a-z0-9_]{{1,32}}"
+    )
     return value
 
 
-def _expect_keys(obj: dict, path: str, required: Iterable[str], optional: Iterable[str] = ()) -> None:
-    req, opt = set(required), set(optional)
-    missing = req - obj.keys()
+# The JSON type each name in a key table stands for; "list of <name>s" is a
+# list whose every item has that type.  Python counts a bool as an int, so a
+# JSON true or false is neither an integer nor a number here.
+_JSON_TYPES = {
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "object": lambda v: isinstance(v, dict),
+    "list": lambda v: isinstance(v, list),
+}
+
+
+def _shown(value: object) -> str:
+    """A JSON value as an error message quotes it: a container by its kind."""
+    if isinstance(value, (dict, list)):
+        return "an object" if isinstance(value, dict) else "a list"
+    return json.dumps(value)
+
+
+def _check_type(value: object, path: str, type_name: str) -> None:
+    if type_name.startswith("list of "):
+        _check_type(value, path, "list")
+        for i, item in enumerate(value):
+            _check_type(item, f"{path}[{i}]", type_name[len("list of ") : -1])
+    elif not _JSON_TYPES[type_name](value):
+        article = "an" if type_name[0] in "aeiou" else "a"
+        raise SchemaError(f"{path}: must be {article} {type_name}, got {_shown(value)}")
+
+
+def check_object(
+    obj: object, path: str, keys: dict, optional: dict = {}, extra: bool = False
+) -> dict:
+    """The one shape and type check of a JSON object read from a file: ``obj``
+    is an object that holds every key of ``keys`` and may hold those of
+    ``optional``, each of the type its table names (see ``_JSON_TYPES``), and
+    no other key unless ``extra``.  ``path`` is its JSON path, which a file's
+    reader prefixes with the file's name; every error is a ``SchemaError``
+    that starts with the path of the offending value.  Returns ``obj``.
+    """
+    _check_type(obj, path, "object")
+    missing = keys.keys() - obj.keys()
     if missing:
         raise SchemaError(f"{path}: missing key(s) {sorted(missing)}")
-    unknown = obj.keys() - req - opt
-    if unknown:
+    unknown = obj.keys() - keys.keys() - optional.keys()
+    if unknown and not extra:
         raise SchemaError(f"{path}: unknown key(s) {sorted(unknown)}")
+    for key, type_name in (*keys.items(), *optional.items()):
+        if key in obj:
+            _check_type(obj[key], f"{path}.{key}", type_name)
+    return obj
 
 
-def _expect_int(value: object, path: str) -> None:
-    """A JSON integer: an int that is not a bool, which Python counts as one."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{path}: must be an integer, got {value!r}")
+_SLOT_KEYS = {"name": "string", "category": "string", "values": "list of strings"}
+_EMIT_KEYS = dict.fromkeys(("request", "confirm", "inform"), "list of strings")
 
 
 def _parse_slot(obj: object, path: str) -> SlotSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: slot must be an object")
-    _expect_keys(obj, path, ("name", "category", "values"))
+    check_object(obj, path, _SLOT_KEYS)
     name = _check_ident(obj["name"], f"{path}.name")
     try:
         category = SlotCategory(obj["category"])
-    except (ValueError, TypeError):
+    except ValueError:
         raise SchemaError(
             f"{path}.category: must be one of mandatory/desired/optional"
         ) from None
     values = obj["values"]
-    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-        raise SchemaError(f"{path}.values: must be a list of strings")
     _require(len(values) >= 1, f"{path}.values", "needs at least one value")
     _require(len(set(values)) == len(values), f"{path}.values", "values must be unique")
     for i, v in enumerate(values):
@@ -292,24 +325,10 @@ def _parse_slot(obj: object, path: str) -> SlotSpec:
     return SlotSpec(name=name, category=category, values=tuple(values))
 
 
-def _parse_emit_list(obj: dict, key: str, path: str) -> Optional[frozenset[str]]:
-    if key not in obj:
-        return None
-    lst = obj[key]
-    if not isinstance(lst, list) or not all(isinstance(v, str) for v in lst):
-        raise SchemaError(f"{path}.{key}: must be a list of slot names")
-    return frozenset(lst)
-
-
 def _parse_topic(obj: object, path: str) -> TopicSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: topic must be an object")
-    _expect_keys(obj, path, ("name", "slots"), ("emit",))
+    check_object(obj, path, {"name": "string", "slots": "list"}, {"emit": "object"})
     name = _check_ident(obj["name"], f"{path}.name")
-    raw_slots = obj["slots"]
-    if not isinstance(raw_slots, list):
-        raise SchemaError(f"{path}.slots: must be a list")
-    slots = tuple(_parse_slot(s, f"{path}.slots[{i}]") for i, s in enumerate(raw_slots))
+    slots = tuple(_parse_slot(s, f"{path}.slots[{i}]") for i, s in enumerate(obj["slots"]))
     _require(len(slots) >= 1, path, f"topic {name!r} has no slots")
     names = [s.name for s in slots]
     _require(len(set(names)) == len(names), path, f"duplicate slot names in topic {name!r}")
@@ -320,14 +339,12 @@ def _parse_topic(obj: object, path: str) -> TopicSpec:
     mandatory = [s.name for s in slots if s.category is SlotCategory.MANDATORY]
     _require(bool(mandatory), path, f"topic {name!r} has no mandatory slot")
 
-    emit = obj.get("emit", {})
-    if not isinstance(emit, dict):
-        raise SchemaError(f"{path}.emit: must be an object")
-    _expect_keys(emit, f"{path}.emit", (), ("request", "confirm", "inform"))
-    request = _parse_emit_list(emit, "request", f"{path}.emit")
-    confirm = _parse_emit_list(emit, "confirm", f"{path}.emit") or frozenset()
-    inform = _parse_emit_list(emit, "inform", f"{path}.emit") or frozenset()
-    if request is None:
+    emit = check_object(obj.get("emit", {}), f"{path}.emit", {}, _EMIT_KEYS)
+    confirm = frozenset(emit.get("confirm", ()))
+    inform = frozenset(emit.get("inform", ()))
+    if "request" in emit:
+        request = frozenset(emit["request"])
+    else:
         # Default rule: the policy may ask for every mandatory and desired slot.
         request = frozenset(
             s.name
@@ -360,46 +377,38 @@ def _parse_topic(obj: object, path: str) -> TopicSpec:
 
 
 def _parse_domain(obj: object, path: str) -> DomainSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: domain must be an object")
-    _expect_keys(obj, path, ("name", "topics"))
+    check_object(obj, path, {"name": "string", "topics": "list"})
     name = _check_ident(obj["name"], f"{path}.name")
-    raw = obj["topics"]
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path}.topics: must be a list")
-    topics = tuple(_parse_topic(t, f"{path}.topics[{i}]") for i, t in enumerate(raw))
+    topics = tuple(_parse_topic(t, f"{path}.topics[{i}]") for i, t in enumerate(obj["topics"]))
     _require(len(topics) >= 1, path, f"domain {name!r} has no topics")
     tnames = [t.name for t in topics]
     _require(len(set(tnames)) == len(tnames), path, f"duplicate topic names in domain {name!r}")
     return DomainSpec(name=name, topics=topics)
 
 
-def _is_count(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _parse_generation(obj: object) -> dict:
     """Check the generation defaults; the dict itself is kept as written."""
     path = "$.generation"
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: must be an object")
-    _expect_keys(obj, path, (), ("n_dialogues", "split"))
-    if "n_dialogues" in obj and not (_is_count(obj["n_dialogues"]) and obj["n_dialogues"] > 0):
-        raise ValidationError(f"{path}.n_dialogues: must be a positive integer")
-    split = obj.get("split")
-    if "split" in obj and not (
-        isinstance(split, list) and len(split) == 3 and all(map(_is_count, split)) and sum(split) > 0
-    ):
-        raise ValidationError(f"{path}.split: must be three non-negative integers with a positive sum")
+    check_object(obj, path, {}, {"n_dialogues": "integer", "split": "list of integers"})
+    if "n_dialogues" in obj:
+        _require(obj["n_dialogues"] > 0, f"{path}.n_dialogues", "must be positive")
+    if "split" in obj:
+        split = obj["split"]
+        _require(
+            len(split) == 3 and min(split) >= 0 and sum(split) > 0,
+            f"{path}.split",
+            "must be three non-negative integers with a positive sum",
+        )
     return obj
 
 
 def build_ontology(domains: Iterable[DomainSpec], generation_defaults: Optional[dict] = None) -> Ontology:
     """Assemble an ontology from parsed domains with unique names."""
     domains = tuple(domains)
-    names = [d.name for d in domains]
-    if len(set(names)) != len(names):
-        raise ValidationError("duplicate domain names")
+    seen: set[str] = set()
+    for i, d in enumerate(domains):
+        _require(d.name not in seen, f"$.domains[{i}]", f"duplicate domain name {d.name!r}")
+        seen.add(d.name)
     return Ontology(domains=domains, generation_defaults=generation_defaults or {})
 
 
@@ -414,14 +423,9 @@ def load_ontology(source: str) -> Ontology:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
-    _expect_keys(doc, "$", ("domains",), ("generation",))
-    raw = doc["domains"]
-    if not isinstance(raw, list):
-        raise SchemaError("$.domains: must be a list")
-    _require(len(raw) >= 1, "$.domains", "needs at least one domain")
-    domains = [_parse_domain(d, f"$.domains[{i}]") for i, d in enumerate(raw)]
+    check_object(doc, "$", {"domains": "list"}, {"generation": "object"})
+    _require(len(doc["domains"]) >= 1, "$.domains", "needs at least one domain")
+    domains = [_parse_domain(d, f"$.domains[{i}]") for i, d in enumerate(doc["domains"])]
     return build_ontology(domains, _parse_generation(doc.get("generation", {})))
 
 

@@ -217,6 +217,12 @@ def _bool_seed(manifest: dict, dataset: Path) -> None:
     manifest["seed"] = True
 
 
+def _bool_config_seed(manifest: dict, dataset: Path) -> None:
+    # True == 1, so with the top-level seed 1 only the type is wrong.
+    manifest["config"]["seed"] = True
+    manifest["seed"] = 1
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -240,15 +246,21 @@ def _bool_seed(manifest: dict, dataset: Path) -> None:
         (lambda m, _: m.update(format="other"), "format"),
         (_set_version(1), "version 1"),
         (lambda m, _: m.update(config=[]), "config: must be an object"),
-        (lambda m, _: m["config"].update(n_dialogues="forty"), "config: "),
-        (lambda m, _: m.update(splits=[24, 8, 8]), "splits: must map"),
+        (lambda m, _: m["config"].update(n_dialogues="forty"),
+         "$.config.n_dialogues: must be an integer"),
+        (lambda m, _: m.update(splits=[24, 8, 8]), "$.splits: must be an object"),
+        (lambda m, _: m["config"].update(n_dialogues=float(m["config"]["n_dialogues"])),
+         "$.config.n_dialogues: must be an integer, got 40.0"),
+        (lambda m, _: m["config"].update(p_chitchat=True), "$.config.p_chitchat: must be a number"),
+        (_bool_config_seed, "$.config.seed: must be an integer, got true"),
     ],
     ids=["no-config", "no-ontology-hash", "unknown-config-key", "invalid-config-value",
          "splits-differ", "n-dialogues-differs", "seed-differs", "truncated-split-file",
          "float-split-count", "bool-seed", "tool-version-string", "bool-version",
          "no-version", "stack-depth-in-config", "config-n-dialogues-differs",
          "config-split-fractions-differ", "wrong-format", "int-version-not-2",
-         "config-not-object", "config-value-of-wrong-type", "splits-not-a-map"],
+         "config-not-object", "config-value-of-wrong-type", "splits-not-a-map",
+         "float-config-n-dialogues", "bool-config-p-chitchat", "bool-config-seed"],
 )
 def test_bad_dataset_manifest_names_file_and_field(edit, field, tiny_dataset, capsys):
     path = tiny_dataset / "manifest.json"

@@ -1,21 +1,23 @@
 from __future__ import annotations
 
 import dataclasses
-import random
+import json
+import re
 from collections import Counter
 
 import pytest
 
 from dialoforge.dataset import dumps_dialogue, generate_dataset
 from dialoforge.engine import GeneratorConfig
-from dialoforge.errors import DialoforgeError, ValidationError
+from dialoforge.errors import SchemaError, ValidationError
 from dialoforge.injection import (
     ElementKind,
     ErrorConfig,
     PerturbMode,
     inject_errors,
-    perturb_label,
+    read_records,
     revert_errors,
+    write_records,
 )
 from dialoforge.ontology import IntentKind, UNK_TOKEN
 
@@ -28,27 +30,25 @@ def _dataset_bytes(ds):
     return "".join(dumps_dialogue(d) for _, d in ds.iter_dialogues())
 
 
-def test_unk_substitution_is_constant():
-    rng = random.Random(0)
-    assert perturb_label("inform", list("abcdefghi"), rng, PerturbMode.UNK) == UNK_TOKEN
+def test_unk_substitution_is_constant(simple_ontology):
+    ds = _dataset(simple_ontology)
+    cfg = ErrorConfig(p_intent=1.0, p_action=1.0, p_slot=1.0, mode_weights=(0.0, 1.0), seed=3)
+    _, records = inject_errors(ds, simple_ontology, cfg)
+    assert {r.element for r in records} == set(ElementKind)
+    assert all(r.new == UNK_TOKEN and r.mode is PerturbMode.UNK for r in records)
 
 
-def test_relabel_uniform_over_other_labels():
-    catalog = [f"act_{i:02d}" for i in range(26)]
-    rng = random.Random(123)
-    counts = Counter(
-        perturb_label("act_00", catalog, rng, PerturbMode.RELABEL) for _ in range(100_000)
-    )
-    assert "act_00" not in counts
-    assert len(counts) == 25
-    for label, n in counts.items():
-        assert abs(n / 100_000 - 1 / 25) < 0.01
-
-
-def test_relabel_needs_two_candidates():
-    with pytest.raises(DialoforgeError, match="relabeling needs >= 2 candidates") as err:
-        perturb_label("only", ["only"], random.Random(0), PerturbMode.RELABEL)
-    assert type(err.value) is DialoforgeError
+def test_relabel_uniform_over_other_labels(hard_ontology):
+    ds = _dataset(hard_ontology, n=2000)
+    cfg = ErrorConfig(p_action=1.0, mode_weights=(1.0, 0.0), seed=5)
+    _, records = inject_errors(ds, hard_ontology, cfg)
+    original, n = Counter(r.original for r in records).most_common(1)[0]
+    counts = Counter(r.new for r in records if r.original == original)
+    others = [c for c in hard_ontology.action_catalog if c != original]
+    assert n >= 1000 and set(counts) == set(others)
+    expected = n / len(others)
+    chi2 = sum((counts[c] - expected) ** 2 / expected for c in others)
+    assert chi2 < 51.18  # the 0.999 quantile of chi-square with 24 degrees of freedom
 
 
 def test_zero_probability_is_identity(simple_ontology):
@@ -160,21 +160,36 @@ def test_revert_rejects_mismatched_record(simple_ontology, element):
     out, records = inject_errors(ds, simple_ontology, cfg)
     rec = records[0]
     n_turns = next(len(d.turns) for _, d in out.iter_dialogues() if d.id == rec.dialogue_id)
-    mismatch = "record does not match dataset"
     cases = [
-        (dataclasses.replace(rec, new="not-what-was-written"), mismatch),
-        (dataclasses.replace(rec, dialogue_id="no-such-dialogue"), mismatch),
-        (dataclasses.replace(rec, turn_index=n_turns), mismatch),  # one past the end
+        dataclasses.replace(rec, new="not-what-was-written"),
+        dataclasses.replace(rec, dialogue_id="no-such-dialogue"),
+        dataclasses.replace(rec, turn_index=n_turns),  # one past the end
         # same turn, from the end
-        (dataclasses.replace(rec, turn_index=rec.turn_index - n_turns), mismatch),
-        (dataclasses.replace(rec, index=99), mismatch),  # past the end of the act list
+        dataclasses.replace(rec, turn_index=rec.turn_index - n_turns),
+        dataclasses.replace(rec, index=99),  # past the end of the act list
     ]
     if element is ElementKind.INTENT:
-        cases.append((dataclasses.replace(rec, original="bogus"),
-                      "intent kind 'bogus' is not in the catalog"))
-    for bad, says in cases:
-        with pytest.raises(ValidationError, match=says):
+        cases.append(dataclasses.replace(rec, original="bogus"))  # no intent kind
+    for bad in cases:
+        says = f"record does not match dataset: {bad}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(says)}$"):
             revert_errors(out, [bad])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("turn_index", "3"), ("index", True), ("original", None), ("element", ["intent"])],
+)
+def test_record_of_the_wrong_type_names_file_line_and_key(simple_ontology, tmp_path, key, value):
+    _, records = inject_errors(_dataset(simple_ontology, n=10), simple_ontology,
+                               ErrorConfig(p_intent=1.0, seed=2))
+    path = tmp_path / "perturbations.jsonl"
+    write_records(records[:3], path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), key: value}) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:2: $.{key}: must be ')}"):
+        read_records(path)
 
 
 def test_relabeled_labels_stay_in_catalog(medium_ontology):

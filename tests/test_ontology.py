@@ -135,9 +135,9 @@ def _setitem(container, key, value):
         (lambda d: _topic(d).update(emit=[]), SchemaError, "$.domains[0].topics[0].emit: "),
         (lambda d: d.update(generation=[]), SchemaError, "$.generation: "),
         (lambda d: d["domains"].append(d["domains"][0]), ValidationError,
-         "duplicate domain names"),
+         "$.domains[1]: duplicate domain name 'restaurant'"),
         (lambda d: d.update(domains={}), SchemaError, "$.domains: "),
-        (lambda d: [d], SchemaError, "top level must be an object"),
+        (lambda d: [d], SchemaError, "$: must be an object"),
     ],
     ids=["non-string-name", "slot-not-object", "topic-not-object", "domain-not-object",
          "values-not-list", "emit-list-not-list", "slots-not-list", "topics-not-list",
@@ -175,7 +175,7 @@ def test_unknown_keys_rejected():
         ({"split": [3, 1]}, "$.generation.split"),
         ({"split": [0, 0, 0]}, "$.generation.split"),
         ({"split": [3, -1, 1]}, "$.generation.split"),
-        ({"split": [0.6, 0.2, 0.2]}, "$.generation.split"),
+        ({"split": [0.6, 0.2, 0.2]}, "$.generation.split[0]"),
         ({"n_dialogues": 10, "seed": 3}, "$.generation"),
     ],
     ids=["n-text", "n-zero", "n-bool", "split-two", "split-zero-sum", "split-negative",

@@ -21,6 +21,7 @@ Bernoulli draw, evaluated only if the previous ones did not fire.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -264,8 +265,10 @@ class GeneratorConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1]")
-        if len(self.split_fractions) != 3 or any(f < 0 for f in self.split_fractions):
-            raise ValidationError("split_fractions must be three non-negative numbers")
+        fractions = self.split_fractions
+        # A NaN fails the comparison.
+        if len(fractions) != 3 or not all(0 <= f < math.inf for f in fractions):
+            raise ValidationError("split_fractions must be three finite non-negative numbers")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValidationError("split_fractions must sum to 1")
 

@@ -12,7 +12,7 @@ import csv
 import math
 import zipfile
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -359,8 +359,11 @@ def robustness_sweep(
                 p_intent=rate, p_action=rate, p_slot=rate,
                 mode_weights=mode_weights, seed=inj_seed,
             )
+            # val is injected too, as each dialogue's stream follows from its
+            # position in the dataset, but only train and test are encoded.
             perturbed, _ = inject_errors(clean, ontology, err_cfg)
-            encoded = encode_dataset(perturbed, ontology)
+            scored = {split: perturbed.splits[split] for split in ("train", "test")}
+            encoded = encode_dataset(replace(perturbed, splits=scored), ontology)
             for kind in models:
                 model = train_model(kind, encoded.splits["train"], seed=inj_seed)
                 preds = predict(model, encoded.splits["test"][0])

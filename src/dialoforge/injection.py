@@ -8,13 +8,14 @@ reconstructed from the log.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional
 
 from .dataset import Dataset, read_jsonl, write_jsonl
-from .engine import DialogueTurn, UserAct
+from .engine import Dialogue, DialogueTurn, UserAct
 from .errors import ValidationError
 from .ontology import IntentKind, Ontology, UNK_TOKEN, check_object
 from .rng import derive_seed
@@ -45,8 +46,9 @@ class ErrorConfig:
             if not 0.0 <= p <= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1]")
         w_relabel, w_unk = self.mode_weights
-        if w_relabel < 0 or w_unk < 0 or w_relabel + w_unk == 0:
-            raise ValidationError("mode_weights must be non-negative, not both zero")
+        # A NaN fails both comparisons.
+        if not (0 <= w_relabel < math.inf and 0 <= w_unk < math.inf) or w_relabel + w_unk == 0:
+            raise ValidationError("mode_weights must be finite and non-negative, not both zero")
 
 
 _RECORD_KEYS = {
@@ -55,7 +57,7 @@ _RECORD_KEYS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PerturbationRecord:
     dialogue_id: str
     turn_index: int
@@ -66,7 +68,15 @@ class PerturbationRecord:
     mode: PerturbMode
 
     def to_dict(self) -> dict:
-        return dict(vars(self), element=self.element.value, mode=self.mode.value)
+        return {
+            "dialogue_id": self.dialogue_id,
+            "turn_index": self.turn_index,
+            "element": self.element.value,
+            "index": self.index,
+            "original": self.original,
+            "new": self.new,
+            "mode": self.mode.value,
+        }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PerturbationRecord":
@@ -74,24 +84,19 @@ class PerturbationRecord:
         return cls(**dict(obj, element=ElementKind(obj["element"]), mode=PerturbMode(obj["mode"])))
 
 
-def _draw_mode(rng: random.Random, weights: tuple[float, float]) -> PerturbMode:
+def _draw(
+    rng: random.Random, weights: tuple[float, float], candidates: list[str]
+) -> tuple[str, PerturbMode]:
+    """The new label and mode of a label whose Bernoulli draw hit: the mode
+    draw, then for a relabel a uniform choice among ``candidates``."""
     w_relabel, w_unk = weights
     if rng.random() * (w_relabel + w_unk) < w_relabel:
-        return PerturbMode.RELABEL
-    return PerturbMode.UNK
+        return rng.choice(candidates), PerturbMode.RELABEL
+    return UNK_TOKEN, PerturbMode.UNK
 
 
 _INTENT_LABEL = {kind: kind.value for kind in IntentKind}
 _INTENT_KIND = {kind.value: kind for kind in IntentKind}
-
-
-def _labels(turn: DialogueTurn, kind: ElementKind) -> Iterable[tuple[int, str]]:
-    """(index, label) of every label of one kind in a turn."""
-    if kind is ElementKind.INTENT:
-        return enumerate([_INTENT_LABEL[act.kind] for act in turn.user_acts])
-    if kind is ElementKind.SLOT:
-        return [(i, act.slot) for i, act in enumerate(turn.user_acts) if act.slot is not None]
-    return enumerate(turn.system_acts)
 
 
 def _label_at(turn: DialogueTurn, kind: ElementKind, index: int) -> Optional[str]:
@@ -106,11 +111,11 @@ def _label_at(turn: DialogueTurn, kind: ElementKind, index: int) -> Optional[str
 
 
 def _relabel(turn: DialogueTurn, kind: ElementKind, index: int, label: str) -> None:
-    """Make one label of a turn that ``_apply`` copied read ``label``.  A user
-    act is replaced, never changed in place.  The new act is built attribute by
-    attribute in the order of ``UserAct.from_dict``, so that it keeps the
-    instance-dict layout every other act shares, and like ``from_dict`` it does
-    not check that a noisy kind fits its slot and value."""
+    """Make one label of a turn that ``_write_turn`` copied read ``label``.  A
+    user act is replaced, never changed in place.  The new act is built
+    attribute by attribute in the order of ``UserAct.from_dict``, so that it
+    keeps the instance-dict layout every other act shares, and like
+    ``from_dict`` it does not check that a noisy kind fits its slot and value."""
     if kind is ElementKind.ACTION:
         turn.system_acts[index] = label
         return
@@ -124,35 +129,31 @@ def _relabel(turn: DialogueTurn, kind: ElementKind, index: int, label: str) -> N
     turn.user_acts[index] = act
 
 
-def _apply(dataset: Dataset, edits: Iterable[tuple[PerturbationRecord, str, str]]) -> Dataset:
-    """The one writer of labels: a new dataset in which each ``(record, old, new)``
-    edit turns the addressed label from ``old`` into ``new``. An edited turn is
-    copied once, at its first edit; untouched dialogues and turns are the
-    input's own objects, so no code may mutate a built dialogue."""
+def _write_turn(turn: DialogueTurn, edits: Iterable[tuple[ElementKind, int, str]]) -> DialogueTurn:
+    """The one writer of labels: a copy of ``turn`` in which each ``(kind,
+    index, label)`` edit, in order, makes the addressed label read ``label``.
+    The input turn is left as it was, so no code mutates a built dialogue."""
+    copy = DialogueTurn(list(turn.user_acts), list(turn.system_acts), turn.event)
+    for kind, index, label in edits:
+        _relabel(copy, kind, index, label)
+    return copy
+
+
+def _turns_by_id(dataset: Dataset) -> dict[str, list[DialogueTurn]]:
+    """The turn list of each dialogue id; the log addresses dialogues by id."""
     turns_by_id: dict[str, list[DialogueTurn]] = {}
     for _, dlg in dataset.iter_dialogues():
         if dlg.id in turns_by_id:
             raise ValidationError(f"dialogue id {dlg.id!r} is repeated; the log needs unique ids")
         turns_by_id[dlg.id] = dlg.turns
-    changed: dict[str, list[DialogueTurn]] = {}  # the new turn list of each edited dialogue
-    for rec, old, new in edits:
-        turns = changed.get(rec.dialogue_id)
-        if turns is None:
-            turns = changed[rec.dialogue_id] = list(turns_by_id.get(rec.dialogue_id, []))
-        turn = turns[rec.turn_index] if 0 <= rec.turn_index < len(turns) else None
-        if (
-            turn is None
-            or _label_at(turn, rec.element, rec.index) != old
-            or (rec.element is ElementKind.INTENT and new not in _INTENT_KIND)
-        ):
-            raise ValidationError(f"record does not match dataset: {rec}")
-        if turn is turns_by_id[rec.dialogue_id][rec.turn_index]:  # not yet copied
-            turn = turns[rec.turn_index] = DialogueTurn(
-                list(turn.user_acts), list(turn.system_acts), turn.event
-            )
-        _relabel(turn, rec.element, rec.index, new)
+    return turns_by_id
+
+
+def _with_turns(dataset: Dataset, changed: dict[str, list[DialogueTurn]]) -> Dataset:
+    """A new dataset in which each dialogue id of ``changed`` has the turn list
+    given there; every other dialogue is the input's own object."""
     splits = {
-        split: [replace(d, turns=changed[d.id]) if d.id in changed else d for d in dialogues]
+        split: [Dialogue(d.id, d.seed, changed[d.id]) if d.id in changed else d for d in dialogues]
         for split, dialogues in dataset.splits.items()
     }
     return replace(dataset, splits=splits)
@@ -175,10 +176,8 @@ def inject_errors(
     if splits not in ("all", "train"):
         raise ValidationError("splits must be 'all' or 'train'")
     # Per lane, every known label (the catalog plus UNK) maps to the catalog
-    # minus that label, the list a relabel draws from uniformly.  Per turn,
-    # intents are drawn before slots before actions: this order defines the
-    # RNG stream of a seed.
-    lanes = []
+    # minus that label, the list a relabel draws from uniformly.
+    others = {}
     for kind, catalog, p in (
         (ElementKind.INTENT, list(ontology.intent_catalog), cfg.p_intent),
         (ElementKind.SLOT, ontology.all_slot_names(), cfg.p_slot),
@@ -189,34 +188,100 @@ def inject_errors(
                 f"p_{kind.value} is {p} and relabeling is on, but the {kind.value} "
                 f"catalog has {len(catalog)} label(s); relabeling needs >= 2"
             )
-        others = {label: [c for c in catalog if c != label] for label in [*catalog, UNK_TOKEN]}
-        lanes.append((kind, others, p))
+        others[kind] = {
+            label: [c for c in catalog if c != label] for label in [*catalog, UNK_TOKEN]
+        }
+    # The intent catalog is every IntentKind, so only slots and actions can
+    # hold a label outside their catalog.
+    intent_others = others[ElementKind.INTENT]
+    slot_others = others[ElementKind.SLOT]
+    action_others = others[ElementKind.ACTION]
+    weights = cfg.mode_weights
+    any_p = cfg.p_intent > 0 or cfg.p_slot > 0 or cfg.p_action > 0
 
     records: list[PerturbationRecord] = []
+    changed: dict[str, list[DialogueTurn]] = {}  # the new turn list of each edited dialogue
     for ordinal, (split, dlg) in enumerate(dataset.iter_dialogues()):
-        noisy = splits == "all" or split == "train"
+        noisy = any_p and (splits == "all" or split == "train")
         rng = random.Random(derive_seed(cfg.seed, ordinal)) if noisy else None
+        p_intent, p_slot, p_action = (
+            (cfg.p_intent, cfg.p_slot, cfg.p_action) if noisy else (0.0, 0.0, 0.0)
+        )
+        new_turns = None
         for ti, turn in enumerate(dlg.turns):
-            for kind, others, p in lanes:
-                draw = noisy and p > 0
-                for index, label in _labels(turn, kind):
-                    candidates = others.get(label)
-                    if candidates is None:
-                        raise ValidationError(f"{dlg.id} turn {ti}: {kind.value} {label!r}")
-                    if not draw or rng.random() >= p:
-                        continue
-                    mode = _draw_mode(rng, cfg.mode_weights)
-                    new = UNK_TOKEN if mode is PerturbMode.UNK else rng.choice(candidates)
+            # One walk per turn: intents, then slots, then actions, and per
+            # label a Bernoulli draw, then on a hit the mode draw and the
+            # relabel choice.  This order defines the RNG stream of a seed.
+            first = len(records)
+            for index, act in enumerate(turn.user_acts):
+                if p_intent and rng.random() < p_intent:
+                    label = _INTENT_LABEL[act.kind]
+                    new, mode = _draw(rng, weights, intent_others[label])
                     if new != label:
-                        records.append(
-                            PerturbationRecord(dlg.id, ti, kind, index, label, new, mode)
-                        )
-    return _apply(dataset, ((r, r.original, r.new) for r in records)), records
+                        records.append(PerturbationRecord(
+                            dlg.id, ti, ElementKind.INTENT, index, label, new, mode
+                        ))
+            for index, act in enumerate(turn.user_acts):
+                label = act.slot
+                if label is None:
+                    continue
+                if label not in slot_others:
+                    raise ValidationError(f"{dlg.id} turn {ti}: slot {label!r}")
+                if p_slot and rng.random() < p_slot:
+                    new, mode = _draw(rng, weights, slot_others[label])
+                    if new != label:
+                        records.append(PerturbationRecord(
+                            dlg.id, ti, ElementKind.SLOT, index, label, new, mode
+                        ))
+            for index, label in enumerate(turn.system_acts):
+                if label not in action_others:
+                    raise ValidationError(f"{dlg.id} turn {ti}: action {label!r}")
+                if p_action and rng.random() < p_action:
+                    new, mode = _draw(rng, weights, action_others[label])
+                    if new != label:
+                        records.append(PerturbationRecord(
+                            dlg.id, ti, ElementKind.ACTION, index, label, new, mode
+                        ))
+            if len(records) > first:
+                if new_turns is None:
+                    new_turns = changed[dlg.id] = list(dlg.turns)
+                new_turns[ti] = _write_turn(
+                    turn, [(r.element, r.index, r.new) for r in records[first:]]
+                )
+    _turns_by_id(dataset)  # the log needs unique dialogue ids
+    return _with_turns(dataset, changed), records
 
 
 def revert_errors(dataset: Dataset, records: list[PerturbationRecord]) -> Dataset:
-    """Undo a perturbation pass, restoring the original dataset exactly."""
-    return _apply(dataset, ((r, r.new, r.original) for r in records))
+    """Undo a perturbation pass, restoring the original dataset exactly.
+
+    Each record must find its ``new`` label where it points, as the records
+    before it in the log left that label, else the log is rejected."""
+    turns_by_id = _turns_by_id(dataset)
+    # The edits of each (dialogue id, turn index), in log order.
+    edits: dict[tuple[str, int], list[tuple[ElementKind, int, str]]] = {}
+    for rec in records:
+        turns = turns_by_id.get(rec.dialogue_id, [])
+        turn = turns[rec.turn_index] if 0 <= rec.turn_index < len(turns) else None
+        label = None if turn is None else _label_at(turn, rec.element, rec.index)
+        turn_edits = edits.setdefault((rec.dialogue_id, rec.turn_index), [])
+        for kind, index, written in turn_edits:
+            if kind is rec.element and index == rec.index:
+                label = written
+        if (
+            label is None
+            or label != rec.new
+            or (rec.element is ElementKind.INTENT and rec.original not in _INTENT_KIND)
+        ):
+            raise ValidationError(f"record does not match dataset: {rec}")
+        turn_edits.append((rec.element, rec.index, rec.original))
+    changed: dict[str, list[DialogueTurn]] = {}
+    for (dialogue_id, ti), turn_edits in edits.items():
+        turns = turns_by_id[dialogue_id]
+        if dialogue_id not in changed:
+            changed[dialogue_id] = list(turns)
+        changed[dialogue_id][ti] = _write_turn(turns[ti], turn_edits)
+    return _with_turns(dataset, changed)
 
 
 def write_records(records: list[PerturbationRecord], path) -> None:

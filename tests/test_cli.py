@@ -788,6 +788,8 @@ def test_generate_records_split_fractions(tmp_path):
     [
         (None, ["generate", "--preset", "simple", "--split-fractions", "0.5,0.5",
                 "--out", "{tmp}/out"], 1, "--split-fractions"),
+        (None, ["generate", "--preset", "simple", "--dialogues", "10", "--split-fractions",
+                "nan,0.5,0.5", "--out", "{tmp}/out"], 1, "split_fractions must be three finite"),
         (_encode, ["train", "--model", "memorizer", "--in", "{ds}/encoded",
                    "--out", "{tmp}/m.npz"], 0, None),
         (_encode_and_train, ["eval", "--model", "{tmp}/m.npz", "--in", "{ds}/encoded"], 0, None),
@@ -800,8 +802,8 @@ def test_generate_records_split_fractions(tmp_path):
         (_bogus_action_in_first_train_dialogue, ["encode", "--in", "{ds}"], 1,
          "train/dlg000000: action 'restaurant-CONFIRM-bogus' is not in the catalog"),
     ],
-    ids=["two-split-fractions", "train-in-encoded", "eval-in-encoded",
-         "train-unencoded", "eval-bogus-split", "encode-without-ontology",
+    ids=["two-split-fractions", "nan-split-fraction", "train-in-encoded",
+         "eval-in-encoded", "train-unencoded", "eval-bogus-split", "encode-without-ontology",
          "encode-action-outside-catalog"],
 )
 def test_cli_path(prepare, argv, code, says, tiny_dataset, tmp_path, capsys):

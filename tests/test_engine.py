@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
@@ -139,6 +140,16 @@ def test_generator_config_validation():
         GeneratorConfig(p_chitchat=1.5)
     with pytest.raises(ValidationError):
         GeneratorConfig(split_fractions=(0.5, 0.2, 0.2))
+
+
+@pytest.mark.parametrize(
+    "fractions",
+    [(math.nan, 0.5, 0.5), (math.inf, 0.5, 0.5), (0.5, 0.5, -math.inf)],
+    ids=["nan", "inf", "minus-inf"],
+)
+def test_non_finite_split_fraction_rejected(fractions):
+    with pytest.raises(ValidationError, match="^split_fractions must be three finite"):
+        GeneratorConfig(split_fractions=fractions)
 
 
 # -- sample_user_turn --------------------------------------------------------

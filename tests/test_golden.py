@@ -122,6 +122,86 @@ SWEEP_GOLDEN = {
     },
 }
 
+# inject runs on the chain's clean dataset (seed 37) that the mixed 0.3 run
+# does not reach: certain relabels, near-certain UNKs, and action noise on the
+# train split only.
+INJECT_VARIANTS = {
+    "relabel": ["--p-intent", "1", "--p-action", "1", "--p-slot", "1", "--mode", "relabel"],
+    "unk": ["--p-intent", "0.9", "--p-action", "0.9", "--p-slot", "0.9", "--mode", "unk"],
+    "train-actions": ["--p-action", "0.5", "--splits", "train"],
+}
+VARIANT_PINNED = ("train.jsonl", "val.jsonl", "test.jsonl", "perturbations.jsonl")
+VARIANT_GOLDEN = {
+    "simple": {
+        "relabel": {
+            "train.jsonl": "6388a43b8be238d35cb6ee5c8288fe81f6e8f97d42f7319e4740eb30509e0424",
+            "val.jsonl": "d260e9fdf8fa9e2ba611db1b1af34cdcbc02f81b130b8c2c27227bf35166f643",
+            "test.jsonl": "8f80684e36a35ae70842949acd806cce70e3aaa510308e379397d356420fcfda",
+            "perturbations.jsonl": "0603f10992c4cf65b33fd65f40a1f31d27983042735b050320122bd5d3ca8a4b",
+        },
+        "unk": {
+            "train.jsonl": "511f35b88a011eeccb8972b202ad83a049b9857f9590e810e28b3a52a222a42e",
+            "val.jsonl": "5eb357ea30ecc2a8e4dd14989340ea366538579149ca7a048b4ae102148da402",
+            "test.jsonl": "9ce56a7dc60783625a9c6729097e89f3e1b3a2bde95fd8b2a291b684bd64c08f",
+            "perturbations.jsonl": "235ccc4bfac3d244a8ae9fcffc961f2cb1b5d8c5a44a988da8e04cad726cc216",
+        },
+        "train-actions": {
+            "train.jsonl": "bfeb78a92ecd6254150326385ee33b8c084bc8d0b9d231ff31f3a79970fe42d7",
+            "val.jsonl": "bd75c00119f9c2ee8a82bd9e2f2fe0eed0c98de0bec9ca92999f0ee17969ea1d",
+            "test.jsonl": "a95babb3cdb22e6f044a49e83bcc0118dce78d97a2d4a6c666c0dff41da0f2e3",
+            "perturbations.jsonl": "94b7ffaf54aa311f2c64d001a9a7a1e3b402ad477548a4579e3bc5a615b5a562",
+        },
+    },
+    "medium": {
+        "relabel": {
+            "train.jsonl": "77d83305873f9f47133bef63b3a2dbe8e48a3f3f2a7714ba8581a40add1ea24a",
+            "val.jsonl": "3f0abf9241cfe9ec94deee3f1a06e674879de7244470d8b6895f07c945c58336",
+            "test.jsonl": "c30928cd79a547b78566b2aea11990d37e6a692c8fef3ff0d1339ff431fcb610",
+            "perturbations.jsonl": "99c2915a8a9a4433800bdffe97a2fac7c2d1e5edbc543a33ce54a1e2b684b012",
+        },
+        "unk": {
+            "train.jsonl": "626b1d9b5ac50ae15e4a94fd47600484aea3ff5f3697645d842e69179b50ccf2",
+            "val.jsonl": "361dbf33364f1eeea3a289963ec35e676a60053222789cb8517e942ac9083ed2",
+            "test.jsonl": "6e7fce1140037468cc6fa7bbbb6b5b787142e13b61dcdf4f854cccee60944453",
+            "perturbations.jsonl": "3325494c6f0e57f194e2adfec05587884b008ac0e569abb1f25d1d006b989351",
+        },
+        "train-actions": {
+            "train.jsonl": "f4638de0054e2e57b9e54845937a43cdfd8685ecd3c5a51b5fae60e5a4ad51e4",
+            "val.jsonl": "33b45e51ab00e7385da963a3c0c7e99b5df02285c02299241b96be0e5c62d8bb",
+            "test.jsonl": "8e72879fb11eb2372af85684334ce943201d5a878ee0124cca84e896b108c7ff",
+            "perturbations.jsonl": "c6306320d49b5f8556beb42b68f58b0622a7388263540ab11520a42a797debcc",
+        },
+    },
+    "hard": {
+        "relabel": {
+            "train.jsonl": "5ef1de4f7b9477b1781822c7af31f273f8a3f943de531e4e7866a48eecd65c89",
+            "val.jsonl": "f62aadc319bf64cf84e811f2ac9cebbed9a1b40f73e543e4e803acd0d1a86ea1",
+            "test.jsonl": "8dc666dec9710bf74e579d8b72cd69853cdea7af74cd510c66c0bf3b1a666636",
+            "perturbations.jsonl": "7b6f8be955fd2bb943b99dc0f6f1056edea83c27840123d395b44c48cfbbaa24",
+        },
+        "unk": {
+            "train.jsonl": "28620a30d000e3fa1251729ab8dc9ec8b3722e426bb974ea946ff6dc98426b1c",
+            "val.jsonl": "84fbab6968552b97c5355a5e8b347905d2e8afcb2b4a242daaccc08c83040922",
+            "test.jsonl": "e26ce0158023e9b917fb2a9a8abf5fe335ae73e2c3c15d10b0e61b6d48655035",
+            "perturbations.jsonl": "1416c719599ab5bedd3c56a44f4949f07dc8b2cbad186c50bd7d886e75f08868",
+        },
+        "train-actions": {
+            "train.jsonl": "ca0f70588e566e55ce99804e220d5749f10149ac48474b9b26571080a45bcfd9",
+            "val.jsonl": "d431372c6eff7acbeac87754caa3d2ba2b4041fd3ab4605c31965082019d083e",
+            "test.jsonl": "d57aa90f2cacbde4bb0ce2c9e4aecd3327b69208fc1b6a1c2287ac75479f3752",
+            "perturbations.jsonl": "257b8f56f96976a8d74cb3d280073837bcef525a0d468ccf384ede2ab298d86b",
+        },
+    },
+}
+
+# sweep.csv of a sweep over the seven rates of the benchmark's sweep.
+SWEEP_RATES = "0,0.1,0.2,0.4,0.6,0.8,0.9"
+SWEEP7_GOLDEN = {
+    "simple": "fbbf6e20140fcfa6be95afa92f6108af15e2e259e9a964ccadf84b5380a7443e",
+    "medium": "f62130aa9c5245557f33c56cf7301d7976788cdeeb5a82433d70c0842358fd57",
+    "hard": "5ef2c1b1d141d521b8058158e446c13d7321ba6ce9d576ec58aa990386e350cf",
+}
+
 # train_linear with its defaults (seed 29) on the chain's encoded train split.
 LINEAR_GOLDEN = {
     "simple": {
@@ -249,3 +329,30 @@ def test_audit_log_on_disk_restores_the_clean_splits(chain, tmp_path):
     for split in SPLIT_NAMES:
         name = f"{split}.jsonl"
         assert (tmp_path / name).read_bytes() == (root / "clean" / name).read_bytes()
+
+
+def _variant_digests(clean: Path, root: Path) -> dict[str, dict[str, str]]:
+    digests = {}
+    for name, flags in INJECT_VARIANTS.items():
+        out = root / name
+        _cli_stdout(["inject", "--in", str(clean), *flags, "--seed", "37", "--out", str(out)])
+        digests[name] = {f: _sha256((out / f).read_bytes()) for f in VARIANT_PINNED}
+    return digests
+
+
+def _sweep7_digest(preset: str, out: Path) -> str:
+    _cli_stdout(
+        ["sweep", "--preset", preset, "--rates", SWEEP_RATES, "--models", "memorizer,linear",
+         "--seeds", "1", "--dialogues", "60", "--seed", "43", "--out", str(out)]
+    )
+    return _sha256((out / "sweep.csv").read_bytes())
+
+
+def test_inject_variant_bytes_match_pins(chain, tmp_path):
+    preset, root, _ = chain
+    assert _variant_digests(root / "clean", tmp_path) == VARIANT_GOLDEN[preset]
+
+
+def test_seven_rate_sweep_matches_pins(chain, tmp_path):
+    preset, _, _ = chain
+    assert _sweep7_digest(preset, tmp_path / "sweep") == SWEEP7_GOLDEN[preset]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from collections import Counter
 
@@ -28,6 +29,16 @@ def _dataset(ontology, n=40, seed=9):
 
 def _dataset_bytes(ds):
     return "".join(dumps_dialogue(d) for _, d in ds.iter_dialogues())
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(math.nan, 1.0), (math.inf, 1.0), (math.inf, math.inf), (-1.0, 1.0), (0.0, 0.0)],
+    ids=["nan", "inf", "both-inf", "negative", "both-zero"],
+)
+def test_bad_mode_weights_rejected(weights):
+    with pytest.raises(ValidationError, match="^mode_weights must be finite"):
+        ErrorConfig(p_intent=0.5, mode_weights=weights)
 
 
 def test_unk_substitution_is_constant(simple_ontology):
@@ -59,6 +70,35 @@ def test_zero_probability_is_identity(simple_ontology):
     assert out is not ds
     # Dialogues no edit touches are shared, not copied.
     assert all(a is b for (_, a), (_, b) in zip(ds.iter_dialogues(), out.iter_dialogues()))
+
+
+def _assert_shares_untouched(before, after, records):
+    """Every dialogue and turn no record addresses is ``before``'s own object;
+    every turn a record addresses is a new one."""
+    edited = {(r.dialogue_id, r.turn_index) for r in records}
+    assert edited
+    pairs = list(zip(before.iter_dialogues(), after.iter_dialogues(), strict=True))
+    shared = [a is b for (_, a), (_, b) in pairs]
+    assert any(shared) and not all(shared)  # both cases occur
+    for (_, a), (_, b) in pairs:
+        touched = [ti for ti in range(len(a.turns)) if (a.id, ti) in edited]
+        assert (a is b) == (not touched)
+        for ti, (ta, tb) in enumerate(zip(a.turns, b.turns, strict=True)):
+            assert (ta is tb) == (ti not in touched)
+
+
+def test_nonzero_probability_shares_untouched_objects(simple_ontology):
+    ds = _dataset(simple_ontology, n=200, seed=21)
+    clean = _dataset_bytes(ds)
+    cfg = ErrorConfig(p_intent=0.2, p_action=0.2, p_slot=0.2, seed=6)
+    out, records = inject_errors(ds, simple_ontology, cfg)
+    assert _dataset_bytes(ds) == clean
+    _assert_shares_untouched(ds, out, records)
+    noisy = _dataset_bytes(out)
+    restored = revert_errors(out, records)
+    assert _dataset_bytes(out) == noisy
+    assert _dataset_bytes(restored) == clean
+    _assert_shares_untouched(out, restored, records)
 
 
 def test_certain_unk_blankets_intents(simple_ontology):
@@ -174,6 +214,22 @@ def test_revert_rejects_mismatched_record(simple_ontology, element):
         says = f"record does not match dataset: {bad}"
         with pytest.raises(ValidationError, match=f"^{re.escape(says)}$"):
             revert_errors(out, [bad])
+
+
+def test_revert_reads_the_labels_earlier_records_wrote(simple_ontology):
+    ds = _dataset(simple_ontology, n=10)
+    cfg = ErrorConfig(p_action=1.0, mode_weights=(0.0, 1.0), seed=2)
+    out, records = inject_errors(ds, simple_ontology, cfg)
+    rec = records[0]
+    # A second record at the same label finds what the first one wrote.
+    other = next(a for a in simple_ontology.action_catalog if a != rec.original)
+    again = dataclasses.replace(rec, new=rec.original, original=other)
+    restored = revert_errors(out, [rec, again])
+    dialogue = next(d for _, d in restored.iter_dialogues() if d.id == rec.dialogue_id)
+    assert dialogue.turns[rec.turn_index].system_acts[rec.index] == other
+    says = f"record does not match dataset: {rec}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(says)}$"):
+        revert_errors(out, [rec, rec])
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,6 @@ from .harness import (
     train_linear,
     train_memorizer,
     write_sweep_csv,
-    write_sweep_long,
 )
 from .injection import ErrorConfig, inject_errors, write_records
 from .ontology import PRESET_NAMES, Ontology, load_ontology_file, preset_ontology
@@ -318,7 +317,6 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(result, out / "sweep.csv")
-    write_sweep_long(result, out / "sweep_long.csv")
     _write_manifest(out, {"subcommand": "sweep", "sweep": result.manifest})
     _log(f"swept {len(rates)} rate(s) x {len(models)} model(s) x {args.seeds} seed(s) -> {out}")
     return 0

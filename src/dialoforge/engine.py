@@ -36,6 +36,7 @@ from .ontology import (
     Ontology,
     SlotCategory,
     TopicSpec,
+    is_int,
 )
 from .rng import derive_seed
 
@@ -259,8 +260,8 @@ class GeneratorConfig:
     split_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
     def __post_init__(self):
-        if self.n_dialogues < 1:
-            raise ValidationError("n_dialogues must be positive")
+        if not is_int(self.n_dialogues) or self.n_dialogues < 1:
+            raise ValidationError(f"n_dialogues must be a positive int, got {self.n_dialogues!r}")
         for name in ("p_chitchat", "p_mind_change", "p_domain_change"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:

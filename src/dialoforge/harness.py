@@ -23,7 +23,7 @@ from .engine import GeneratorConfig
 from .errors import DialoforgeError, SchemaError, ValidationError
 from .injection import ErrorConfig, inject_errors
 from .metrics import MetricsReport, compute_metrics
-from .ontology import Ontology
+from .ontology import Ontology, is_int, is_number
 from .rng import derive_seed
 
 MODEL_KINDS = ("memorizer", "linear")
@@ -49,7 +49,6 @@ class LinearModel:
 
     weights: np.ndarray  # (state_width, n_actions)
     bias: np.ndarray  # (n_actions,)
-    threshold: float = 0.5
     loss_history: list[float] = field(default_factory=list)
 
     @property
@@ -132,11 +131,17 @@ def train_linear(
     l2: float = 0.0,
     seed: int = 0,
 ) -> LinearModel:
+    for name, value in (("learning_rate", learning_rate), ("l2", l2)):
+        # A NaN fails the comparison.
+        if not (is_number(value) and 0 <= value < math.inf):
+            raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
+    if not is_int(epochs) or epochs < 1:
+        raise ValidationError(f"epochs must be an int >= 1, got {epochs!r}")
+    if not is_int(seed) or seed < 0:
+        raise ValidationError(f"seed must be an int >= 0, got {seed!r}")
     states, targets = train
     if states.shape[0] == 0:
         raise ValidationError("cannot train on an empty split")
-    if epochs < 1 or learning_rate < 0:
-        raise ValidationError("epochs must be >= 1 and learning_rate >= 0")
 
     n, width = states.shape
     n_actions = targets.shape[1]
@@ -166,23 +171,23 @@ def train_linear(
 
 
 def predict(model: Model, states: np.ndarray) -> np.ndarray:
-    """Predict target vectors for one state or a batch of states."""
-    single = states.ndim == 1
-    batch = states.reshape(1, -1) if single else states
-    if batch.shape[1] != model.state_width:
-        raise DialoforgeError(f"state width {batch.shape[1]} != {model.state_width}")
+    """Target rows of an (n, state_width) batch.  The linear model predicts each
+    action that scores at least 0.5, or its best one where none does."""
+    if states.ndim != 2:
+        raise DialoforgeError(f"expected a 2-D (samples x state) batch, got shape {states.shape}")
+    if states.shape[1] != model.state_width:
+        raise DialoforgeError(f"state width {states.shape[1]} != {model.state_width}")
     if isinstance(model, MemorizerModel):
         table, fallback = model.table, model.fallback
-        out = np.array(
-            [table.get(key, fallback) for key in _pack_rows(batch)], dtype=np.uint8
+        return np.array(
+            [table.get(key, fallback) for key in _pack_rows(states)], dtype=np.uint8
         ).reshape(-1, model.target_width)
-    else:
-        scores = model.scores(batch)
-        out = (scores >= model.threshold).astype(np.uint8)
-        empty = ~out.any(axis=1)
-        if empty.any():  # argmax ties resolve to the lowest index
-            out[empty, np.argmax(scores[empty], axis=1)] = 1
-    return out[0] if single else out
+    scores = model.scores(states)
+    out = (scores >= 0.5).astype(np.uint8)
+    empty = ~out.any(axis=1)
+    if empty.any():  # argmax ties resolve to the lowest index
+        out[empty, np.argmax(scores[empty], axis=1)] = 1
+    return out
 
 
 def save_model(model: Model, path, ontology_hash: str) -> None:
@@ -203,7 +208,6 @@ def save_model(model: Model, path, ontology_hash: str) -> None:
             kind="linear",
             weights=model.weights,
             bias=model.bias,
-            threshold=model.threshold,
             loss_history=np.array(model.loss_history),
         )
     with open(path, "wb") as fh:
@@ -260,7 +264,6 @@ def load_model(path) -> tuple[Model, str]:
                 model = LinearModel(
                     weights=arrays["weights"],
                     bias=arrays["bias"],
-                    threshold=float(arrays["threshold"]),
                     loss_history=list(arrays["loss_history"]),
                 )
             return model, str(arrays["ontology_hash"])
@@ -274,14 +277,6 @@ def load_model(path) -> tuple[Model, str]:
             raise SchemaError(f"{path}: not a model file: {exc}") from None
         except KeyError as exc:
             raise SchemaError(f"{path}: model file has no member {exc}") from None
-
-
-def train_model(kind: str, train_split: tuple[np.ndarray, np.ndarray], seed: int = 0) -> Model:
-    if kind == "memorizer":
-        return train_memorizer(train_split)
-    if kind == "linear":
-        return train_linear(train_split, seed=seed)
-    raise ValidationError(f"unknown model kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +324,8 @@ def robustness_sweep(
     for kind in models:
         if kind not in MODEL_KINDS:
             raise ValidationError(f"unknown model kind {kind!r}")
+    if not is_int(n_seeds) or n_seeds < 1:
+        raise ValidationError(f"n_seeds must be an int >= 1, got {n_seeds!r}")
 
     if base_dataset is not None:  # the manifest describes it by gen_cfg and the ontology
         if base_dataset.config != gen_cfg:
@@ -364,8 +361,10 @@ def robustness_sweep(
             perturbed, _ = inject_errors(clean, ontology, err_cfg)
             scored = {split: perturbed.splits[split] for split in ("train", "test")}
             encoded = encode_dataset(replace(perturbed, splits=scored), ontology)
+            train = encoded.splits["train"]
             for kind in models:
-                model = train_model(kind, encoded.splits["train"], seed=inj_seed)
+                model = (train_memorizer(train) if kind == "memorizer"
+                         else train_linear(train, seed=inj_seed))
                 preds = predict(model, encoded.splits["test"][0])
                 report = compute_metrics(preds, encoded.splits["test"][1])
                 rows.append(SweepRow(error_rate=rate, model=kind, report=report, seed=inj_seed))
@@ -384,8 +383,7 @@ def robustness_sweep(
     return SweepResult(rows=rows, manifest=manifest)
 
 
-# (column, MetricsReport attribute) of each sweep export; the wide CSV carries
-# the first four, the long one all six.
+# (column, MetricsReport attribute) of each metric column of sweep.csv.
 _SWEEP_METRICS = (
     ("micro_f1", "micro_f1"),
     ("micro_p", "micro_precision"),
@@ -397,24 +395,13 @@ _SWEEP_METRICS = (
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    metrics = _SWEEP_METRICS[:4]
+    """One line per sweep row: its rate, model, six metrics and seed."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rate", "model", *(column for column, _ in metrics), "seed"])
+        writer.writerow(["rate", "model", *(column for column, _ in _SWEEP_METRICS), "seed"])
         for row in result.rows:
-            values = (f"{getattr(row.report, attr):.6f}" for _, attr in metrics)
+            values = (f"{getattr(row.report, attr):.6f}" for _, attr in _SWEEP_METRICS)
             writer.writerow([f"{row.error_rate:g}", row.model, *values, row.seed])
-
-
-def write_sweep_long(result: SweepResult, path) -> None:
-    """Long-format export (one metric per line) for plotting tools."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rate", "model", "seed", "metric", "value"])
-        for row in result.rows:
-            for column, attr in _SWEEP_METRICS:
-                value = getattr(row.report, attr)
-                writer.writerow([f"{row.error_rate:g}", row.model, row.seed, column, f"{value:.6f}"])
 
 
 def linear_fit_r2(points: list[tuple[float, float]]) -> float:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from .dataset import Dataset, read_jsonl, write_jsonl
 from .engine import Dialogue, DialogueTurn, UserAct
 from .errors import ValidationError
-from .ontology import IntentKind, Ontology, UNK_TOKEN, check_object
+from .ontology import IntentKind, Ontology, UNK_TOKEN, check_object, is_number
 from .rng import derive_seed
 
 
@@ -45,9 +45,12 @@ class ErrorConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1]")
-        w_relabel, w_unk = self.mode_weights
-        # A NaN fails both comparisons.
-        if not (0 <= w_relabel < math.inf and 0 <= w_unk < math.inf) or w_relabel + w_unk == 0:
+        weights = self.mode_weights
+        if not (isinstance(weights, (tuple, list)) and len(weights) == 2
+                and all(map(is_number, weights))):
+            raise ValidationError(f"mode_weights must be two numbers, got {weights!r}")
+        # A NaN fails the comparison.
+        if not all(0 <= w < math.inf for w in weights) or sum(weights) == 0:
             raise ValidationError("mode_weights must be finite and non-negative, not both zero")
 
 

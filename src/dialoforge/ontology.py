@@ -252,12 +252,21 @@ def _check_ident(value: str, path: str) -> str:
     return value
 
 
+# Python counts a bool as an int.  Neither check takes one, just as a JSON
+# true or false is neither an integer nor a number.
+def is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 # The JSON type each name in a key table stands for; "list of <name>s" is a
-# list whose every item has that type.  Python counts a bool as an int, so a
-# JSON true or false is neither an integer nor a number here.
+# list whose every item has that type.
 _JSON_TYPES = {
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": is_int,
+    "number": is_number,
     "string": lambda v: isinstance(v, str),
     "object": lambda v: isinstance(v, dict),
     "list": lambda v: isinstance(v, list),

@@ -541,6 +541,7 @@ def test_sweep_command(tmp_path):
         ["sweep", "--preset", "simple", "--rates", "0,0.5,1.0", "--models", "memorizer",
          "--seeds", "1", "--dialogues", "60", "--seed", "4", "--out", str(out)]
     ) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sweep.csv"]
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 3
     f1s = [float(line.split(",")[2]) for line in lines[1:]]
@@ -589,8 +590,18 @@ def test_there_is_no_stack_depth_flag(command, tmp_path):
         (["train", "--model", "linear", "--seed", "-1"], None, "--seed"),
         (["sweep", "--preset", "simple", "--rates", "0", "--dialogues", "30", "--seeds", "0"],
          None, "--seeds"),
+        (["train", "--model", "linear", "--l2", "-1"], None, "l2 must be"),
+        (["train", "--model", "linear", "--l2", "nan"], None, "l2 must be"),
+        (["train", "--model", "linear", "--l2", "inf"], None, "l2 must be"),
+        (["train", "--model", "linear", "--learning-rate", "nan"], None, "learning_rate must be"),
+        (["train", "--model", "linear", "--learning-rate", "inf"], None, "learning_rate must be"),
+        (["train", "--model", "linear", "--learning-rate", "-0.5"], None,
+         "learning_rate must be"),
+        (["train", "--model", "linear", "--epochs", "0"], None, "epochs must be"),
     ],
-    ids=["zero-dialogues", "non-integer-env-seed", "negative-linear-seed", "zero-seeds"],
+    ids=["zero-dialogues", "non-integer-env-seed", "negative-linear-seed", "zero-seeds",
+         "negative-l2", "nan-l2", "inf-l2", "nan-learning-rate", "inf-learning-rate",
+         "negative-learning-rate", "zero-epochs"],
 )
 def test_bad_flag_value_names_the_flag(argv, env, name, tiny_dataset, tmp_path, monkeypatch,
                                        capsys):

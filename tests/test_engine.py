@@ -152,6 +152,12 @@ def test_non_finite_split_fraction_rejected(fractions):
         GeneratorConfig(split_fractions=fractions)
 
 
+@pytest.mark.parametrize("n", [2.5, math.inf, 3.0, True, "4"])
+def test_non_int_dialogue_count_rejected(n):
+    with pytest.raises(ValidationError, match="^n_dialogues must be a positive int"):
+        GeneratorConfig(n_dialogues=n)
+
+
 # -- sample_user_turn --------------------------------------------------------
 
 

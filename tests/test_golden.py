@@ -108,18 +108,9 @@ EVAL_GOLDEN = {
 }
 
 SWEEP_GOLDEN = {
-    "simple": {
-        "sweep.csv": "85f4246a102df1d032f5866b39457c992c14155bd6338ffbdd4bfc199477bca4",
-        "sweep_long.csv": "7e944bc8a43442ec77848a4f5dfa2a1ecb16c379e146424ee36839a8740c5726",
-    },
-    "medium": {
-        "sweep.csv": "4bb2376502138047552bcea965fd7956ae10943c399df8381443300a0f3b5a75",
-        "sweep_long.csv": "d94e7c0c13986fbf4fd277ff5badbf5828764a08ad32acc495f55ea75d4c68cf",
-    },
-    "hard": {
-        "sweep.csv": "82c255e87aea55d694ac5655970d0079feb3cdf472a5a4bb8bd0b9039afa5b3d",
-        "sweep_long.csv": "9c5bc08481cd4c9e1b023ccc1a8a6397f253325efc8af2b962c96c7791725509",
-    },
+    "simple": {"sweep.csv": "cb1cfd620a19350527ef24ad2f83f7256e527837d4de625cd4b5e5904780efb2"},
+    "medium": {"sweep.csv": "409d075bad609d77542866b3128b96c5dc3a7220f52d2e263c28a566d8dcd101"},
+    "hard": {"sweep.csv": "6cc3a64625ea0c569c8b85a762bc6dce737ed46facf62782cca9d8419698effb"},
 }
 
 # inject runs on the chain's clean dataset (seed 37) that the mixed 0.3 run
@@ -197,9 +188,9 @@ VARIANT_GOLDEN = {
 # sweep.csv of a sweep over the seven rates of the benchmark's sweep.
 SWEEP_RATES = "0,0.1,0.2,0.4,0.6,0.8,0.9"
 SWEEP7_GOLDEN = {
-    "simple": "fbbf6e20140fcfa6be95afa92f6108af15e2e259e9a964ccadf84b5380a7443e",
-    "medium": "f62130aa9c5245557f33c56cf7301d7976788cdeeb5a82433d70c0842358fd57",
-    "hard": "5ef2c1b1d141d521b8058158e446c13d7321ba6ce9d576ec58aa990386e350cf",
+    "simple": "37aaf86aff97fc8a79c4418217d4b2e8c13740be3f39b72303b00b4facfb4623",
+    "medium": "228caee599687490c527314467dec3f9a5eb4dc90349ac600ae2ad3bfc8f1f5e",
+    "hard": "96c914d783d04704e389a5705af43daed0c1b6e3c708cb3962fca666e4ae8bde",
 }
 
 # train_linear with its defaults (seed 29) on the chain's encoded train split.
@@ -292,10 +283,7 @@ def test_eval_stdout_matches_pins(chain):
 
 def test_sweep_exports_match_pins(chain):
     preset, root, _ = chain
-    digests = {
-        name: _sha256((root / "sweep" / name).read_bytes())
-        for name in ("sweep.csv", "sweep_long.csv")
-    }
+    digests = {"sweep.csv": _sha256((root / "sweep" / "sweep.csv").read_bytes())}
     assert digests == SWEEP_GOLDEN[preset]
 
 

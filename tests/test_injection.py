@@ -41,6 +41,16 @@ def test_bad_mode_weights_rejected(weights):
         ErrorConfig(p_intent=0.5, mode_weights=weights)
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [(1.0,), (0.5, 0.25, 0.25), 0.5, ("0.5", "0.5"), (True, False), None],
+    ids=["one", "three", "scalar", "strings", "bools", "none"],
+)
+def test_mode_weights_must_be_two_numbers(weights):
+    with pytest.raises(ValidationError, match="^mode_weights must be two numbers"):
+        ErrorConfig(p_intent=0.5, mode_weights=weights)
+
+
 def test_unk_substitution_is_constant(simple_ontology):
     ds = _dataset(simple_ontology)
     cfg = ErrorConfig(p_intent=1.0, p_action=1.0, p_slot=1.0, mode_weights=(0.0, 1.0), seed=3)

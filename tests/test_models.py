@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,11 @@ def _split(states, targets):
     return np.asarray(states, dtype=np.uint8), np.asarray(targets, dtype=np.uint8)
 
 
+def _toy():
+    """Four one-hot states, linearly separable into two actions."""
+    return _split(np.eye(4), [[1, 0], [1, 0], [0, 1], [0, 1]])
+
+
 # -- memorizer ---------------------------------------------------------------
 
 
@@ -39,22 +46,22 @@ def test_memorizer_majority_vote():
     s = np.array([[1, 0]] * 3, dtype=np.uint8)
     t = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.uint8)
     model = train_memorizer(_split(s, t))
-    assert np.array_equal(predict(model, s[0]), [1, 0])
+    assert np.array_equal(predict(model, s[:1]), [[1, 0]])
 
 
 def test_memorizer_tie_breaks_to_smallest_serialized():
     s = np.array([[1, 0]] * 2, dtype=np.uint8)
     t = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     model = train_memorizer(_split(s, t))
-    assert np.array_equal(predict(model, s[0]), [0, 1])  # b"\x00\x01" < b"\x01\x00"
+    assert np.array_equal(predict(model, s[:1]), [[0, 1]])  # b"\x00\x01" < b"\x01\x00"
 
 
 def test_memorizer_fallback_for_unseen_state():
     states = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=np.uint8)
     targets = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.uint8)
     model = train_memorizer(_split(states, targets))
-    unseen = np.array([0, 0, 1], dtype=np.uint8)
-    assert np.array_equal(predict(model, unseen), [1, 0])  # global majority
+    unseen = np.array([[0, 0, 1]], dtype=np.uint8)
+    assert np.array_equal(predict(model, unseen), [[1, 0]])  # global majority
 
 
 def test_memorizer_perfect_on_own_training_split(simple_ontology):
@@ -77,9 +84,8 @@ def test_empty_split_rejected():
 
 
 def test_linear_separable_toy_reaches_full_accuracy():
-    states = np.eye(4, dtype=np.uint8)
-    targets = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.uint8)
-    model = train_linear(_split(states, targets), epochs=200, learning_rate=2.0, seed=0)
+    states, targets = _toy()
+    model = train_linear((states, targets), epochs=200, learning_rate=2.0, seed=0)
     assert np.array_equal(predict(model, states), targets)
 
 
@@ -147,11 +153,23 @@ def test_sigmoid_bits_match_the_branchwise_formula():
     assert _sigmoid(z).tobytes() == _sigmoid_branchwise(z).tobytes()
 
 
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        ("l2", -1.0), ("l2", math.nan), ("l2", math.inf), ("l2", "0.1"),
+        ("learning_rate", -0.5), ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("epochs", 0), ("epochs", 2.5), ("epochs", True),
+        ("seed", -1), ("seed", 1.0), ("seed", None),
+    ],
+)
+def test_bad_training_setting_rejected(setting, value):
+    with pytest.raises(ValidationError, match=f"^{setting} must be"):
+        train_linear(_toy(), **{setting: value})
+
+
 def test_divergence_raises():
-    states = np.eye(4, dtype=np.uint8)
-    targets = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.uint8)
     with pytest.raises(DialoforgeError, match="loss became non-finite") as err:
-        train_linear(_split(states, targets), epochs=50, learning_rate=1e307, seed=0)
+        train_linear(_toy(), epochs=50, learning_rate=1e307, seed=0)
     assert type(err.value) is DialoforgeError  # a runtime error: exit 2
 
 
@@ -168,29 +186,38 @@ def test_linear_deterministic_given_seed():
 
 
 def test_all_zero_weights_predict_full_catalog():
-    model = LinearModel(weights=np.zeros((4, 3)), bias=np.zeros(3), threshold=0.5)
-    out = predict(model, np.ones(4, dtype=np.uint8))
-    assert out.tolist() == [1, 1, 1]  # every sigmoid score is exactly 0.5
+    model = LinearModel(weights=np.zeros((4, 3)), bias=np.zeros(3))
+    out = predict(model, np.ones((1, 4), dtype=np.uint8))
+    assert out.tolist() == [[1, 1, 1]]  # every sigmoid score is exactly 0.5
 
 
 def test_below_threshold_falls_back_to_argmax():
     weights = np.array([[-3.0, -2.0, -4.0]])
-    model = LinearModel(weights=weights, bias=np.array([0.0, 0.0, 0.0]), threshold=0.5)
-    out = predict(model, np.ones(1, dtype=np.uint8))
-    assert out.tolist() == [0, 1, 0]  # single argmax bit
+    model = LinearModel(weights=weights, bias=np.array([0.0, 0.0, 0.0]))
+    out = predict(model, np.ones((1, 1), dtype=np.uint8))
+    assert out.tolist() == [[0, 1, 0]]  # single argmax bit
 
 
 def test_argmax_tie_breaks_to_lowest_index():
     weights = np.array([[-2.0, -2.0]])
-    model = LinearModel(weights=weights, bias=np.zeros(2), threshold=0.5)
-    out = predict(model, np.ones(1, dtype=np.uint8))
-    assert out.tolist() == [1, 0]
+    model = LinearModel(weights=weights, bias=np.zeros(2))
+    out = predict(model, np.ones((1, 1), dtype=np.uint8))
+    assert out.tolist() == [[1, 0]]
 
 
 def test_width_mismatch_rejected():
     model = LinearModel(weights=np.zeros((4, 2)), bias=np.zeros(2))
     with pytest.raises(DialoforgeError, match="state width 5 != 4") as err:
-        predict(model, np.ones(5, dtype=np.uint8))
+        predict(model, np.ones((1, 5), dtype=np.uint8))
+    assert type(err.value) is DialoforgeError
+
+
+@pytest.mark.parametrize("kind", ["memorizer", "linear"])
+@pytest.mark.parametrize("shape", [(4,), (), (1, 1, 4)], ids=["1-d", "0-d", "3-d"])
+def test_predict_takes_only_a_batch(kind, shape):
+    model = (train_memorizer if kind == "memorizer" else train_linear)(_toy())
+    with pytest.raises(DialoforgeError, match="expected a 2-D") as err:
+        predict(model, np.ones(shape, dtype=np.uint8))
     assert type(err.value) is DialoforgeError
 
 
@@ -205,11 +232,26 @@ def test_save_load_round_trip_predicts_identically(kind, simple_ontology, tmp_pa
     model = train_memorizer(train) if kind == "memorizer" else train_linear(train, epochs=3)
     path = tmp_path / f"{kind}.npz"
     save_model(model, path, enc.ontology_hash)
+    with np.load(path) as blob:
+        assert "threshold" not in blob.files
     loaded, ontology_hash = load_model(path)
     assert type(loaded) is type(model)
     states = np.concatenate([enc.splits["test"][0], 1 - enc.splits["test"][0][:5]])
     assert np.array_equal(predict(loaded, states), predict(model, states))
     assert ontology_hash == enc.ontology_hash == simple_ontology.content_hash()
+
+
+def test_linear_file_with_a_threshold_member_loads(tmp_path):
+    # Model files once carried the 0.5 cut as a member of their own.
+    model = LinearModel(weights=np.array([[2.0, -2.0]]), bias=np.zeros(2), loss_history=[0.5])
+    path = tmp_path / "old.npz"
+    np.savez(path, kind="linear", weights=model.weights, bias=model.bias, threshold=0.5,
+             loss_history=np.array(model.loss_history), ontology_hash="abc")
+    loaded, ontology_hash = load_model(path)
+    assert ontology_hash == "abc" and loaded.loss_history == [0.5]
+    assert np.array_equal(loaded.weights, model.weights)
+    states = np.array([[0], [1]], dtype=np.uint8)
+    assert predict(loaded, states).tolist() == [[1, 1], [1, 0]]
 
 
 def test_load_model_rejects_unknown_kind(tmp_path):

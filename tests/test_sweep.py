@@ -13,7 +13,6 @@ from dialoforge.harness import (
     robustness_sweep,
     train_memorizer,
     write_sweep_csv,
-    write_sweep_long,
 )
 from dialoforge.injection import ErrorConfig, inject_errors
 from dialoforge.metrics import compute_metrics
@@ -77,18 +76,30 @@ def test_sweep_rate_validation(simple_ontology):
         robustness_sweep(simple_ontology, cfg, [0.0], ["transformer"])
 
 
+@pytest.mark.parametrize("n_seeds", [0, -1, 1.5, True])
+def test_sweep_needs_at_least_one_seed(n_seeds, simple_ontology):
+    with pytest.raises(ValidationError, match="^n_seeds must be an int >= 1"):
+        robustness_sweep(simple_ontology, _small_cfg(n=30), [0.0], ["memorizer"],
+                         n_seeds=n_seeds)
+
+
 def test_sweep_csv_exports(simple_ontology, tmp_path):
     cfg = _small_cfg(seed=6, n=60)
-    result = robustness_sweep(simple_ontology, cfg, [0.0, 0.8], ["memorizer"], seed=7, n_seeds=1)
-    wide, long = tmp_path / "sweep.csv", tmp_path / "sweep_long.csv"
-    write_sweep_csv(result, wide)
-    write_sweep_long(result, long)
-    lines = wide.read_text().strip().splitlines()
-    assert lines[0] == "rate,model,micro_f1,micro_p,micro_r,macro_f1,seed"
-    assert len(lines) == 1 + 2  # one row per (rate, seed)
-    long_lines = long.read_text().strip().splitlines()
-    assert long_lines[0] == "rate,model,seed,metric,value"
-    assert len(long_lines) == 1 + 2 * 6
+    result = robustness_sweep(
+        simple_ontology, cfg, [0.0, 0.8], ["memorizer", "linear"], seed=7, n_seeds=1
+    )
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(result, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "rate,model,micro_f1,micro_p,micro_r,macro_f1,macro_p,macro_r,seed"
+    assert len(lines) == 1 + 4  # one line per (rate, model, seed)
+    for line, row in zip(lines[1:], result.rows):
+        rep = row.report
+        metrics = (rep.micro_f1, rep.micro_precision, rep.micro_recall,
+                   rep.macro_f1, rep.macro_precision, rep.macro_recall)
+        assert line.split(",") == [
+            f"{row.error_rate:g}", row.model, *(f"{m:.6f}" for m in metrics), str(row.seed)
+        ]
 
 
 def test_linear_fit_r2_on_perfect_line():

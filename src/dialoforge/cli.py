@@ -40,7 +40,7 @@ from .harness import (
     write_sweep_csv,
 )
 from .injection import ErrorConfig, inject_errors, write_records
-from .ontology import PRESET_NAMES, Ontology, load_ontology_file, preset_ontology
+from .ontology import PRESET_NAMES, Ontology, check_setting, load_ontology_file, preset_ontology
 
 SEED_ENV_VAR = "DIALOFORGE_SEED"
 
@@ -84,18 +84,12 @@ def _write_manifest(outdir: Path, payload: dict) -> None:
     write_json(outdir / "manifest.json", {**_MANIFEST_HEADER, **payload})
 
 
-def _at_least(value: int, name: str, minimum: int) -> int:
-    if value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
 def _resolve_seed(args) -> int:
     env = os.environ.get(SEED_ENV_VAR)
     try:
         return args.seed if env is None else int(env)
-    except ValueError:
-        raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    except ValueError:  # a string is no int, so the check raises
+        return check_setting(SEED_ENV_VAR, env, "an int")
 
 
 def _load_cli_ontology(args) -> Ontology:
@@ -152,7 +146,7 @@ def _generator_config(args, ontology: Ontology) -> GeneratorConfig:
     defaults = ontology.generation_defaults
     fields = {k: v for k, v in vars(args).items() if k in _GENERATOR_FLAGS and v is not None}
     if args.dialogues is not None:
-        fields["n_dialogues"] = _at_least(args.dialogues, "--dialogues", 1)
+        fields["n_dialogues"] = check_setting("--dialogues", args.dialogues, "an int >= 1")
     elif "n_dialogues" in defaults:
         fields["n_dialogues"] = defaults["n_dialogues"]
     if getattr(args, "split_fractions", None):
@@ -167,7 +161,7 @@ def _generator_config(args, ontology: Ontology) -> GeneratorConfig:
 
 
 def _cmd_generate(args) -> int:
-    _at_least(args.jobs, "--jobs", 1)
+    check_setting("--jobs", args.jobs, "an int >= 1")
     ontology = _load_cli_ontology(args)
     cfg = _generator_config(args, ontology)
     out = Path(args.out)
@@ -274,8 +268,7 @@ def _cmd_train(args) -> int:
             epochs=args.epochs,
             learning_rate=args.learning_rate,
             l2=args.l2,
-            # NumPy's generator takes no negative seed.
-            seed=_at_least(_resolve_seed(args), f"--seed ({SEED_ENV_VAR})", 0),
+            seed=check_setting(f"--seed ({SEED_ENV_VAR})", _resolve_seed(args), "an int >= 0"),
         )
     save_model(model, args.out, encoded.ontology_hash)
     _log(f"trained {args.model} on {train_split[0].shape[0]} turns -> {args.out}")
@@ -303,7 +296,7 @@ def _cmd_sweep(args) -> int:
     ontology = _load_cli_ontology(args)
     rates = _parse_floats(args.rates, "--rates")
     models = [m.strip() for m in args.models.split(",")]
-    _at_least(args.seeds, "--seeds", 1)
+    check_setting("--seeds", args.seeds, "an int >= 1")
     gen_cfg = _generator_config(args, ontology)
     result = robustness_sweep(
         ontology,

@@ -18,7 +18,7 @@ from .engine import (
     split_counts,
 )
 from .errors import DialoforgeError, SchemaError, ValidationError
-from .ontology import Ontology, check_object
+from .ontology import Ontology, check_object, check_setting
 
 SPLIT_NAMES = ("train", "val", "test")
 FORMAT_VERSION = 2  # of a dataset's manifest.json; read_dataset accepts no other
@@ -74,8 +74,7 @@ def _generated(
     starts no more workers than there are CPUs, and ``work`` must be a
     module-level function so that it can be sent to them.
     """
-    if jobs < 1:
-        raise ValidationError("jobs must be >= 1")
+    check_setting("jobs", jobs, "an int >= 1")
     tasks = [(ontology, cfg, index, seed) for index, seed in enumerate(dialogue_seeds(cfg))]
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:

@@ -21,7 +21,6 @@ Bernoulli draw, evaluated only if the previous ones did not fire.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,7 +35,7 @@ from .ontology import (
     Ontology,
     SlotCategory,
     TopicSpec,
-    is_int,
+    check_setting,
 )
 from .rng import derive_seed
 
@@ -260,16 +259,11 @@ class GeneratorConfig:
     split_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
     def __post_init__(self):
-        if not is_int(self.n_dialogues) or self.n_dialogues < 1:
-            raise ValidationError(f"n_dialogues must be a positive int, got {self.n_dialogues!r}")
+        check_setting("n_dialogues", self.n_dialogues, "an int >= 1")
         for name in ("p_chitchat", "p_mind_change", "p_domain_change"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1]")
-        fractions = self.split_fractions
-        # A NaN fails the comparison.
-        if len(fractions) != 3 or not all(0 <= f < math.inf for f in fractions):
-            raise ValidationError("split_fractions must be three finite non-negative numbers")
+            check_setting(name, getattr(self, name), "a number in [0, 1]")
+        check_setting("seed", self.seed, "an int")
+        check_setting("split_fractions", self.split_fractions, "three finite numbers >= 0")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValidationError("split_fractions must sum to 1")
 

@@ -14,7 +14,7 @@ class SchemaError(DialoforgeError):
 
 
 class ValidationError(DialoforgeError):
-    """An input parses but breaks an invariant or a setting's range, names a
-    label outside its catalog, or its provenance hash differs from the file it
-    was made from.  The message names the file or setting and the offending
-    element.  Exit 1."""
+    """An input parses but breaks an invariant or a setting's type or range,
+    names a label outside its catalog, or its provenance hash differs from the
+    file it was made from.  The message names the file or setting and the
+    offending element.  Exit 1."""

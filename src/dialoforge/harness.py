@@ -23,7 +23,7 @@ from .engine import GeneratorConfig
 from .errors import DialoforgeError, SchemaError, ValidationError
 from .injection import ErrorConfig, inject_errors
 from .metrics import MetricsReport, compute_metrics
-from .ontology import Ontology, is_int, is_number
+from .ontology import Ontology, check_setting
 from .rng import derive_seed
 
 MODEL_KINDS = ("memorizer", "linear")
@@ -67,12 +67,21 @@ def _pack_rows(states: np.ndarray) -> list[bytes]:
     return [row.tobytes() for row in packed]
 
 
+def _training_pair(train: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The (states, targets) a trainer takes: as many target rows as state
+    rows, and at least one."""
+    states, targets = train
+    if states.shape[0] != targets.shape[0]:
+        raise ValidationError(f"{states.shape[0]} state rows but {targets.shape[0]} target rows")
+    if states.shape[0] == 0:
+        raise ValidationError("cannot train on an empty split")
+    return states, targets
+
+
 def train_memorizer(train: tuple[np.ndarray, np.ndarray]) -> MemorizerModel:
     """Majority target per distinct state; ties break to the lexicographically
     smallest serialized target, and the fallback is the global majority."""
-    states, targets = train
-    if states.shape[0] == 0:
-        raise ValidationError("cannot train a memorizer on an empty split")
+    states, targets = _training_pair(train)
 
     per_state: dict[bytes, Counter] = {}
     overall: Counter = Counter()
@@ -131,17 +140,11 @@ def train_linear(
     l2: float = 0.0,
     seed: int = 0,
 ) -> LinearModel:
-    for name, value in (("learning_rate", learning_rate), ("l2", l2)):
-        # A NaN fails the comparison.
-        if not (is_number(value) and 0 <= value < math.inf):
-            raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
-    if not is_int(epochs) or epochs < 1:
-        raise ValidationError(f"epochs must be an int >= 1, got {epochs!r}")
-    if not is_int(seed) or seed < 0:
-        raise ValidationError(f"seed must be an int >= 0, got {seed!r}")
-    states, targets = train
-    if states.shape[0] == 0:
-        raise ValidationError("cannot train on an empty split")
+    check_setting("learning_rate", learning_rate, "a finite number >= 0")
+    check_setting("l2", l2, "a finite number >= 0")
+    check_setting("epochs", epochs, "an int >= 1")
+    check_setting("seed", seed, "an int >= 0")  # NumPy's generator takes no negative seed
+    states, targets = _training_pair(train)
 
     n, width = states.shape
     n_actions = targets.shape[1]
@@ -317,15 +320,16 @@ def robustness_sweep(
 ) -> SweepResult:
     """Inject increasing error rates into one clean dataset and score each
     model on the perturbed train/test splits."""
-    if any(not 0.0 <= r <= 1.0 for r in error_rates):
-        raise ValidationError("error rates must lie in [0, 1]")
+    for i, rate in enumerate(error_rates):
+        check_setting(f"error_rates[{i}]", rate, "a number in [0, 1]")
     if any(b <= a for a, b in zip(error_rates, error_rates[1:])):
         raise ValidationError("error rates must be strictly increasing")
     for kind in models:
         if kind not in MODEL_KINDS:
             raise ValidationError(f"unknown model kind {kind!r}")
-    if not is_int(n_seeds) or n_seeds < 1:
-        raise ValidationError(f"n_seeds must be an int >= 1, got {n_seeds!r}")
+    check_setting("n_seeds", n_seeds, "an int >= 1")
+    check_setting("seed", seed, "an int")
+    ErrorConfig(mode_weights=mode_weights)  # checks them before the clean set is built
 
     if base_dataset is not None:  # the manifest describes it by gen_cfg and the ontology
         if base_dataset.config != gen_cfg:

@@ -8,7 +8,6 @@ reconstructed from the log.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -17,7 +16,7 @@ from typing import Iterable, Optional
 from .dataset import Dataset, read_jsonl, write_jsonl
 from .engine import Dialogue, DialogueTurn, UserAct
 from .errors import ValidationError
-from .ontology import IntentKind, Ontology, UNK_TOKEN, check_object, is_number
+from .ontology import IntentKind, Ontology, UNK_TOKEN, check_object, check_setting
 from .rng import derive_seed
 
 
@@ -42,16 +41,11 @@ class ErrorConfig:
 
     def __post_init__(self):
         for name in ("p_intent", "p_action", "p_slot"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1]")
-        weights = self.mode_weights
-        if not (isinstance(weights, (tuple, list)) and len(weights) == 2
-                and all(map(is_number, weights))):
-            raise ValidationError(f"mode_weights must be two numbers, got {weights!r}")
-        # A NaN fails the comparison.
-        if not all(0 <= w < math.inf for w in weights) or sum(weights) == 0:
-            raise ValidationError("mode_weights must be finite and non-negative, not both zero")
+            check_setting(name, getattr(self, name), "a number in [0, 1]")
+        check_setting("mode_weights", self.mode_weights, "two finite numbers >= 0")
+        if sum(self.mode_weights) == 0:
+            raise ValidationError(f"mode_weights must not both be zero, got {self.mode_weights!r}")
+        check_setting("seed", self.seed, "an int")
 
 
 _RECORD_KEYS = {

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import ClassVar, Iterable, Optional
+from typing import Any, ClassVar, Iterable, Optional
 
 from .errors import SchemaError, ValidationError
 
@@ -260,6 +261,34 @@ def is_int(value: object) -> bool:
 
 def is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite_numbers(value: object, n: int) -> bool:
+    # A NaN fails the comparison.
+    return (isinstance(value, (tuple, list)) and len(value) == n
+            and all(is_number(v) and 0 <= v < math.inf for v in value))
+
+
+# Every rule a setting given in code or as a flag must meet.  A rule's name is
+# the end of its error message.
+_SETTING_RULES = {
+    "an int": is_int,
+    "an int >= 0": lambda v: is_int(v) and v >= 0,
+    "an int >= 1": lambda v: is_int(v) and v >= 1,
+    "a number in [0, 1]": lambda v: is_number(v) and 0 <= v <= 1,
+    "a finite number >= 0": lambda v: _finite_numbers((v,), 1),
+    "two finite numbers >= 0": lambda v: _finite_numbers(v, 2),
+    "three finite numbers >= 0": lambda v: _finite_numbers(v, 3),
+}
+
+
+def check_setting(name: str, value: Any, rule: str) -> Any:
+    """``value``, the setting ``name`` given in code or as a flag, if it meets
+    ``rule`` (a key of ``_SETTING_RULES``); else a ``ValidationError`` that
+    reads ``<name> must be <rule>, got <value!r>``."""
+    if not _SETTING_RULES[rule](value):
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
+    return value
 
 
 # The JSON type each name in a key table stands for; "list of <name>s" is a

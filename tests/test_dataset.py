@@ -83,10 +83,15 @@ def _on_both_paths(cases: dict[str, tuple]) -> list:
     ]
 
 
-@pytest.mark.parametrize("write, jobs", _on_both_paths({"0": (0,), "-1": (-1,)}))
+@pytest.mark.parametrize(
+    "write, jobs",
+    # The command parses --jobs as an int, so only the library sees 1.5 or True.
+    _on_both_paths({"0": (0,), "-1": (-1,)})
+    + [pytest.param(_via_lines, jobs, id=f"lines-{jobs}") for jobs in (1.5, True)],
+)
 def test_jobs_below_one_is_rejected(simple_ontology, tmp_path, write, jobs):
     out = tmp_path / "ds"
-    with pytest.raises(ValidationError, match="jobs must be >= 1"):
+    with pytest.raises(ValidationError, match=f"jobs must be an int >= 1, got {jobs}$"):
         write(simple_ontology, GeneratorConfig(n_dialogues=2, seed=0), jobs, out)
     assert not out.exists()
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -152,10 +153,22 @@ def test_non_finite_split_fraction_rejected(fractions):
         GeneratorConfig(split_fractions=fractions)
 
 
-@pytest.mark.parametrize("n", [2.5, math.inf, 3.0, True, "4"])
-def test_non_int_dialogue_count_rejected(n):
-    with pytest.raises(ValidationError, match="^n_dialogues must be a positive int"):
-        GeneratorConfig(n_dialogues=n)
+# A bool is no number, and a string no int or number, for any setting.
+GENERATOR_CONFIG_ROWS = [
+    *(pytest.param("n_dialogues", n, id=str(n)) for n in (2.5, math.inf, 3.0, True, "4")),
+    *(pytest.param("seed", s, id=f"seed-{s}") for s in (1.5, None, True)),
+    *(pytest.param(p, v, id=f"{p}-{kind}")
+      for p in ("p_chitchat", "p_mind_change", "p_domain_change")
+      for v, kind in (("0.2", "string"), (True, "True"))),
+    pytest.param("split_fractions", ("0.6", 0.2, 0.2), id="split_fractions-string"),
+]
+
+
+@pytest.mark.parametrize("setting, value", GENERATOR_CONFIG_ROWS)
+def test_non_int_dialogue_count_rejected(setting, value):
+    message = f"^{setting} must be .*, got {re.escape(repr(value))}$"
+    with pytest.raises(ValidationError, match=message):
+        GeneratorConfig(**{setting: value})
 
 
 # -- sample_user_turn --------------------------------------------------------

@@ -22,6 +22,8 @@ from dialoforge.injection import (
 )
 from dialoforge.ontology import IntentKind, UNK_TOKEN
 
+from .test_engine import GENERATOR_CONFIG_ROWS
+
 
 def _dataset(ontology, n=40, seed=9):
     return generate_dataset(ontology, GeneratorConfig(n_dialogues=n, seed=seed))
@@ -31,14 +33,30 @@ def _dataset_bytes(ds):
     return "".join(dumps_dialogue(d) for _, d in ds.iter_dialogues())
 
 
-@pytest.mark.parametrize(
-    "weights",
-    [(math.nan, 1.0), (math.inf, 1.0), (math.inf, math.inf), (-1.0, 1.0), (0.0, 0.0)],
-    ids=["nan", "inf", "both-inf", "negative", "both-zero"],
-)
-def test_bad_mode_weights_rejected(weights):
-    with pytest.raises(ValidationError, match="^mode_weights must be finite"):
-        ErrorConfig(p_intent=0.5, mode_weights=weights)
+# A bool is no number, and a string no int or number, for any setting.
+ERROR_CONFIG_ROWS = [
+    *(pytest.param("mode_weights", w, id=name) for w, name in (
+        ((math.nan, 1.0), "nan"), ((math.inf, 1.0), "inf"), ((math.inf, math.inf), "both-inf"),
+        ((-1.0, 1.0), "negative"), ((0.0, 0.0), "both-zero"))),
+    *(pytest.param(p, v, id=f"{p}-{kind}")
+      for p in ("p_intent", "p_action", "p_slot")
+      for v, kind in (("0.2", "string"), (True, "True"))),
+    *(pytest.param("seed", s, id=f"seed-{s}") for s in (1.5, None, True)),
+]
+
+
+@pytest.mark.parametrize("setting, value", ERROR_CONFIG_ROWS)
+def test_bad_mode_weights_rejected(setting, value):
+    message = f"^{setting} must .*, got {re.escape(repr(value))}$"
+    with pytest.raises(ValidationError, match=message):
+        ErrorConfig(**{"p_intent": 0.5, setting: value})
+
+
+def test_every_config_field_has_a_rejecting_row():
+    for config, rows in ((GeneratorConfig, GENERATOR_CONFIG_ROWS),
+                         (ErrorConfig, ERROR_CONFIG_ROWS)):
+        tested = {row.values[0] for row in rows}
+        assert {f.name for f in dataclasses.fields(config)} <= tested, config.__name__
 
 
 @pytest.mark.parametrize(
@@ -47,7 +65,7 @@ def test_bad_mode_weights_rejected(weights):
     ids=["one", "three", "scalar", "strings", "bools", "none"],
 )
 def test_mode_weights_must_be_two_numbers(weights):
-    with pytest.raises(ValidationError, match="^mode_weights must be two numbers"):
+    with pytest.raises(ValidationError, match="^mode_weights must be two finite numbers >= 0"):
         ErrorConfig(p_intent=0.5, mode_weights=weights)
 
 

@@ -74,10 +74,15 @@ def test_memorizer_perfect_on_own_training_split(simple_ontology):
 
 
 def test_empty_split_rejected():
-    with pytest.raises(ValidationError, match="cannot train a memorizer on an empty split"):
-        train_memorizer(_split(np.zeros((0, 3)), np.zeros((0, 2))))
-    with pytest.raises(ValidationError, match="cannot train on an empty split"):
-        train_linear(_split(np.zeros((0, 3)), np.zeros((0, 2))))
+    for train in (train_memorizer, train_linear):
+        with pytest.raises(ValidationError, match="^cannot train on an empty split$"):
+            train(_split(np.zeros((0, 3)), np.zeros((0, 2))))
+
+
+@pytest.mark.parametrize("train", [train_memorizer, train_linear], ids=["memorizer", "linear"])
+def test_row_count_mismatch_rejected(train):
+    with pytest.raises(ValidationError, match="^10 state rows but 5 target rows$"):
+        train(_split(np.zeros((10, 3)), np.zeros((5, 2))))
 
 
 # -- linear model ------------------------------------------------------------

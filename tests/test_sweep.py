@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dialoforge import harness
 from dialoforge.dataset import generate_dataset
 from dialoforge.encoding import encode_dataset
 from dialoforge.engine import GeneratorConfig
@@ -76,11 +77,23 @@ def test_sweep_rate_validation(simple_ontology):
         robustness_sweep(simple_ontology, cfg, [0.0], ["transformer"])
 
 
-@pytest.mark.parametrize("n_seeds", [0, -1, 1.5, True])
-def test_sweep_needs_at_least_one_seed(n_seeds, simple_ontology):
-    with pytest.raises(ValidationError, match="^n_seeds must be an int >= 1"):
-        robustness_sweep(simple_ontology, _small_cfg(n=30), [0.0], ["memorizer"],
-                         n_seeds=n_seeds)
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        *(pytest.param("n_seeds", n, id=str(n)) for n in (0, -1, 1.5, True)),
+        *(pytest.param("seed", s, id=f"seed-{s}") for s in (1.5, None, True)),
+        pytest.param("mode_weights", (1.0,), id="mode_weights-one"),
+        pytest.param("mode_weights", (0.0, 0.0), id="mode_weights-both-zero"),
+        pytest.param("error_rates", ["0.5"], id="error_rates-string"),
+        pytest.param("error_rates", [True], id="error_rates-True"),
+    ],
+)
+def test_sweep_needs_at_least_one_seed(setting, value, simple_ontology, monkeypatch):
+    # Every setting is checked before the clean dataset is built.
+    monkeypatch.setattr(harness, "generate_dataset", lambda *a: pytest.fail("generated"))
+    kwargs = {"error_rates": [0.0], "models": ["memorizer"], setting: value}
+    with pytest.raises(ValidationError, match=rf"^{setting}\b.* must .*, got "):
+        robustness_sweep(simple_ontology, _small_cfg(n=30), **kwargs)
 
 
 def test_sweep_csv_exports(simple_ontology, tmp_path):

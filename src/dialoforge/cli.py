@@ -27,7 +27,7 @@ from .dataset import Dataset, read_dataset, write_dataset, write_generated, writ
 from .dataset import generate_dataset  # noqa: F401
 from .encoding import EncodedDataset, encode_dataset, read_encoded, write_encoded
 from .engine import GeneratorConfig
-from .errors import DialoforgeError, SchemaError, ValidationError
+from .errors import DialoforgeError, ValidationError
 from .harness import (
     MODEL_KINDS,
     compute_metrics,
@@ -46,13 +46,9 @@ SEED_ENV_VAR = "DIALOFORGE_SEED"
 
 _MODE_WEIGHTS = {"relabel": (1.0, 0.0), "unk": (0.0, 1.0), "mixed": (0.5, 0.5)}
 
-# GeneratorConfig fields that generate and sweep expose as flags of the same
-# name, with the type each flag parses.
-_GENERATOR_FLAGS = {
-    "p_chitchat": float,
-    "p_mind_change": float,
-    "p_domain_change": float,
-}
+# GeneratorConfig fields that generate and sweep expose as float flags of the
+# same name.
+_GENERATOR_FLAGS = ("p_chitchat", "p_mind_change", "p_domain_change")
 
 # Heads every manifest a command writes ("version" is a dataset format's).
 _MANIFEST_HEADER = {"tool": "dialoforge", "tool_version": __version__}
@@ -104,7 +100,7 @@ def _dataset_ontology(indir: Path, dataset: Dataset) -> Ontology:
     """The dataset's ontology.json, checked against its manifest's ontology_hash."""
     path = indir / "ontology.json"
     if not path.exists():
-        raise SchemaError(f"{indir} has no ontology.json (not produced by `generate`?)")
+        raise ValidationError(f"{indir} has no ontology.json (not produced by `generate`?)")
     ontology = load_ontology_file(path)
     content_hash = ontology.content_hash()
     if content_hash != dataset.ontology_hash:
@@ -140,21 +136,29 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _flag(field: str) -> str:
+    """The flag that sets a config field: --dialogues for n_dialogues, else
+    the field's name in kebab case."""
+    return "--dialogues" if field == "n_dialogues" else "--" + field.replace("_", "-")
+
+
 def _generator_config(args, ontology: Ontology) -> GeneratorConfig:
     """Resolve generation settings: flags first, then the ontology's
-    `generation` defaults, then GeneratorConfig's own defaults."""
+    `generation` defaults, then GeneratorConfig's own defaults.  A flag's
+    value must meet its field's rule, and an error names the flag."""
     defaults = ontology.generation_defaults
-    fields = {k: v for k, v in vars(args).items() if k in _GENERATOR_FLAGS and v is not None}
-    if args.dialogues is not None:
-        fields["n_dialogues"] = check_setting("--dialogues", args.dialogues, "an int >= 1")
-    elif "n_dialogues" in defaults:
-        fields["n_dialogues"] = defaults["n_dialogues"]
+    given = {name: getattr(args, name) for name in _GENERATOR_FLAGS}
+    given["n_dialogues"] = args.dialogues
     if getattr(args, "split_fractions", None):
-        fractions = _parse_floats(args.split_fractions, "--split-fractions")
-        if len(fractions) != 3:
-            raise ValidationError("--split-fractions needs three comma-separated numbers")
-        fields["split_fractions"] = tuple(fractions)
-    elif "split" in defaults:
+        given["split_fractions"] = tuple(_parse_floats(args.split_fractions, "--split-fractions"))
+    fields = {
+        name: check_setting(_flag(name), value, GeneratorConfig.RULES[name])
+        for name, value in given.items()
+        if value is not None
+    }
+    if "n_dialogues" not in fields and "n_dialogues" in defaults:
+        fields["n_dialogues"] = defaults["n_dialogues"]
+    if "split_fractions" not in fields and "split" in defaults:
         counts = defaults["split"]
         fields["split_fractions"] = tuple(c / sum(counts) for c in counts)
     return GeneratorConfig(seed=_resolve_seed(args), **fields)
@@ -182,6 +186,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_inject(args) -> int:
+    rates = {name: getattr(args, name) for name in ("p_intent", "p_action", "p_slot")}
+    for name, rate in rates.items():
+        check_setting(_flag(name), rate, ErrorConfig.RULES[name])
     indir = Path(getattr(args, "in"))
     if (indir / "perturbations.jsonl").exists():
         # The new log could restore only this input, not the clean data.
@@ -191,13 +198,7 @@ def _cmd_inject(args) -> int:
         )
     dataset = read_dataset(indir)
     ontology = _dataset_ontology(indir, dataset)
-    cfg = ErrorConfig(
-        p_intent=args.p_intent,
-        p_action=args.p_action,
-        p_slot=args.p_slot,
-        mode_weights=_MODE_WEIGHTS[args.mode],
-        seed=_resolve_seed(args),
-    )
+    cfg = ErrorConfig(**rates, mode_weights=_MODE_WEIGHTS[args.mode], seed=_resolve_seed(args))
     perturbed, records = inject_errors(dataset, ontology, cfg, splits=args.splits)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -244,7 +245,7 @@ def _find_encoded(indir: Path) -> Path:
         return indir
     if (indir / "encoded" / "train.bin").exists():
         return indir / "encoded"
-    raise SchemaError(f"no encoded data under {indir}; run `encode` first")
+    raise ValidationError(f"no encoded data under {indir}; run `encode` first")
 
 
 def _rows(encoded: EncodedDataset, enc_dir: Path, split: str) -> tuple:
@@ -295,6 +296,8 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     ontology = _load_cli_ontology(args)
     rates = _parse_floats(args.rates, "--rates")
+    for rate in rates:  # a rate is each p_ of an ErrorConfig
+        check_setting("--rates", rate, ErrorConfig.RULES["p_intent"])
     models = [m.strip() for m in args.models.split(",")]
     check_setting("--seeds", args.seeds, "an int >= 1")
     gen_cfg = _generator_config(args, ontology)
@@ -319,8 +322,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _add_generator_flags(p: argparse.ArgumentParser) -> None:
-    for name, kind in _GENERATOR_FLAGS.items():
-        p.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
+    for name in _GENERATOR_FLAGS:
+        p.add_argument(_flag(name), type=float, default=None)
 
 
 def build_parser() -> _Parser:
@@ -407,7 +410,7 @@ def run_cli(argv: list[str]) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (SchemaError, ValidationError) as exc:
+    except ValidationError as exc:
         _log(f"error: {exc}")
         return 1
     except (DialoforgeError, OSError) as exc:

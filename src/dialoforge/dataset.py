@@ -17,7 +17,7 @@ from .engine import (
     generate_dialogue,
     split_counts,
 )
-from .errors import DialoforgeError, SchemaError, ValidationError
+from .errors import DialoforgeError, ValidationError
 from .ontology import Ontology, check_object, check_setting
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -111,9 +111,9 @@ def read_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8: {exc}") from None
+        raise ValidationError(f"{path}: not UTF-8: {exc}") from None
 
 
 def _compact(obj) -> str:
@@ -143,13 +143,13 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
                 except DialoforgeError as exc:
                     raise type(exc)(f"{path}:{lineno}: {exc}") from None
                 except KeyError as exc:
-                    raise SchemaError(f"{path}:{lineno}: missing key {exc}") from None
+                    raise ValidationError(f"{path}:{lineno}: missing key {exc}") from None
                 except (ValueError, TypeError, AttributeError) as exc:  # incl. bad JSON
-                    raise SchemaError(f"{path}:{lineno}: {exc}") from None
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
         except UnicodeDecodeError as exc:
             # Raised by the line iterator, which decodes in blocks, so the
             # line number and the byte offset are not known here.
-            raise SchemaError(f"{path}: not UTF-8: {exc.reason}") from None
+            raise ValidationError(f"{path}: not UTF-8: {exc.reason}") from None
     return out
 
 
@@ -218,57 +218,52 @@ def write_generated(
 # Key tables of a dataset manifest; other keys (the tool's name and version, an
 # injection's settings) may ride along at its top level only.
 _MANIFEST_KEYS = {
-    "format": "string", "version": "integer", "ontology_hash": "string", "config": "object",
-    "seed": "integer", "splits": "object", "n_dialogues": "integer",
+    "format": "a string", "version": "an int", "ontology_hash": "a string", "config": "an object",
+    "seed": "an int", "splits": "an object", "n_dialogues": "an int",
 }
-_CONFIG_KEYS = {  # one per GeneratorConfig field
-    "n_dialogues": "integer", "seed": "integer", "split_fractions": "list of numbers",
-    **dict.fromkeys(("p_chitchat", "p_mind_change", "p_domain_change"), "number"),
-}
-_SPLITS_KEYS = dict.fromkeys(SPLIT_NAMES, "integer")
+_SPLITS_KEYS = dict.fromkeys(SPLIT_NAMES, "an int")
 
 
 def read_dataset(indir) -> Dataset:
     path = Path(indir)
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
-        raise SchemaError(f"no manifest.json in {path}")
+        raise ValidationError(f"no manifest.json in {path}")
     where = f"{manifest_path}: $"
     manifest = check_object(read_json(manifest_path), where, _MANIFEST_KEYS, extra=True)
     if manifest["format"] != "dialoforge-dataset":
-        raise SchemaError(f"{where}.format: {manifest['format']!r} is not 'dialoforge-dataset'")
+        raise ValidationError(f"{where}.format: {manifest['format']!r} is not 'dialoforge-dataset'")
     if manifest["version"] != FORMAT_VERSION:
-        raise SchemaError(
+        raise ValidationError(
             f"{where}.version: format version {manifest['version']} is not {FORMAT_VERSION}"
         )
+    check_object(manifest["config"], f"{where}.config", GeneratorConfig.RULES)
     try:
-        config = GeneratorConfig.from_dict(
-            check_object(manifest["config"], f"{where}.config", _CONFIG_KEYS)
-        )
+        config = GeneratorConfig.from_dict(manifest["config"])
     except ValidationError as exc:
         raise ValidationError(f"{where}.config: {exc}") from None
     if manifest["seed"] != config.seed:
-        raise SchemaError(f"{where}.seed: {manifest['seed']} differs from config.seed")
+        raise ValidationError(f"{where}.seed: {manifest['seed']} differs from config.seed")
     claimed = check_object(manifest["splits"], f"{where}.splits", _SPLITS_KEYS)
     splits: dict[str, list[Dialogue]] = {}
     for split in SPLIT_NAMES:
         fp = path / f"{split}.jsonl"
         splits[split] = read_jsonl(fp, Dialogue.from_dict) if fp.exists() else []
         if claimed[split] != len(splits[split]):
-            raise SchemaError(
+            raise ValidationError(
                 f"{where}.splits.{split}: {claimed[split]} differs from the "
                 f"{len(splits[split])} dialogues in {fp}"
             )
     dataset = Dataset(splits=splits, ontology_hash=manifest["ontology_hash"], config=config)
     if manifest["n_dialogues"] != dataset.n_dialogues:
-        raise SchemaError(
+        raise ValidationError(
             f"{where}.n_dialogues: {manifest['n_dialogues']} differs from the "
             f"{dataset.n_dialogues} dialogues in the split files"
         )
     sizes = [claimed[split] for split in SPLIT_NAMES]
     expected = list(split_counts(config.n_dialogues, config.split_fractions))
     if sizes != expected:
-        raise SchemaError(
+        raise ValidationError(
             f"{where}.config: n_dialogues {config.n_dialogues} and split_fractions "
             f"{list(config.split_fractions)} give split sizes {expected}, but splits holds {sizes}"
         )

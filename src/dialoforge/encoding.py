@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataset import SPLIT_NAMES, Dataset, read_json, write_json
 from .engine import Dialogue, DialogueStack, Phase
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 from .ontology import (
     INTENT_CATALOG,
     IntentKind,
@@ -255,9 +255,9 @@ def _write_csv(path, layout: StateLayout, states: np.ndarray, targets: np.ndarra
 
 
 _LAYOUT_KEYS = {
-    **dict.fromkeys(("version", "state_width", "target_width"), "integer"),
-    **dict.fromkeys(("slot_keys", "intents", "actions", "management"), "list of strings"),
-    "ontology_hash": "string",
+    **dict.fromkeys(("version", "state_width", "target_width"), "an int"),
+    **dict.fromkeys(("slot_keys", "intents", "actions", "management"), "a list of strings"),
+    "ontology_hash": "a string",
 }
 
 
@@ -274,7 +274,9 @@ def _read_layout(path: Path) -> StateLayout:
     )
     for key, value in layout.to_dict().items():
         if obj[key] != value:
-            raise SchemaError(f"{where}.{key}: {obj[key]!r} differs from the expected {value!r}")
+            raise ValidationError(
+                f"{where}.{key}: {obj[key]!r} differs from the expected {value!r}"
+            )
     return layout
 
 
@@ -294,24 +296,24 @@ def read_encoded(indir) -> EncodedDataset:
             ontology_hash = meta["ontology_hash"]
             header_split = meta["split"]
         except (ValueError, KeyError) as exc:
-            raise SchemaError(f"{fp}: bad header: {exc}") from None
+            raise ValidationError(f"{fp}: bad header: {exc}") from None
         if magic != _MAGIC:
-            raise SchemaError(f"{fp}: first line is {magic!r}, expected {_MAGIC!r}")
+            raise ValidationError(f"{fp}: first line is {magic!r}, expected {_MAGIC!r}")
         if header_split != split:
-            raise SchemaError(f"{fp}: header names split {header_split!r}, expected {split!r}")
+            raise ValidationError(f"{fp}: header names split {header_split!r}, expected {split!r}")
         if ontology_hash != layout.ontology_hash:
             raise ValidationError(
                 f"{fp}: ontology_hash {ontology_hash} differs from "
                 f"{path / 'layout.json'}'s {layout.ontology_hash}"
             )
         if (sw, tw) != (layout.state_width, layout.target_width):
-            raise SchemaError(
+            raise ValidationError(
                 f"{fp}: widths {sw}/{tw} differ from layout.json's "
                 f"{layout.state_width}/{layout.target_width}"
             )
         sbytes, tbytes = (sw + 7) // 8, (tw + 7) // 8
         if len(payload) != rows * (sbytes + tbytes):
-            raise SchemaError(
+            raise ValidationError(
                 f"{fp}: payload is {len(payload)} bytes, {rows} rows need {rows * (sbytes + tbytes)}"
             )
         packed = np.frombuffer(payload, dtype=np.uint8)

@@ -24,9 +24,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import ClassVar, Optional
 
-from .errors import DialoforgeError, SchemaError, ValidationError
+from .errors import DialoforgeError, ValidationError
 from .ontology import (
     GENERAL_CHIT_CHAT_ID,
     ActionKind,
@@ -243,7 +243,7 @@ class Dialogue:
         )
         derived = dialogue._events_dicts()
         if obj["events_log"] != derived:
-            raise SchemaError(
+            raise ValidationError(
                 f"events_log {obj['events_log']!r} differs from the turns' events {derived!r}"
             )
         return dialogue
@@ -257,13 +257,18 @@ class GeneratorConfig:
     p_domain_change: float = 0.2
     seed: int = 0
     split_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
+    # The rule of each field (see ontology.check_setting), which a manifest's
+    # config and the CLI's flags must meet too.
+    RULES: ClassVar[dict[str, str]] = {
+        "n_dialogues": "an int >= 1",
+        **dict.fromkeys(("p_chitchat", "p_mind_change", "p_domain_change"), "a number in [0, 1]"),
+        "seed": "an int",
+        "split_fractions": "three finite numbers >= 0",
+    }
 
     def __post_init__(self):
-        check_setting("n_dialogues", self.n_dialogues, "an int >= 1")
-        for name in ("p_chitchat", "p_mind_change", "p_domain_change"):
-            check_setting(name, getattr(self, name), "a number in [0, 1]")
-        check_setting("seed", self.seed, "an int")
-        check_setting("split_fractions", self.split_fractions, "three finite numbers >= 0")
+        for name, rule in self.RULES.items():
+            check_setting(name, getattr(self, name), rule)
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValidationError("split_fractions must sum to 1")
 

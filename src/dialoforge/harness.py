@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import Dataset, generate_dataset
 from .encoding import encode_dataset
 from .engine import GeneratorConfig
-from .errors import DialoforgeError, SchemaError, ValidationError
+from .errors import DialoforgeError, ValidationError
 from .injection import ErrorConfig, inject_errors
 from .metrics import MetricsReport, compute_metrics
 from .ontology import Ontology, check_setting
@@ -243,17 +243,17 @@ def _shape_mismatch(kind: str, arrays: dict) -> Optional[str]:
 def load_model(path) -> tuple[Model, str]:
     """Read a model written by save_model, with the ontology hash it was tagged
     with.  A missing file raises OSError; a damaged one, or one whose arrays
-    disagree in shape, raises SchemaError."""
+    disagree in shape, raises ValidationError."""
     with open(path, "rb") as fh:
         try:
             with np.load(fh, allow_pickle=False) as blob:
                 arrays = dict(blob)  # each access to blob reads the member again
             kind = str(arrays["kind"])
             if kind not in MODEL_KINDS:
-                raise SchemaError(f"{path}: unknown model kind {kind!r}")
+                raise ValidationError(f"{path}: unknown model kind {kind!r}")
             mismatch = _shape_mismatch(kind, arrays)
             if mismatch is not None:
-                raise SchemaError(f"{path}: {mismatch}")
+                raise ValidationError(f"{path}: {mismatch}")
             if kind == "memorizer":
                 model = MemorizerModel(
                     state_width=int(arrays["state_width"]),
@@ -277,9 +277,9 @@ def load_model(path) -> tuple[Model, str]:
             # encrypted raises RuntimeError, an unknown compression method its
             # subclass NotImplementedError, and a central directory offset past
             # the end of the file an OSError from the seek.
-            raise SchemaError(f"{path}: not a model file: {exc}") from None
+            raise ValidationError(f"{path}: not a model file: {exc}") from None
         except KeyError as exc:
-            raise SchemaError(f"{path}: model file has no member {exc}") from None
+            raise ValidationError(f"{path}: model file has no member {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +320,16 @@ def robustness_sweep(
 ) -> SweepResult:
     """Inject increasing error rates into one clean dataset and score each
     model on the perturbed train/test splits."""
-    for i, rate in enumerate(error_rates):
-        check_setting(f"error_rates[{i}]", rate, "a number in [0, 1]")
+    for i, rate in enumerate(error_rates):  # a rate is each p_ of an ErrorConfig
+        check_setting(f"error_rates[{i}]", rate, ErrorConfig.RULES["p_intent"])
     if any(b <= a for a, b in zip(error_rates, error_rates[1:])):
         raise ValidationError("error rates must be strictly increasing")
     for kind in models:
         if kind not in MODEL_KINDS:
             raise ValidationError(f"unknown model kind {kind!r}")
+    for name, values in (("error_rates", error_rates), ("models", models)):
+        if len(values) == 0 or len(set(values)) < len(values):
+            raise ValidationError(f"{name} must be one or more distinct values, got {values!r}")
     check_setting("n_seeds", n_seeds, "an int >= 1")
     check_setting("seed", seed, "an int")
     ErrorConfig(mode_weights=mode_weights)  # checks them before the clean set is built

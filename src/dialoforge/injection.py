@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
 from .dataset import Dataset, read_jsonl, write_jsonl
 from .engine import Dialogue, DialogueTurn, UserAct
@@ -38,19 +38,24 @@ class ErrorConfig:
     p_slot: float = 0.0
     mode_weights: tuple[float, float] = (0.5, 0.5)  # (relabel, unk)
     seed: int = 0
+    # The rule of each field (see ontology.check_setting), which the CLI's
+    # flags and the sweep's rates must meet too.
+    RULES: ClassVar[dict[str, str]] = {
+        **dict.fromkeys(("p_intent", "p_action", "p_slot"), "a number in [0, 1]"),
+        "mode_weights": "two finite numbers >= 0",
+        "seed": "an int",
+    }
 
     def __post_init__(self):
-        for name in ("p_intent", "p_action", "p_slot"):
-            check_setting(name, getattr(self, name), "a number in [0, 1]")
-        check_setting("mode_weights", self.mode_weights, "two finite numbers >= 0")
+        for name, rule in self.RULES.items():
+            check_setting(name, getattr(self, name), rule)
         if sum(self.mode_weights) == 0:
             raise ValidationError(f"mode_weights must not both be zero, got {self.mode_weights!r}")
-        check_setting("seed", self.seed, "an int")
 
 
 _RECORD_KEYS = {
-    **dict.fromkeys(("dialogue_id", "element", "original", "new", "mode"), "string"),
-    **dict.fromkeys(("turn_index", "index"), "integer"),
+    **dict.fromkeys(("dialogue_id", "element", "original", "new", "mode"), "a string"),
+    **dict.fromkeys(("turn_index", "index"), "an int"),
 }
 
 

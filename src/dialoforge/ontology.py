@@ -16,7 +16,7 @@ from enum import Enum
 from importlib import resources
 from typing import Any, ClassVar, Iterable, Optional
 
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 
 IDENT_RE = re.compile(r"^[a-z0-9_]{1,32}$")
 
@@ -246,13 +246,6 @@ def _require(cond: bool, path: str, msg: str) -> None:
         raise ValidationError(f"{path}: {msg}")
 
 
-def _check_ident(value: str, path: str) -> str:
-    _require(
-        bool(IDENT_RE.match(value)), path, f"identifier {value!r} must match [a-z0-9_]{{1,32}}"
-    )
-    return value
-
-
 # Python counts a bool as an int.  Neither check takes one, just as a JSON
 # true or false is neither an integer nor a number.
 def is_int(value: object) -> bool:
@@ -269,9 +262,13 @@ def _finite_numbers(value: object, n: int) -> bool:
             and all(is_number(v) and 0 <= v < math.inf for v in value))
 
 
-# Every rule a setting given in code or as a flag must meet.  A rule's name is
-# the end of its error message.
-_SETTING_RULES = {
+_IDENT = "a [a-z0-9_]{1,32} identifier"  # names IDENT_RE's pattern
+
+# Every rule a setting given in code or as a flag, or a value in a JSON file,
+# must meet.  A rule's name is the end of its error message.  A key table of
+# ``check_object`` may also name "a list of <noun>s", a list whose every item
+# meets "a <noun>" (or "an <noun>").
+_RULES = {
     "an int": is_int,
     "an int >= 0": lambda v: is_int(v) and v >= 0,
     "an int >= 1": lambda v: is_int(v) and v >= 1,
@@ -279,27 +276,20 @@ _SETTING_RULES = {
     "a finite number >= 0": lambda v: _finite_numbers((v,), 1),
     "two finite numbers >= 0": lambda v: _finite_numbers(v, 2),
     "three finite numbers >= 0": lambda v: _finite_numbers(v, 3),
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+    _IDENT: lambda v: isinstance(v, str) and IDENT_RE.match(v) is not None,
 }
 
 
 def check_setting(name: str, value: Any, rule: str) -> Any:
     """``value``, the setting ``name`` given in code or as a flag, if it meets
-    ``rule`` (a key of ``_SETTING_RULES``); else a ``ValidationError`` that
-    reads ``<name> must be <rule>, got <value!r>``."""
-    if not _SETTING_RULES[rule](value):
+    ``rule`` (a key of ``_RULES``); else a ``ValidationError`` that reads
+    ``<name> must be <rule>, got <value!r>``."""
+    if not _RULES[rule](value):
         raise ValidationError(f"{name} must be {rule}, got {value!r}")
     return value
-
-
-# The JSON type each name in a key table stands for; "list of <name>s" is a
-# list whose every item has that type.
-_JSON_TYPES = {
-    "integer": is_int,
-    "number": is_number,
-    "string": lambda v: isinstance(v, str),
-    "object": lambda v: isinstance(v, dict),
-    "list": lambda v: isinstance(v, list),
-}
 
 
 def _shown(value: object) -> str:
@@ -309,14 +299,15 @@ def _shown(value: object) -> str:
     return json.dumps(value)
 
 
-def _check_type(value: object, path: str, type_name: str) -> None:
-    if type_name.startswith("list of "):
-        _check_type(value, path, "list")
+def _check_value(value: object, path: str, rule: str) -> None:
+    if rule.startswith("a list of "):
+        _check_value(value, path, "a list")
+        noun = rule[len("a list of ") : -1]
+        item_rule = ("an " if noun[0] in "aeiou" else "a ") + noun
         for i, item in enumerate(value):
-            _check_type(item, f"{path}[{i}]", type_name[len("list of ") : -1])
-    elif not _JSON_TYPES[type_name](value):
-        article = "an" if type_name[0] in "aeiou" else "a"
-        raise SchemaError(f"{path}: must be {article} {type_name}, got {_shown(value)}")
+            _check_value(item, f"{path}[{i}]", item_rule)
+    elif not _RULES[rule](value):
+        raise ValidationError(f"{path}: must be {rule}, got {_shown(value)}")
 
 
 def check_object(
@@ -324,48 +315,48 @@ def check_object(
 ) -> dict:
     """The one shape and type check of a JSON object read from a file: ``obj``
     is an object that holds every key of ``keys`` and may hold those of
-    ``optional``, each of the type its table names (see ``_JSON_TYPES``), and
+    ``optional``, each meeting the rule its table names (see ``_RULES``), and
     no other key unless ``extra``.  ``path`` is its JSON path, which a file's
-    reader prefixes with the file's name; every error is a ``SchemaError``
+    reader prefixes with the file's name; every error is a ``ValidationError``
     that starts with the path of the offending value.  Returns ``obj``.
     """
-    _check_type(obj, path, "object")
+    _check_value(obj, path, "an object")
     missing = keys.keys() - obj.keys()
     if missing:
-        raise SchemaError(f"{path}: missing key(s) {sorted(missing)}")
+        raise ValidationError(f"{path}: missing key(s) {sorted(missing)}")
     unknown = obj.keys() - keys.keys() - optional.keys()
     if unknown and not extra:
-        raise SchemaError(f"{path}: unknown key(s) {sorted(unknown)}")
-    for key, type_name in (*keys.items(), *optional.items()):
+        raise ValidationError(f"{path}: unknown key(s) {sorted(unknown)}")
+    for key, rule in (*keys.items(), *optional.items()):
         if key in obj:
-            _check_type(obj[key], f"{path}.{key}", type_name)
+            _check_value(obj[key], f"{path}.{key}", rule)
     return obj
 
 
-_SLOT_KEYS = {"name": "string", "category": "string", "values": "list of strings"}
-_EMIT_KEYS = dict.fromkeys(("request", "confirm", "inform"), "list of strings")
+_SLOT_KEYS = {
+    "name": _IDENT, "category": "a string", "values": "a list of [a-z0-9_]{1,32} identifiers"
+}
+_EMIT_KEYS = dict.fromkeys(("request", "confirm", "inform"), "a list of strings")
 
 
 def _parse_slot(obj: object, path: str) -> SlotSpec:
     check_object(obj, path, _SLOT_KEYS)
-    name = _check_ident(obj["name"], f"{path}.name")
+    name = obj["name"]
     try:
         category = SlotCategory(obj["category"])
     except ValueError:
-        raise SchemaError(
+        raise ValidationError(
             f"{path}.category: must be one of mandatory/desired/optional"
         ) from None
     values = obj["values"]
     _require(len(values) >= 1, f"{path}.values", "needs at least one value")
     _require(len(set(values)) == len(values), f"{path}.values", "values must be unique")
-    for i, v in enumerate(values):
-        _check_ident(v, f"{path}.values[{i}]")
     return SlotSpec(name=name, category=category, values=tuple(values))
 
 
 def _parse_topic(obj: object, path: str) -> TopicSpec:
-    check_object(obj, path, {"name": "string", "slots": "list"}, {"emit": "object"})
-    name = _check_ident(obj["name"], f"{path}.name")
+    check_object(obj, path, {"name": _IDENT, "slots": "a list"}, {"emit": "an object"})
+    name = obj["name"]
     slots = tuple(_parse_slot(s, f"{path}.slots[{i}]") for i, s in enumerate(obj["slots"]))
     _require(len(slots) >= 1, path, f"topic {name!r} has no slots")
     names = [s.name for s in slots]
@@ -415,8 +406,8 @@ def _parse_topic(obj: object, path: str) -> TopicSpec:
 
 
 def _parse_domain(obj: object, path: str) -> DomainSpec:
-    check_object(obj, path, {"name": "string", "topics": "list"})
-    name = _check_ident(obj["name"], f"{path}.name")
+    check_object(obj, path, {"name": _IDENT, "topics": "a list"})
+    name = obj["name"]
     topics = tuple(_parse_topic(t, f"{path}.topics[{i}]") for i, t in enumerate(obj["topics"]))
     _require(len(topics) >= 1, path, f"domain {name!r} has no topics")
     tnames = [t.name for t in topics]
@@ -427,9 +418,7 @@ def _parse_domain(obj: object, path: str) -> DomainSpec:
 def _parse_generation(obj: object) -> dict:
     """Check the generation defaults; the dict itself is kept as written."""
     path = "$.generation"
-    check_object(obj, path, {}, {"n_dialogues": "integer", "split": "list of integers"})
-    if "n_dialogues" in obj:
-        _require(obj["n_dialogues"] > 0, f"{path}.n_dialogues", "must be positive")
+    check_object(obj, path, {}, {"n_dialogues": "an int >= 1", "split": "a list of ints"})
     if "split" in obj:
         split = obj["split"]
         _require(
@@ -453,15 +442,15 @@ def build_ontology(domains: Iterable[DomainSpec], generation_defaults: Optional[
 def load_ontology(source: str) -> Ontology:
     """Parse and validate a JSON ontology document.
 
-    Raises SchemaError for malformed documents and ValidationError (with a
-    path to the offending element) for invariant violations; never returns a
-    partially valid object.
+    Raises a ValidationError, with the path to the offending element, for a
+    malformed document or a broken invariant; never returns a partially valid
+    object.
     """
     try:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from None
-    check_object(doc, "$", {"domains": "list"}, {"generation": "object"})
+        raise ValidationError(f"not valid JSON: {exc}") from None
+    check_object(doc, "$", {"domains": "a list"}, {"generation": "an object"})
     _require(len(doc["domains"]) >= 1, "$.domains", "needs at least one domain")
     domains = [_parse_domain(d, f"$.domains[{i}]") for i, d in enumerate(doc["domains"])]
     return build_ontology(domains, _parse_generation(doc.get("generation", {})))
@@ -473,11 +462,11 @@ def load_ontology_file(path) -> Ontology:
         try:
             source = fh.read()
         except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: not UTF-8: {exc}") from None
+            raise ValidationError(f"{path}: not UTF-8: {exc}") from None
     try:
         return load_ontology(source)
-    except (SchemaError, ValidationError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def preset_ontology(name: str) -> Ontology:

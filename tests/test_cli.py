@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -247,12 +248,12 @@ def _bool_config_seed(manifest: dict, dataset: Path) -> None:
         (_set_version(1), "version 1"),
         (lambda m, _: m.update(config=[]), "config: must be an object"),
         (lambda m, _: m["config"].update(n_dialogues="forty"),
-         "$.config.n_dialogues: must be an integer"),
+         "$.config.n_dialogues: must be an int >= 1"),
         (lambda m, _: m.update(splits=[24, 8, 8]), "$.splits: must be an object"),
         (lambda m, _: m["config"].update(n_dialogues=float(m["config"]["n_dialogues"])),
-         "$.config.n_dialogues: must be an integer, got 40.0"),
+         "$.config.n_dialogues: must be an int >= 1, got 40.0"),
         (lambda m, _: m["config"].update(p_chitchat=True), "$.config.p_chitchat: must be a number"),
-        (_bool_config_seed, "$.config.seed: must be an integer, got true"),
+        (_bool_config_seed, "$.config.seed: must be an int, got true"),
     ],
     ids=["no-config", "no-ontology-hash", "unknown-config-key", "invalid-config-value",
          "splits-differ", "n-dialogues-differs", "seed-differs", "truncated-split-file",
@@ -494,6 +495,82 @@ def test_damaged_file_exits_with_a_code_never_a_traceback(fuzz_root, name, flip,
     assert code in (0, 1, 2)
 
 
+_FLAG_VALUES = ("abc", "nan", "inf", "-1", "0", "1.5", "1e309", "")
+
+
+def _any_of(valid, *accepted):
+    """A flag fuzzed with every class of _FLAG_VALUES and one small valid value,
+    and the values of these it accepts."""
+    return (valid, *_FLAG_VALUES), {valid, *accepted}
+
+
+def _rejected_of(*accepted):
+    """A flag fuzzed only with the classes of _FLAG_VALUES it rejects."""
+    return tuple(v for v in _FLAG_VALUES if v not in accepted), set()
+
+
+# Each command's numeric flags.  sweep and train get rejected values only, so
+# no run starts; --jobs gets no value that would start a process pool.
+_P = _any_of("0.1", "0")
+_FUZZED_FLAGS = {
+    "generate": {
+        "--dialogues": _any_of("4"), "--seed": _any_of("3", "-1", "0"),
+        "--jobs": (("0", "-1", "x", "1"), {"1"}),
+        "--p-chitchat": _P, "--p-mind-change": _P, "--p-domain-change": _P,
+        "--split-fractions": _any_of("0.5,0.25,0.25", ""),  # an empty value is ignored
+    },
+    "inject": {"--p-intent": _P, "--p-action": _P, "--p-slot": _P,
+               "--seed": _any_of("3", "-1", "0")},
+    "train": {"--seed": _rejected_of("0"), "--epochs": _rejected_of(),
+              "--learning-rate": _rejected_of("0", "1.5"), "--l2": _rejected_of("0", "1.5")},
+    "sweep": {"--rates": _rejected_of("0"), "--seeds": _rejected_of(),
+              "--seed": _rejected_of("-1", "0"), "--dialogues": _rejected_of(),
+              **dict.fromkeys(("--p-chitchat", "--p-mind-change", "--p-domain-change"),
+                              _rejected_of("0"))},
+}
+
+
+@st.composite
+def _flag_values(draw):
+    """A command and a value for one or more of its numeric flags."""
+    command = draw(st.sampled_from(sorted(_FUZZED_FLAGS)))
+    flags = _FUZZED_FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, unique=True))
+    return command, {flag: draw(st.sampled_from(flags[flag][0])) for flag in chosen}
+
+
+def _argv(command: str, values: dict, root: Path, out: Path) -> list[str]:
+    # The last --dialogues given wins, so a fuzzed one replaces generate's 4.
+    head = {"generate": ["--preset", "simple", "--dialogues", "4"],
+            "inject": ["--in", str(root / "ds")],
+            "train": ["--model", "linear", "--in", str(root / "ds")],
+            "sweep": ["--preset", "simple"]}[command]
+    return [command, *head, *(x for pair in values.items() for x in pair), "--out", str(out)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=_flag_values())
+@example(case=("generate", {"--dialogues": "4", "--seed": "3", "--jobs": "1",
+                            "--p-chitchat": "0.1", "--p-mind-change": "0",
+                            "--p-domain-change": "0.1", "--split-fractions": "0.5,0.25,0.25"}))
+@example(case=("inject", {"--p-intent": "0.1", "--p-action": "0", "--p-slot": "0.1",
+                          "--seed": "-1"}))
+def test_fuzzed_flag_values_exit_with_a_code_never_a_traceback(fuzz_root, case):
+    """A numeric flag's bad value ends in exit 1 or 64 with no --out left
+    behind; a run whose values are all valid exits 0."""
+    command, values = case
+    out = fuzz_root / "fuzz-out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(_argv(command, values, fuzz_root, out))
+    valid = all(v in _FUZZED_FLAGS[command][f][1] for f, v in values.items())
+    assert code in ((0,) if valid else (1, 64))
+    assert "Traceback" not in err.getvalue()
+    assert out.exists() == valid
+    if out.exists():
+        shutil.rmtree(out)
+
+
 @pytest.mark.parametrize("target", ["ontology file", "manifest.json", "train.jsonl"])
 def test_non_utf8_input_names_the_file(target, tiny_dataset, tmp_path, capsys):
     if target == "ontology file":
@@ -598,15 +675,31 @@ def test_there_is_no_stack_depth_flag(command, tmp_path):
         (["train", "--model", "linear", "--learning-rate", "-0.5"], None,
          "learning_rate must be"),
         (["train", "--model", "linear", "--epochs", "0"], None, "epochs must be"),
+        (["generate", "--preset", "simple", "--p-chitchat", "1.5"], None,
+         "--p-chitchat must be"),
+        (["generate", "--preset", "simple", "--p-mind-change", "nan"], None,
+         "--p-mind-change must be"),
+        (["generate", "--preset", "simple", "--split-fractions", "0.5,0.5"], None,
+         "--split-fractions must be three finite numbers"),
+        (["inject", "--p-intent", "1.5"], None, "--p-intent must be"),
+        (["inject", "--p-slot", "-0.1"], None, "--p-slot must be"),
+        (["sweep", "--preset", "simple", "--rates", "0,1.5"], None, "--rates must be"),
+        (["sweep", "--preset", "simple", "--rates", "0", "--p-domain-change", "inf"], None,
+         "--p-domain-change must be"),
+        (["sweep", "--preset", "simple", "--rates", "0", "--dialogues", "30", "--models",
+          "memorizer,memorizer"], None, "models must be"),
     ],
     ids=["zero-dialogues", "non-integer-env-seed", "negative-linear-seed", "zero-seeds",
          "negative-l2", "nan-l2", "inf-l2", "nan-learning-rate", "inf-learning-rate",
-         "negative-learning-rate", "zero-epochs"],
+         "negative-learning-rate", "zero-epochs", "generate-p-chitchat", "generate-p-mind-change",
+         "two-split-fractions", "inject-p-intent", "inject-p-slot", "sweep-rates",
+         "sweep-p-domain-change", "repeated-models"],
 )
 def test_bad_flag_value_names_the_flag(argv, env, name, tiny_dataset, tmp_path, monkeypatch,
                                        capsys):
     if argv[0] == "train":
         assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
+    if argv[0] in ("train", "inject"):
         argv = argv + ["--in", str(tiny_dataset)]
     if env is not None:
         monkeypatch.setenv("DIALOFORGE_SEED", env)
@@ -800,7 +893,7 @@ def test_generate_records_split_fractions(tmp_path):
         (None, ["generate", "--preset", "simple", "--split-fractions", "0.5,0.5",
                 "--out", "{tmp}/out"], 1, "--split-fractions"),
         (None, ["generate", "--preset", "simple", "--dialogues", "10", "--split-fractions",
-                "nan,0.5,0.5", "--out", "{tmp}/out"], 1, "split_fractions must be three finite"),
+                "nan,0.5,0.5", "--out", "{tmp}/out"], 1, "--split-fractions must be three finite"),
         (_encode, ["train", "--model", "memorizer", "--in", "{ds}/encoded",
                    "--out", "{tmp}/m.npz"], 0, None),
         (_encode_and_train, ["eval", "--model", "{tmp}/m.npz", "--in", "{ds}/encoded"], 0, None),

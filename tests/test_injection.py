@@ -10,7 +10,7 @@ import pytest
 
 from dialoforge.dataset import dumps_dialogue, generate_dataset
 from dialoforge.engine import GeneratorConfig
-from dialoforge.errors import SchemaError, ValidationError
+from dialoforge.errors import ValidationError
 from dialoforge.injection import (
     ElementKind,
     ErrorConfig,
@@ -57,6 +57,13 @@ def test_every_config_field_has_a_rejecting_row():
                          (ErrorConfig, ERROR_CONFIG_ROWS)):
         tested = {row.values[0] for row in rows}
         assert {f.name for f in dataclasses.fields(config)} <= tested, config.__name__
+
+
+def test_every_config_field_has_one_rule():
+    # A field without a rule would go unchecked, and a manifest's config
+    # would refuse it as an unknown key.
+    for config in (GeneratorConfig, ErrorConfig):
+        assert set(config.RULES) == {f.name for f in dataclasses.fields(config)}, config.__name__
 
 
 @pytest.mark.parametrize(
@@ -272,7 +279,7 @@ def test_record_of_the_wrong_type_names_file_line_and_key(simple_ontology, tmp_p
     lines = path.read_text().splitlines(keepends=True)
     lines[1] = json.dumps({**json.loads(lines[1]), key: value}) + "\n"
     path.write_text("".join(lines))
-    with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:2: $.{key}: must be ')}"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:2: $.{key}: must be ')}"):
         read_records(path)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,9 +261,18 @@ def test_linear_file_with_a_threshold_member_loads(tmp_path):
 
 
 def test_load_model_rejects_unknown_kind(tmp_path):
-    from dialoforge.errors import SchemaError
+    from dialoforge.errors import ValidationError
 
     path = tmp_path / "odd.npz"
     np.savez(path, kind="forest")
-    with pytest.raises(SchemaError):
+    with pytest.raises(ValidationError):
         load_model(path)
+
+
+def test_readme_python_api_block_runs(capsys):
+    """The README's "Python API" example runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("samples ")

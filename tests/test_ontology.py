@@ -1,18 +1,22 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dialoforge.errors import SchemaError, ValidationError
+from dialoforge.errors import ValidationError
 from dialoforge.ontology import (
     GENERAL_CHIT_CHAT_ID,
     ActionKind,
     AtomicActionId,
     IntentKind,
+    _RULES,
     build_ontology,
+    check_object,
+    check_setting,
     load_ontology,
     load_ontology_file,
     parse_action_id,
@@ -120,24 +124,24 @@ def _setitem(container, key, value):
 @pytest.mark.parametrize(
     "edit, error, where",
     [
-        (lambda d: d["domains"][0].update(name=3), SchemaError, "$.domains[0].name: "),
-        (lambda d: _setitem(_topic(d)["slots"], 0, "food"), SchemaError,
+        (lambda d: d["domains"][0].update(name=3), ValidationError, "$.domains[0].name: "),
+        (lambda d: _setitem(_topic(d)["slots"], 0, "food"), ValidationError,
          "$.domains[0].topics[0].slots[0]: "),
-        (lambda d: _setitem(d["domains"][0]["topics"], 0, ["book"]), SchemaError,
+        (lambda d: _setitem(d["domains"][0]["topics"], 0, ["book"]), ValidationError,
          "$.domains[0].topics[0]: "),
-        (lambda d: _setitem(d["domains"], 0, None), SchemaError, "$.domains[0]: "),
-        (lambda d: _topic(d)["slots"][0].update(values="thai"), SchemaError,
+        (lambda d: _setitem(d["domains"], 0, None), ValidationError, "$.domains[0]: "),
+        (lambda d: _topic(d)["slots"][0].update(values="thai"), ValidationError,
          "$.domains[0].topics[0].slots[0].values: "),
-        (lambda d: _topic(d)["emit"].update(confirm="food"), SchemaError,
+        (lambda d: _topic(d)["emit"].update(confirm="food"), ValidationError,
          "$.domains[0].topics[0].emit.confirm: "),
-        (lambda d: _topic(d).update(slots={}), SchemaError, "$.domains[0].topics[0].slots: "),
-        (lambda d: d["domains"][0].update(topics="book"), SchemaError, "$.domains[0].topics: "),
-        (lambda d: _topic(d).update(emit=[]), SchemaError, "$.domains[0].topics[0].emit: "),
-        (lambda d: d.update(generation=[]), SchemaError, "$.generation: "),
+        (lambda d: _topic(d).update(slots={}), ValidationError, "$.domains[0].topics[0].slots: "),
+        (lambda d: d["domains"][0].update(topics="book"), ValidationError, "$.domains[0].topics: "),
+        (lambda d: _topic(d).update(emit=[]), ValidationError, "$.domains[0].topics[0].emit: "),
+        (lambda d: d.update(generation=[]), ValidationError, "$.generation: "),
         (lambda d: d["domains"].append(d["domains"][0]), ValidationError,
          "$.domains[1]: duplicate domain name 'restaurant'"),
-        (lambda d: d.update(domains={}), SchemaError, "$.domains: "),
-        (lambda d: [d], SchemaError, "$: must be an object"),
+        (lambda d: d.update(domains={}), ValidationError, "$.domains: "),
+        (lambda d: [d], ValidationError, "$: must be an object"),
     ],
     ids=["non-string-name", "slot-not-object", "topic-not-object", "domain-not-object",
          "values-not-list", "emit-list-not-list", "slots-not-list", "topics-not-list",
@@ -154,15 +158,47 @@ def test_malformed_ontology_names_file_and_path(edit, error, where, tmp_path):
         load_ontology_file(path)
 
 
+# One value each rule of the table accepts, and one it rejects.
+RULE_ROWS = {
+    "an int": (-3, 1.0),
+    "an int >= 0": (0, -1),
+    "an int >= 1": (1, True),
+    "a number in [0, 1]": (0.5, 1.5),
+    "a finite number >= 0": (2.5, math.inf),
+    "two finite numbers >= 0": ((0.0, 1.0), (1.0, math.nan)),
+    "three finite numbers >= 0": ([0.6, 0.2, 0.2], (0.5, 0.5)),
+    "a string": ("x", 1),
+    "an object": ({}, []),
+    "a list": ([], ()),
+    "a [a-z0-9_]{1,32} identifier": ("food_2", "Food"),
+}
+
+
+def test_every_rule_has_rows():
+    assert set(RULE_ROWS) == set(_RULES)
+
+
+@pytest.mark.parametrize("rule", RULE_ROWS)
+def test_rule_accepts_and_rejects(rule):
+    accepted, rejected = RULE_ROWS[rule]
+    assert check_setting("x", accepted, rule) is accepted
+    assert check_object({"x": accepted}, "$", {"x": rule}) == {"x": accepted}
+    message = f"^x must be {re.escape(rule)}, got {re.escape(repr(rejected))}$"
+    with pytest.raises(ValidationError, match=message):
+        check_setting("x", rejected, rule)
+    with pytest.raises(ValidationError, match=rf"^\$\.x: must be {re.escape(rule)}, got "):
+        check_object({"x": rejected}, "$", {"x": rule})
+
+
 def test_malformed_json_rejected():
-    with pytest.raises(SchemaError):
+    with pytest.raises(ValidationError):
         load_ontology("{not json")
 
 
 def test_unknown_keys_rejected():
     doc = json.loads(json.dumps(MINI_DOC))
     doc["extras"] = 1
-    with pytest.raises(SchemaError):
+    with pytest.raises(ValidationError):
         load_ontology(json.dumps(doc))
 
 
@@ -183,7 +219,7 @@ def test_unknown_keys_rejected():
 )
 def test_bad_generation_block_rejected(generation, where):
     doc = {**MINI_DOC, "generation": generation}
-    with pytest.raises((SchemaError, ValidationError), match=f"^{re.escape(where)}[:.]"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(where)}[:.]"):
         load_ontology(json.dumps(doc))
 
 
@@ -196,7 +232,7 @@ def test_generation_defaults_kept_as_written():
 def test_bad_category_rejected():
     doc = json.loads(json.dumps(MINI_DOC))
     doc["domains"][0]["topics"][0]["slots"][0]["category"] = "needed"
-    with pytest.raises(SchemaError):
+    with pytest.raises(ValidationError):
         load_ontology(json.dumps(doc))
 
 

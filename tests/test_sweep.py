@@ -86,6 +86,9 @@ def test_sweep_rate_validation(simple_ontology):
         pytest.param("mode_weights", (0.0, 0.0), id="mode_weights-both-zero"),
         pytest.param("error_rates", ["0.5"], id="error_rates-string"),
         pytest.param("error_rates", [True], id="error_rates-True"),
+        pytest.param("error_rates", [], id="error_rates-empty"),
+        pytest.param("models", [], id="models-empty"),
+        pytest.param("models", ["memorizer", "memorizer"], id="models-repeated"),
     ],
 )
 def test_sweep_needs_at_least_one_seed(setting, value, simple_ontology, monkeypatch):

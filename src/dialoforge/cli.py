@@ -29,6 +29,7 @@ from .encoding import EncodedDataset, encode_dataset, read_encoded, write_encode
 from .engine import GeneratorConfig
 from .errors import DialoforgeError, ValidationError
 from .harness import (
+    LINEAR_RULES,
     MODEL_KINDS,
     compute_metrics,
     load_model,
@@ -46,9 +47,14 @@ SEED_ENV_VAR = "DIALOFORGE_SEED"
 
 _MODE_WEIGHTS = {"relabel": (1.0, 0.0), "unk": (0.0, 1.0), "mixed": (0.5, 0.5)}
 
-# GeneratorConfig fields that generate and sweep expose as float flags of the
-# same name.
-_GENERATOR_FLAGS = ("p_chitchat", "p_mind_change", "p_domain_change")
+# Per command, the settings it takes as flags declared from their owner's rule
+# table, with their rules in the table's order (see _add_table_flags, _given).
+_GENERATOR_FLAGS = {
+    name: GeneratorConfig.RULES[name]
+    for name in ("n_dialogues", "p_chitchat", "p_mind_change", "p_domain_change")
+}
+_INJECT_FLAGS = {name: ErrorConfig.RULES[name] for name in ("p_intent", "p_action", "p_slot")}
+_TRAIN_FLAGS = {name: LINEAR_RULES[name] for name in ("learning_rate", "l2", "epochs")}
 
 # Heads every manifest a command writes ("version" is a dataset format's).
 _MANIFEST_HEADER = {"tool": "dialoforge", "tool_version": __version__}
@@ -137,9 +143,18 @@ def _cmd_validate(args) -> int:
 
 
 def _flag(field: str) -> str:
-    """The flag that sets a config field: --dialogues for n_dialogues, else
-    the field's name in kebab case."""
+    """The flag that sets a setting: --dialogues for n_dialogues, else the
+    setting's name in kebab case."""
     return "--dialogues" if field == "n_dialogues" else "--" + field.replace("_", "-")
+
+
+def _given(args, flags: dict) -> dict:
+    """The settings of a table of flags whose flag was given, each checked
+    against its rule under the flag's name."""
+    # argparse stores a flag under its name in snake case (--dialogues as dialogues).
+    values = {name: getattr(args, _flag(name)[2:].replace("-", "_")) for name in flags}
+    return {name: check_setting(_flag(name), value, flags[name])
+            for name, value in values.items() if value is not None}
 
 
 def _generator_config(args, ontology: Ontology) -> GeneratorConfig:
@@ -147,15 +162,11 @@ def _generator_config(args, ontology: Ontology) -> GeneratorConfig:
     `generation` defaults, then GeneratorConfig's own defaults.  A flag's
     value must meet its field's rule, and an error names the flag."""
     defaults = ontology.generation_defaults
-    given = {name: getattr(args, name) for name in _GENERATOR_FLAGS}
-    given["n_dialogues"] = args.dialogues
-    if getattr(args, "split_fractions", None):
-        given["split_fractions"] = tuple(_parse_floats(args.split_fractions, "--split-fractions"))
-    fields = {
-        name: check_setting(_flag(name), value, GeneratorConfig.RULES[name])
-        for name, value in given.items()
-        if value is not None
-    }
+    fields = _given(args, _GENERATOR_FLAGS)
+    if getattr(args, "split_fractions", None) is not None:
+        fractions = tuple(_parse_floats(args.split_fractions, "--split-fractions"))
+        rule = GeneratorConfig.RULES["split_fractions"]
+        fields["split_fractions"] = check_setting("--split-fractions", fractions, rule)
     if "n_dialogues" not in fields and "n_dialogues" in defaults:
         fields["n_dialogues"] = defaults["n_dialogues"]
     if "split_fractions" not in fields and "split" in defaults:
@@ -186,9 +197,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    rates = {name: getattr(args, name) for name in ("p_intent", "p_action", "p_slot")}
-    for name, rate in rates.items():
-        check_setting(_flag(name), rate, ErrorConfig.RULES[name])
+    rates = _given(args, _INJECT_FLAGS)
     indir = Path(getattr(args, "in"))
     if (indir / "perturbations.jsonl").exists():
         # The new log could restore only this input, not the clean data.
@@ -264,13 +273,8 @@ def _cmd_train(args) -> int:
     if args.model == "memorizer":
         model = train_memorizer(train_split)
     else:
-        model = train_linear(
-            train_split,
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-            l2=args.l2,
-            seed=check_setting(f"--seed ({SEED_ENV_VAR})", _resolve_seed(args), "an int >= 0"),
-        )
+        seed = check_setting(f"--seed ({SEED_ENV_VAR})", _resolve_seed(args), LINEAR_RULES["seed"])
+        model = train_linear(train_split, seed=seed, **_given(args, _TRAIN_FLAGS))
     save_model(model, args.out, encoded.ontology_hash)
     _log(f"trained {args.model} on {train_split[0].shape[0]} turns -> {args.out}")
     return 0
@@ -321,9 +325,12 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_generator_flags(p: argparse.ArgumentParser) -> None:
-    for name in _GENERATOR_FLAGS:
-        p.add_argument(_flag(name), type=float, default=None)
+def _add_table_flags(p: argparse.ArgumentParser, flags: dict) -> None:
+    """One flag per setting of a table of flags, parsed as an int for an
+    `an int ...` rule and as a float for any other.  It has no default, so
+    the default of the setting's owner applies."""
+    for name, rule in flags.items():
+        p.add_argument(_flag(name), type=int if rule.startswith("an int") else float)
 
 
 def build_parser() -> _Parser:
@@ -338,9 +345,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="generate a clean dataset")
     p.add_argument("--preset", choices=PRESET_NAMES)
     p.add_argument("--ontology", help="custom ontology file")
-    p.add_argument("--dialogues", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    _add_generator_flags(p)
+    _add_table_flags(p, _GENERATOR_FLAGS)
     p.add_argument("--split-fractions", default=None, help="e.g. 0.6,0.2,0.2")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
@@ -348,9 +354,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("inject", help="apply label noise to a dataset")
     p.add_argument("--in", required=True)
-    p.add_argument("--p-intent", type=float, default=0.0)
-    p.add_argument("--p-action", type=float, default=0.0)
-    p.add_argument("--p-slot", type=float, default=0.0)
+    _add_table_flags(p, _INJECT_FLAGS)
     p.add_argument("--mode", choices=tuple(_MODE_WEIGHTS), default="mixed")
     p.add_argument("--splits", choices=("all", "train"), default="all")
     p.add_argument("--seed", type=int, default=0)
@@ -368,9 +372,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--learning-rate", type=float, default=0.5)
-    p.add_argument("--l2", type=float, default=0.0)
+    _add_table_flags(p, _TRAIN_FLAGS)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score a model on an encoded split")
@@ -386,8 +388,7 @@ def build_parser() -> _Parser:
     p.add_argument("--models", default="memorizer")
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dialogues", type=int, default=None)
-    _add_generator_flags(p)
+    _add_table_flags(p, _GENERATOR_FLAGS)
     p.add_argument("--mode", choices=tuple(_MODE_WEIGHTS), default="mixed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)

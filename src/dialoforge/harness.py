@@ -133,6 +133,15 @@ def logistic_loss_and_grad(
     return loss, grad_w, grad_b
 
 
+# The rule of each setting of train_linear (see ontology.check_setting), in
+# the order they are checked; the train command's flags must meet them too.
+LINEAR_RULES = {
+    **dict.fromkeys(("learning_rate", "l2"), "a finite number >= 0"),
+    "epochs": "an int >= 1",
+    "seed": "an int >= 0",  # NumPy's generator takes no negative seed
+}
+
+
 def train_linear(
     train: tuple[np.ndarray, np.ndarray],
     epochs: int = 30,
@@ -140,10 +149,9 @@ def train_linear(
     l2: float = 0.0,
     seed: int = 0,
 ) -> LinearModel:
-    check_setting("learning_rate", learning_rate, "a finite number >= 0")
-    check_setting("l2", l2, "a finite number >= 0")
-    check_setting("epochs", epochs, "an int >= 1")
-    check_setting("seed", seed, "an int >= 0")  # NumPy's generator takes no negative seed
+    settings = {"learning_rate": learning_rate, "l2": l2, "epochs": epochs, "seed": seed}
+    for name, rule in LINEAR_RULES.items():
+        check_setting(name, settings[name], rule)
     states, targets = _training_pair(train)
 
     n, width = states.shape

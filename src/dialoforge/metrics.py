@@ -9,12 +9,14 @@ import numpy as np
 from .errors import DialoforgeError
 
 
-def _safe_div(num: float, den: float) -> float:
-    return num / den if den else 0.0
+def _ratio(num, den) -> np.ndarray:
+    """num / den elementwise, and 0 where den is 0 (every den here is >= 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0, np.true_divide(num, den), 0.0)
 
 
-def _f1(p: float, r: float) -> float:
-    return _safe_div(2 * p * r, p + r)
+def _f1(p, r) -> np.ndarray:
+    return _ratio(2 * p * r, p + r)
 
 
 @dataclass
@@ -69,39 +71,24 @@ def compute_metrics(predictions, golds) -> MetricsReport:
     fn = ((preds == 0) & (gold == 1)).sum(axis=0)
     support = gold.sum(axis=0)
 
-    micro_p = _safe_div(float(tp.sum()), float(tp.sum() + fp.sum()))
-    micro_r = _safe_div(float(tp.sum()), float(tp.sum() + fn.sum()))
+    micro_p = _ratio(tp.sum(), tp.sum() + fp.sum())
+    micro_r = _ratio(tp.sum(), tp.sum() + fn.sum())
+    precision, recall = _ratio(tp, tp + fp), _ratio(tp, tp + fn)
+    f1 = _f1(precision, recall)
+    rows = zip(*(column.tolist() for column in (tp, fp, fn, support, precision, recall, f1)))
+    per_action = [ActionScore(i, *row) for i, row in enumerate(rows)]
+    scored = support > 0
 
-    per_action = []
-    macro_p_parts, macro_r_parts, macro_f_parts = [], [], []
-    for i in range(preds.shape[1]):
-        p = _safe_div(float(tp[i]), float(tp[i] + fp[i]))
-        r = _safe_div(float(tp[i]), float(tp[i] + fn[i]))
-        f = _f1(p, r)
-        per_action.append(
-            ActionScore(
-                action_index=i,
-                tp=int(tp[i]),
-                fp=int(fp[i]),
-                fn=int(fn[i]),
-                support=int(support[i]),
-                precision=p,
-                recall=r,
-                f1=f,
-            )
-        )
-        if support[i] > 0:
-            macro_p_parts.append(p)
-            macro_r_parts.append(r)
-            macro_f_parts.append(f)
+    def macro(scores: np.ndarray) -> float:
+        return float(np.mean(scores[scored])) if scored.any() else 0.0
 
     return MetricsReport(
-        micro_precision=micro_p,
-        micro_recall=micro_r,
-        micro_f1=_f1(micro_p, micro_r),
-        macro_precision=float(np.mean(macro_p_parts)) if macro_p_parts else 0.0,
-        macro_recall=float(np.mean(macro_r_parts)) if macro_r_parts else 0.0,
-        macro_f1=float(np.mean(macro_f_parts)) if macro_f_parts else 0.0,
+        micro_precision=float(micro_p),
+        micro_recall=float(micro_r),
+        micro_f1=float(_f1(micro_p, micro_r)),
+        macro_precision=macro(precision),
+        macro_recall=macro(recall),
+        macro_f1=macro(f1),
         per_action=per_action,
         n_samples=int(preds.shape[0]),
     )

@@ -293,10 +293,12 @@ def check_setting(name: str, value: Any, rule: str) -> Any:
 
 
 def _shown(value: object) -> str:
-    """A JSON value as an error message quotes it: a container by its kind."""
-    if isinstance(value, (dict, list)):
-        return "an object" if isinstance(value, dict) else "a list"
-    return json.dumps(value)
+    """A JSON value as an error message quotes it: an object or a long list by
+    its kind, any other value as its JSON."""
+    if isinstance(value, dict):
+        return "an object"
+    text = json.dumps(value)
+    return "a list" if isinstance(value, list) and len(text) > 40 else text
 
 
 def _check_value(value: object, path: str, rule: str) -> None:

@@ -193,8 +193,9 @@ def test_validate_rejects_bad_generation_block(tmp_path, capsys):
     [
         ["sweep", "--preset", "simple", "--rates", "0.1,abc"],
         ["generate", "--preset", "simple", "--split-fractions", "a,b,c"],
+        ["generate", "--preset", "simple", "--split-fractions", ""],
     ],
-    ids=["rates", "split-fractions"],
+    ids=["rates", "split-fractions", "empty-split-fractions"],
 )
 def test_non_numeric_float_list_is_a_validation_error(argv, tmp_path, capsys):
     assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 1
@@ -254,6 +255,10 @@ def _bool_config_seed(manifest: dict, dataset: Path) -> None:
          "$.config.n_dialogues: must be an int >= 1, got 40.0"),
         (lambda m, _: m["config"].update(p_chitchat=True), "$.config.p_chitchat: must be a number"),
         (_bool_config_seed, "$.config.seed: must be an int, got true"),
+        (lambda m, _: m["config"].update(split_fractions=[0.6, "x", 0.2]),
+         '$.config.split_fractions: must be three finite numbers >= 0, got [0.6, "x", 0.2]'),
+        (lambda m, _: m["config"].update(split_fractions=[0.5, 0.5, 0.5]),
+         "$.config: split_fractions must sum to 1"),
     ],
     ids=["no-config", "no-ontology-hash", "unknown-config-key", "invalid-config-value",
          "splits-differ", "n-dialogues-differs", "seed-differs", "truncated-split-file",
@@ -261,7 +266,8 @@ def _bool_config_seed(manifest: dict, dataset: Path) -> None:
          "no-version", "stack-depth-in-config", "config-n-dialogues-differs",
          "config-split-fractions-differ", "wrong-format", "int-version-not-2",
          "config-not-object", "config-value-of-wrong-type", "splits-not-a-map",
-         "float-config-n-dialogues", "bool-config-p-chitchat", "bool-config-seed"],
+         "float-config-n-dialogues", "bool-config-p-chitchat", "bool-config-seed",
+         "string-in-split-fractions", "split-fractions-sum-above-1"],
 )
 def test_bad_dataset_manifest_names_file_and_field(edit, field, tiny_dataset, capsys):
     path = tiny_dataset / "manifest.json"
@@ -343,12 +349,13 @@ def _missing_model(dataset: Path, tmp_path: Path):
         (_resaved_model("memorizer", lambda a: a.update(targets=a["targets"][:, :5])), 1),
         (_resaved_model("memorizer", lambda a: a.update(target_width=np.array(5))), 1),
         (_resaved_model("linear", lambda a: a.update(bias=a["bias"][:5])), 1),
+        (_resaved_model("linear", lambda a: a.pop("bias")), 1),
         (_missing_model, 2),  # a missing file is a runtime error, not bad input
     ],
     ids=["truncated-bin", "wrong-magic", "wrong-width", "wrong-header-split", "text-model",
          "npy-model", "unknown-compression-model", "bad-directory-offset-model",
          "short-fallback-model", "narrow-targets-model", "wrong-target-width-model",
-         "short-bias-model", "missing-model"],
+         "short-bias-model", "no-bias-model", "missing-model"],
 )
 def test_bad_binary_input_names_the_file(damage, code, tiny_dataset, tmp_path, capsys):
     assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
@@ -407,6 +414,18 @@ def test_bad_layout_names_the_file_and_key(edit, key, tiny_dataset, tmp_path, ca
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert str(path) in err and key in err
+
+
+def test_eval_on_a_missing_split_names_it(tiny_dataset, tmp_path, capsys):
+    model = tmp_path / "model.npz"
+    assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
+    assert run_cli(["train", "--model", "memorizer", "--in", str(tiny_dataset),
+                    "--out", str(model)]) == 0
+    (tiny_dataset / "encoded" / "val.bin").unlink()
+    capsys.readouterr()
+    assert run_cli(["eval", "--model", str(model), "--in", str(tiny_dataset),
+                    "--split", "val"]) == 1
+    assert "split 'val' not present" in capsys.readouterr().err
 
 
 def test_eval_model_ontology_must_match_the_data(tiny_dataset, tmp_path, capsys):
@@ -509,30 +528,47 @@ def _rejected_of(*accepted):
     return tuple(v for v in _FLAG_VALUES if v not in accepted), set()
 
 
-# Each command's numeric flags.  sweep and train get rejected values only, so
-# no run starts; --jobs gets no value that would start a process pool.
+# What a flag that names things (a mode, a preset, a split, models) is
+# fuzzed with besides its valid names; each is rejected.
+_NAME_VALUES = ("bogus", "", "memorizer,", "memorizer,memorizer")
+
+
+def _names(*valid):
+    """A flag that names things, fuzzed with _NAME_VALUES and its valid names
+    (none for a flag that gets rejected values only)."""
+    return (*valid, *_NAME_VALUES), set(valid)
+
+
+# Each command's numeric flags and the flags that name things.  sweep and
+# train get rejected values only, so no run starts; --jobs gets no value that
+# would start a process pool.
 _P = _any_of("0.1", "0")
 _FUZZED_FLAGS = {
     "generate": {
         "--dialogues": _any_of("4"), "--seed": _any_of("3", "-1", "0"),
         "--jobs": (("0", "-1", "x", "1"), {"1"}),
         "--p-chitchat": _P, "--p-mind-change": _P, "--p-domain-change": _P,
-        "--split-fractions": _any_of("0.5,0.25,0.25", ""),  # an empty value is ignored
+        "--split-fractions": _any_of("0.5,0.25,0.25"),
+        "--preset": _names("simple", "medium", "hard"),
     },
     "inject": {"--p-intent": _P, "--p-action": _P, "--p-slot": _P,
-               "--seed": _any_of("3", "-1", "0")},
+               "--seed": _any_of("3", "-1", "0"),
+               "--mode": _names("relabel", "unk", "mixed"), "--splits": _names("all", "train")},
     "train": {"--seed": _rejected_of("0"), "--epochs": _rejected_of(),
-              "--learning-rate": _rejected_of("0", "1.5"), "--l2": _rejected_of("0", "1.5")},
+              "--learning-rate": _rejected_of("0", "1.5"), "--l2": _rejected_of("0", "1.5"),
+              "--model": _names()},
+    "eval": {"--split": _names("train", "val", "test")},
     "sweep": {"--rates": _rejected_of("0"), "--seeds": _rejected_of(),
               "--seed": _rejected_of("-1", "0"), "--dialogues": _rejected_of(),
               **dict.fromkeys(("--p-chitchat", "--p-mind-change", "--p-domain-change"),
-                              _rejected_of("0"))},
+                              _rejected_of("0")),
+              "--mode": _names(), "--models": _names(), "--preset": _names()},
 }
 
 
 @st.composite
 def _flag_values(draw):
-    """A command and a value for one or more of its numeric flags."""
+    """A command and a value for one or more of its fuzzed flags."""
     command = draw(st.sampled_from(sorted(_FUZZED_FLAGS)))
     flags = _FUZZED_FLAGS[command]
     chosen = draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, unique=True))
@@ -540,12 +576,15 @@ def _flag_values(draw):
 
 
 def _argv(command: str, values: dict, root: Path, out: Path) -> list[str]:
-    # The last --dialogues given wins, so a fuzzed one replaces generate's 4.
+    # The last value of a flag wins, so a fuzzed one replaces generate's
+    # --dialogues 4 and a fuzzed --preset or --model the one given here.
     head = {"generate": ["--preset", "simple", "--dialogues", "4"],
             "inject": ["--in", str(root / "ds")],
             "train": ["--model", "linear", "--in", str(root / "ds")],
+            "eval": ["--model", str(root / "model.npz"), "--in", str(root / "ds")],
             "sweep": ["--preset", "simple"]}[command]
-    return [command, *head, *(x for pair in values.items() for x in pair), "--out", str(out)]
+    tail = [] if command == "eval" else ["--out", str(out)]  # eval writes to stdout
+    return [command, *head, *(x for pair in values.items() for x in pair), *tail]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -554,10 +593,12 @@ def _argv(command: str, values: dict, root: Path, out: Path) -> list[str]:
                             "--p-chitchat": "0.1", "--p-mind-change": "0",
                             "--p-domain-change": "0.1", "--split-fractions": "0.5,0.25,0.25"}))
 @example(case=("inject", {"--p-intent": "0.1", "--p-action": "0", "--p-slot": "0.1",
-                          "--seed": "-1"}))
+                          "--seed": "-1", "--mode": "unk", "--splits": "train"}))
+@example(case=("eval", {"--split": "val"}))
+@example(case=("generate", {"--split-fractions": ""}))
 def test_fuzzed_flag_values_exit_with_a_code_never_a_traceback(fuzz_root, case):
-    """A numeric flag's bad value ends in exit 1 or 64 with no --out left
-    behind; a run whose values are all valid exits 0."""
+    """A flag's bad value ends in exit 1 or 64 with no --out left behind; a
+    run whose values are all valid exits 0."""
     command, values = case
     out = fuzz_root / "fuzz-out"
     err = io.StringIO()
@@ -566,7 +607,7 @@ def test_fuzzed_flag_values_exit_with_a_code_never_a_traceback(fuzz_root, case):
     valid = all(v in _FUZZED_FLAGS[command][f][1] for f, v in values.items())
     assert code in ((0,) if valid else (1, 64))
     assert "Traceback" not in err.getvalue()
-    assert out.exists() == valid
+    assert out.exists() == (valid and command != "eval")
     if out.exists():
         shutil.rmtree(out)
 
@@ -667,14 +708,18 @@ def test_there_is_no_stack_depth_flag(command, tmp_path):
         (["train", "--model", "linear", "--seed", "-1"], None, "--seed"),
         (["sweep", "--preset", "simple", "--rates", "0", "--dialogues", "30", "--seeds", "0"],
          None, "--seeds"),
-        (["train", "--model", "linear", "--l2", "-1"], None, "l2 must be"),
-        (["train", "--model", "linear", "--l2", "nan"], None, "l2 must be"),
-        (["train", "--model", "linear", "--l2", "inf"], None, "l2 must be"),
-        (["train", "--model", "linear", "--learning-rate", "nan"], None, "learning_rate must be"),
-        (["train", "--model", "linear", "--learning-rate", "inf"], None, "learning_rate must be"),
+        (["train", "--model", "linear", "--l2", "-1"], None,
+         "error: --l2 must be a finite number >= 0, got -1.0"),
+        (["train", "--model", "linear", "--l2", "nan"], None, "error: --l2 must be"),
+        (["train", "--model", "linear", "--l2", "inf"], None, "error: --l2 must be"),
+        (["train", "--model", "linear", "--learning-rate", "nan"], None,
+         "error: --learning-rate must be"),
+        (["train", "--model", "linear", "--learning-rate", "inf"], None,
+         "error: --learning-rate must be"),
         (["train", "--model", "linear", "--learning-rate", "-0.5"], None,
-         "learning_rate must be"),
-        (["train", "--model", "linear", "--epochs", "0"], None, "epochs must be"),
+         "error: --learning-rate must be"),
+        (["train", "--model", "linear", "--epochs", "0"], None,
+         "error: --epochs must be an int >= 1, got 0"),
         (["generate", "--preset", "simple", "--p-chitchat", "1.5"], None,
          "--p-chitchat must be"),
         (["generate", "--preset", "simple", "--p-mind-change", "nan"], None,
@@ -709,6 +754,24 @@ def test_bad_flag_value_names_the_flag(argv, env, name, tiny_dataset, tmp_path, 
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_numeric_flags_come_from_rule_tables():
+    """Every int or float flag but --seed, --jobs and --seeds is declared
+    from its owner's rule table, typed by its rule, with no default."""
+    tables = {"generate": cli._GENERATOR_FLAGS, "sweep": cli._GENERATOR_FLAGS,
+              "inject": cli._INJECT_FLAGS, "train": cli._TRAIN_FLAGS}
+    subparsers = next(a for a in cli.build_parser()._actions if a.choices).choices
+    for command, parser in subparsers.items():
+        table = {cli._flag(name): rule for name, rule in tables.get(command, {}).items()}
+        numeric = {a.option_strings[0]: a for a in parser._actions if a.type in (int, float)}
+        assert set(table) <= set(numeric), command
+        for flag, action in numeric.items():
+            if flag in ("--seed", "--jobs", "--seeds"):
+                continue
+            assert flag in table, (command, flag)
+            assert action.default is None, (command, flag)
+            assert action.type is (int if table[flag].startswith("an int") else float)
 
 
 def test_missing_input_is_runtime_error(tmp_path):

@@ -45,6 +45,16 @@ def test_dataset_round_trip_bytes(simple_ontology, tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+def test_blank_lines_in_a_split_file_are_skipped(simple_ontology, tmp_path):
+    write_dataset(generate_dataset(simple_ontology, GeneratorConfig(n_dialogues=12, seed=11)),
+                  tmp_path)
+    before = read_dataset(tmp_path)
+    train = tmp_path / "train.jsonl"
+    lines = train.read_text().splitlines(keepends=True)
+    train.write_text("".join([lines[0], "\n", "  \t\n", *lines[1:]]))
+    assert read_dataset(tmp_path) == before
+
+
 def _dir_bytes(path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 

@@ -214,6 +214,11 @@ def test_train_only_restriction(simple_ontology):
             assert dumps_dialogue(a) == dumps_dialogue(b)
 
 
+def test_unknown_splits_value_rejected(simple_ontology):
+    with pytest.raises(ValidationError, match="^splits must be 'all' or 'train'$"):
+        inject_errors(_dataset(simple_ontology, n=5), simple_ontology, ErrorConfig(), splits="val")
+
+
 @pytest.mark.parametrize("element", ["action", "slot"])
 @pytest.mark.parametrize("split, noisy_splits", [("train", "all"), ("test", "train")])
 def test_unknown_label_rejected(simple_ontology, element, split, noisy_splits):

@@ -86,6 +86,11 @@ def test_brute_force_oracle_agreement():
         assert abs(rep.micro_f1 - f) <= 1e-15
 
 
+def test_one_dimensional_input_rejected():
+    with pytest.raises(DialoforgeError, match="expected 2-D"):
+        compute_metrics(np.zeros(3, dtype=np.uint8), np.zeros(3, dtype=np.uint8))
+
+
 def test_shape_mismatch_rejected():
     for preds, gold in (((2, 3), (3, 3)), ((2, 3), (2, 4))):
         with pytest.raises(DialoforgeError, match="shape mismatch") as err:

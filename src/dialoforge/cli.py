@@ -19,7 +19,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .dataset import Dataset, read_dataset, write_dataset, write_generated, write_json
+from .dataset import SPLIT_NAMES, Dataset, read_dataset, write_dataset, write_generated, write_json
 
 # Not called here, but bound: perfbench's tracer wraps this name on the cli
 # module (perfbench/workloads.py, install_wraps) and raises AttributeError
@@ -378,7 +378,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score a model on an encoded split")
     p.add_argument("--model", required=True)
     p.add_argument("--in", required=True)
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="error-rate robustness sweep")

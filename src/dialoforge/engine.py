@@ -138,9 +138,10 @@ class DialogueStack:
     def apply_user_acts(self, user_acts: list[UserAct]) -> list[str]:
         """Frame pushes, then fills of the top frame; returns the slots filled.
 
-        Acts that make no sense against the stack (an unknown topic, a slot
-        the top topic lacks, a fill with no frame) are ignored, so serialized
-        dialogues with label noise replay without error.
+        A NEGATE ("no further preferences") marks an eliciting top's desired
+        slots as offered.  Acts that make no sense against the stack (an
+        unknown topic, a slot the top topic lacks, a fill with no frame) are
+        ignored, so serialized dialogues with label noise replay without error.
         """
         ont = self.ontology
         for act in user_acts:
@@ -160,12 +161,18 @@ class DialogueStack:
                 if act.slot in ont.topic(top.domain, top.topic).slot_names:
                     top.fills[act.slot] = act.value
                     filled.append(act.slot)
+            elif act.kind is IntentKind.NEGATE and self.frames:
+                top = self.top
+                if top.phase is Phase.ELICITING:
+                    top.requested_desired.update(ont.topic(top.domain, top.topic).desired_slots())
         return filled
 
     def apply_system_acts(self, acts: list[AtomicActionId], kinds: set[IntentKind]) -> None:
-        """Rules 5-7: the phase changes and pops of one turn's system acts.
+        """Rules 4-7: the frame changes and pops of one turn's system acts.
 
-        NOTIFY notifies the top frame of its domain and REQ_MORE wraps it up.
+        Each act addresses the top frame of its domain: a REQUEST opens a
+        request for its slot, and a desired slot it asks for counts as offered
+        from then on; NOTIFY notifies the frame and REQ_MORE wraps it up.
         When the turn's user acts hold a closer (NEGATE/THANK/GOODBYE), a
         wrapped-up top pops as soon as it is wrapped up: before the first act
         if it already was, otherwise right after its REQ_MORE, so the acts
@@ -176,12 +183,17 @@ class DialogueStack:
         if closing and self.frames and self.top.phase is Phase.WRAPUP:
             self.pop()
         for act in acts:
-            if not self.frames or act.domain != self.top.domain:
+            top = self.top if self.frames else None
+            if top is None or act.domain != top.domain:
                 continue
-            if act.kind is ActionKind.NOTIFY:
-                self.top.phase = Phase.NOTIFIED
+            if act.kind is ActionKind.REQUEST:
+                top.pending_request = act.slot
+                if act.slot in self.ontology.topic(top.domain, top.topic).desired_slots():
+                    top.requested_desired.add(act.slot)
+            elif act.kind is ActionKind.NOTIFY:
+                top.phase = Phase.NOTIFIED
             elif act.kind is ActionKind.REQ_MORE:
-                self.top.phase = Phase.WRAPUP
+                top.phase = Phase.WRAPUP
                 if closing:
                     self.pop()
 
@@ -287,7 +299,6 @@ def _advance_frame(frame: TopicFrame, topic: TopicSpec) -> list[AtomicActionId]:
     """Rules 4-6 for one frame: the acts its phase calls for."""
     out: list[AtomicActionId] = []
     if frame.phase is Phase.ELICITING:
-        frame.pending_request = None
         missing = [
             s.name
             for s in topic.slots
@@ -295,7 +306,6 @@ def _advance_frame(frame: TopicFrame, topic: TopicSpec) -> list[AtomicActionId]:
         ]
         askable = [s for s in missing if s in topic.request_slots]
         if askable:
-            frame.pending_request = askable[0]
             out.append(AtomicActionId(frame.domain, ActionKind.REQUEST, askable[0]))
         elif not missing:
             pending_desired = [
@@ -307,10 +317,7 @@ def _advance_frame(frame: TopicFrame, topic: TopicSpec) -> list[AtomicActionId]:
                 and s.name not in frame.requested_desired
             ]
             if pending_desired:
-                slot = pending_desired[0]
-                frame.requested_desired.add(slot)
-                frame.pending_request = slot
-                out.append(AtomicActionId(frame.domain, ActionKind.REQUEST, slot))
+                out.append(AtomicActionId(frame.domain, ActionKind.REQUEST, pending_desired[0]))
             else:
                 out.append(AtomicActionId(frame.domain, ActionKind.NOTIFY))
         # else: an unrequestable mandatory slot is still empty; the policy
@@ -347,10 +354,6 @@ def step_policy(stack: DialogueStack, user_acts: list[UserAct]) -> list[str]:
             acts.append(AtomicActionId(top.domain, ActionKind.CONFIRM, act.slot))
         elif act.kind is IntentKind.REQUEST and act.slot in topic.inform_slots:
             acts.append(AtomicActionId(top.domain, ActionKind.INFORM, act.slot))
-
-    if IntentKind.NEGATE in kinds and top.phase is Phase.ELICITING:
-        # "No further preferences": stop offering the remaining desired slots.
-        top.requested_desired.update(topic.desired_slots())
 
     acts.extend(_advance_frame(top, topic))
     depth = stack.depth
@@ -542,29 +545,29 @@ def _scripted_turn(
             if askable and rng.random() < P_USER_REQUEST:
                 current.user_requested = True
                 return [UserAct(IntentKind.REQUEST, slot=rng.choice(askable))]
-        # An eliciting frame always holds an open request: _advance_frame sets
-        # one after the turn's fills, and the opening turn volunteers every
-        # slot the policy cannot request.
+        # An eliciting frame always holds an open request: the stack opens one
+        # for each REQUEST the policy emits after the turn's fills, and the
+        # opening turn volunteers every slot the policy cannot request.
         pending = top.pending_request
         if pending in current.values:
             return [UserAct(IntentKind.INFORM, slot=pending, value=current.values[pending])]
         return [UserAct(IntentKind.NEGATE)]
 
-    if top.phase is Phase.NOTIFIED:
-        if stack.depth > 1:
-            return [UserAct(IntentKind.NEGATE)]
-        if goal.topic_index + 1 < len(goal.topics):
+    if top.phase is Phase.NOTIFIED and stack.depth > 1:
+        return [UserAct(IntentKind.NEGATE)]
+    if goal.topic_index + 1 < len(goal.topics):
+        if top.phase is Phase.NOTIFIED:
             return [UserAct(IntentKind.AFFIRM)]
-        goal.finished = True
-        return [
-            UserAct(IntentKind.NEGATE),
-            UserAct(IntentKind.THANK),
-            UserAct(IntentKind.GOODBYE),
-        ]
-
-    # WRAPUP after an AFFIRM: open the next scripted topic (replaces the frame).
-    goal.topic_index += 1
-    return _intent_turn_acts(goal.topics[goal.topic_index], ont, rng, opening=False)
+        # WRAPUP after an AFFIRM: open the next scripted topic (replaces the frame).
+        goal.topic_index += 1
+        return _intent_turn_acts(goal.topics[goal.topic_index], ont, rng, opening=False)
+    # No scripted topic is left, whether the frame is notified or wrapped up.
+    goal.finished = True
+    return [
+        UserAct(IntentKind.NEGATE),
+        UserAct(IntentKind.THANK),
+        UserAct(IntentKind.GOODBYE),
+    ]
 
 
 # ---------------------------------------------------------------------------

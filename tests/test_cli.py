@@ -577,12 +577,13 @@ def _flag_values(draw):
 
 def _argv(command: str, values: dict, root: Path, out: Path) -> list[str]:
     # The last value of a flag wins, so a fuzzed one replaces generate's
-    # --dialogues 4 and a fuzzed --preset or --model the one given here.
+    # --dialogues 4, sweep's --rates 0 and a fuzzed --preset or --model the
+    # one given here.
     head = {"generate": ["--preset", "simple", "--dialogues", "4"],
             "inject": ["--in", str(root / "ds")],
             "train": ["--model", "linear", "--in", str(root / "ds")],
             "eval": ["--model", str(root / "model.npz"), "--in", str(root / "ds")],
-            "sweep": ["--preset", "simple"]}[command]
+            "sweep": ["--preset", "simple", "--rates", "0"]}[command]
     tail = [] if command == "eval" else ["--out", str(out)]  # eval writes to stdout
     return [command, *head, *(x for pair in values.items() for x in pair), *tail]
 
@@ -607,6 +608,8 @@ def test_fuzzed_flag_values_exit_with_a_code_never_a_traceback(fuzz_root, case):
     valid = all(v in _FUZZED_FLAGS[command][f][1] for f, v in values.items())
     assert code in ((0,) if valid else (1, 64))
     assert "Traceback" not in err.getvalue()
+    # sweep's head gives the required --rates, so each value meets its own check.
+    assert command != "sweep" or "the following arguments are required" not in err.getvalue()
     assert out.exists() == (valid and command != "eval")
     if out.exists():
         shutil.rmtree(out)
@@ -963,7 +966,7 @@ def test_generate_records_split_fractions(tmp_path):
         (None, ["train", "--model", "memorizer", "--in", "{ds}", "--out", "{tmp}/m.npz"], 1,
          "run `encode` first"),
         (_encode_and_train, ["eval", "--model", "{tmp}/m.npz", "--in", "{ds}",
-                             "--split", "bogus"], 1, "split 'bogus'"),
+                             "--split", "bogus"], 64, "invalid choice: 'bogus'"),
         (lambda ds, tmp: (ds / "ontology.json").unlink(), ["encode", "--in", "{ds}"], 1,
          "has no ontology.json"),
         (_bogus_action_in_first_train_dialogue, ["encode", "--in", "{ds}"], 1,

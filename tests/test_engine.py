@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import json
 import math
 import random
 import re
@@ -22,9 +24,9 @@ from dialoforge.engine import (
     step_policy,
 )
 from dialoforge.errors import DialoforgeError, ValidationError
-from dialoforge.ontology import IntentKind
+from dialoforge.ontology import IntentKind, load_ontology
 
-from .conftest import events_off
+from .conftest import MINI_DOC, events_off
 
 
 def _stack_with_frame(ontology, fills=None, phase=Phase.ELICITING, domain="restaurant", topic="book"):
@@ -73,6 +75,23 @@ def test_negate_pops_wrapup_and_resumes_frame_below(two_domain_ontology):
     assert acts == ["restaurant-REQUEST-people"]
     assert stack.depth == 1 and stack.top.domain == "restaurant"
     assert stack.top.fills == {"food": "thai"}
+
+
+def test_negate_while_eliciting_ends_the_desired_offers():
+    """A NEGATE against an eliciting frame ("no further preferences") marks
+    every desired slot offered, so the frame is notified next."""
+    doc = copy.deepcopy(MINI_DOC)
+    topic = doc["domains"][0]["topics"][0]
+    topic["slots"] += [
+        {"name": "area", "category": "desired", "values": ["north", "south"]},
+        {"name": "price", "category": "desired", "values": ["cheap", "dear"]},
+    ]
+    topic["emit"]["request"] += ["area", "price"]
+    stack = _stack_with_frame(load_ontology(json.dumps(doc)), fills={"food": "thai"})
+    acts = step_policy(stack, [UserAct(IntentKind.INFORM, slot="people", value="two")])
+    assert acts == ["restaurant-CONFIRM-people", "restaurant-REQUEST-area"]
+    assert step_policy(stack, [UserAct(IntentKind.NEGATE)]) == ["restaurant-NOTIFY"]
+    assert stack.top.requested_desired == {"area", "price"}
 
 
 def test_user_request_answered_with_inform(two_domain_ontology):
@@ -186,6 +205,22 @@ def test_zero_probabilities_follow_script(mini_ontology):
     assert event is None
     assert [a.kind for a in acts] == [IntentKind.INFORM]
     assert acts[0].slot == "people" and acts[0].value == "two"
+
+
+def test_wrapped_up_frame_with_no_next_topic_closes_the_dialogue(mini_ontology):
+    """The user closes, drawing nothing, when the frame is wrapped up and the
+    script holds no further topic."""
+    rng = random.Random(0)
+    before = rng.getstate()
+    stack = _stack_with_frame(
+        mini_ontology, fills={"food": "thai", "people": "two"}, phase=Phase.WRAPUP
+    )
+    goal = GoalScript(topics=[TopicGoal("restaurant", "book", {"food": "thai", "people": "two"})])
+    acts, event = sample_user_turn(stack, goal, rng, events_off())
+    assert event is None
+    assert [a.kind for a in acts] == [IntentKind.NEGATE, IntentKind.THANK, IntentKind.GOODBYE]
+    assert goal.finished and goal.topic_index == 0
+    assert rng.getstate() == before
 
 
 def test_certain_chit_chat(mini_ontology):

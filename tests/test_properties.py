@@ -102,9 +102,10 @@ def test_dialogue_serialization_round_trip(simple_ontology):
 @pytest.mark.parametrize("name", ["simple", "medium", "hard", "mini", "two_domain"])
 def test_user_speaks_to_an_eliciting_frame_with_an_open_request(name, request):
     """An eliciting frame holds an unfilled pending request whenever the user
-    speaks: the policy sets it after the turn's fills, and the opening turn
-    volunteers every slot the policy cannot request.  So the scripted user
-    answers a request or declines it, and never has to volunteer a slot."""
+    speaks: the stack opens it for the policy's REQUEST after the turn's
+    fills, and the opening turn volunteers every slot the policy cannot
+    request.  So the scripted user answers a request or declines it, and
+    never has to volunteer a slot."""
     ontology = request.getfixturevalue(f"{name}_ontology")
     grid = itertools.product((0.0, 0.2, 0.5), (0.0, 0.2, 0.6), (0.0, 0.2, 1.0))
     checked, broken = 0, []

@@ -95,11 +95,7 @@ def _resolve_seed(args) -> int:
 
 
 def _load_cli_ontology(args) -> Ontology:
-    if getattr(args, "preset", None):
-        return preset_ontology(args.preset)
-    if getattr(args, "ontology", None):
-        return load_ontology_file(args.ontology)
-    raise ValidationError("one of --preset or --ontology is required")
+    return preset_ontology(args.preset) if args.preset else load_ontology_file(args.ontology)
 
 
 def _dataset_ontology(indir: Path, dataset: Dataset) -> Ontology:
@@ -333,6 +329,13 @@ def _add_table_flags(p: argparse.ArgumentParser, flags: dict) -> None:
         p.add_argument(_flag(name), type=int if rule.startswith("an int") else float)
 
 
+def _add_ontology_flags(p: argparse.ArgumentParser) -> None:
+    """--preset or --ontology: exactly one names the ontology to use."""
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=PRESET_NAMES)
+    source.add_argument("--ontology", help="custom ontology file")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="dialoforge", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -343,8 +346,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("generate", help="generate a clean dataset")
-    p.add_argument("--preset", choices=PRESET_NAMES)
-    p.add_argument("--ontology", help="custom ontology file")
+    _add_ontology_flags(p)
     p.add_argument("--seed", type=int, default=0)
     _add_table_flags(p, _GENERATOR_FLAGS)
     p.add_argument("--split-fractions", default=None, help="e.g. 0.6,0.2,0.2")
@@ -382,8 +384,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="error-rate robustness sweep")
-    p.add_argument("--preset", choices=PRESET_NAMES)
-    p.add_argument("--ontology")
+    _add_ontology_flags(p)
     p.add_argument("--rates", required=True, help="comma-separated ascending rates")
     p.add_argument("--models", default="memorizer")
     p.add_argument("--seeds", type=int, default=3)

@@ -17,6 +17,7 @@ the active topic simply stays unfilled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import ClassVar
 
@@ -27,6 +28,7 @@ from .engine import Dialogue, DialogueStack, Phase
 from .errors import ValidationError
 from .ontology import (
     INTENT_CATALOG,
+    AtomicActionId,
     IntentKind,
     Ontology,
     UNK_TOKEN,
@@ -56,19 +58,19 @@ class StateLayout:
             ontology_hash=ontology.content_hash(),
         )
 
-    @property
+    @cached_property
     def intent_offset(self) -> int:
         return 2 * len(self.slot_keys)
 
-    @property
+    @cached_property
     def action_offset(self) -> int:
         return self.intent_offset + len(self.intents)
 
-    @property
+    @cached_property
     def management_offset(self) -> int:
         return self.action_offset + len(self.actions)
 
-    @property
+    @cached_property
     def state_width(self) -> int:
         return self.management_offset + len(MANAGEMENT_FIELDS)
 
@@ -76,8 +78,24 @@ class StateLayout:
     def target_width(self) -> int:
         return len(self.actions)
 
-    def intent_index(self) -> dict[str, int]:
-        return {k: i for i, k in enumerate(self.intents)}
+    @cached_property
+    def slot_bits(self) -> dict[tuple[str, str], dict[str, int]]:
+        """The filled bit of each slot, by (domain, topic) and slot name; its
+        just-changed bit is the next one."""
+        bits: dict[tuple[str, str], dict[str, int]] = {}
+        for i, key in enumerate(self.slot_keys):
+            domain, topic, slot = key.split(".")
+            bits.setdefault((domain, topic), {})[slot] = 2 * i
+        return bits
+
+    @cached_property
+    def intent_bits(self) -> dict[IntentKind, int]:
+        return {IntentKind(name): self.intent_offset + i for i, name in enumerate(self.intents)}
+
+    @cached_property
+    def action_bits(self) -> dict[str, tuple[int, AtomicActionId]]:
+        """The target bit and parsed form of each action id."""
+        return {aid: (i, parse_action_id(aid)) for i, aid in enumerate(self.actions)}
 
     def to_dict(self) -> dict:
         return {
@@ -92,53 +110,28 @@ class StateLayout:
         }
 
 
-class _LayoutTable:
-    """A layout's bit positions as plain lookups, built once per encoding call:
-    the slot bits of each (domain, topic), the intent bit of each IntentKind,
-    and the target bit and parsed form of each action id."""
-
-    def __init__(self, layout: StateLayout):
-        self.state_width = layout.state_width
-        self.target_width = layout.target_width
-        self.prev_actions = slice(layout.action_offset, layout.management_offset)
-        self.management = layout.management_offset
-        # Filled bit of each slot; its just-changed bit is the next one.
-        self.slot_bits: dict[tuple[str, str], dict[str, int]] = {}
-        for i, key in enumerate(layout.slot_keys):
-            domain, topic, slot = key.split(".")
-            self.slot_bits.setdefault((domain, topic), {})[slot] = 2 * i
-        intent_index = layout.intent_index()
-        self.intent_bits = {
-            kind: layout.intent_offset + intent_index[kind.value] for kind in IntentKind
-        }
-        self.actions = {aid: (i, parse_action_id(aid)) for i, aid in enumerate(layout.actions)}
-
-
-_NO_SLOTS: dict[str, int] = {}
-
-
 def _encode(
-    dialogue: Dialogue, ontology: Ontology, table: _LayoutTable
+    dialogue: Dialogue, ontology: Ontology, layout: StateLayout
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-turn (state, target) matrices for one dialogue: the stack replay
     collects the position of every set bit, and the rows are filled at the end."""
-    n, state_width, target_width = len(dialogue.turns), table.state_width, table.target_width
-    slot_bits, intent_bits, actions = table.slot_bits, table.intent_bits, table.actions
-    management = table.management
+    n, state_width, target_width = len(dialogue.turns), layout.state_width, layout.target_width
+    slot_bits, intent_bits, actions = layout.slot_bits, layout.intent_bits, layout.action_bits
+    management = layout.management_offset
     state_on: list[int] = []  # flat positions in the (turns, state_width) matrix
     target_on: list[int] = []
     stack = DialogueStack(ontology)
     for i, turn in enumerate(dialogue.turns):
         filled = stack.apply_user_acts(turn.user_acts)
         row = i * state_width
-        for frame in stack.frames:
-            bits = slot_bits.get((frame.domain, frame.topic), _NO_SLOTS)
+        for frame in stack.frames:  # the stack holds only the ontology's topics and slots
+            bits = slot_bits[frame.domain, frame.topic]
             for slot, value in frame.fills.items():
-                if value is not None and slot in bits:
+                if value is not None:
                     state_on.append(row + bits[slot])
         if filled:  # fills always land in the top frame
-            bits = slot_bits.get((stack.top.domain, stack.top.topic), _NO_SLOTS)
-            state_on.extend(row + bits[slot] + 1 for slot in filled if slot in bits)
+            bits = slot_bits[stack.top.domain, stack.top.topic]
+            state_on.extend(row + bits[slot] + 1 for slot in filled)
         for act in turn.user_acts:  # every IntentKind is in every layout
             state_on.append(row + intent_bits[act.kind])
         if stack.depth > 1:
@@ -161,7 +154,7 @@ def _encode(
     targets = np.zeros((n, target_width), dtype=np.uint8)
     states.reshape(-1)[state_on] = 1
     targets.reshape(-1)[target_on] = 1
-    states[1:, table.prev_actions] = targets[:-1]
+    states[1:, layout.action_offset : management] = targets[:-1]
     return states, targets
 
 
@@ -170,7 +163,7 @@ def encode_dialogue(dialogue: Dialogue, ontology: Ontology) -> tuple[np.ndarray,
 
     A turn's previous-action block is the previous turn's target row.
     """
-    return _encode(dialogue, ontology, _LayoutTable(StateLayout.from_ontology(ontology)))
+    return _encode(dialogue, ontology, StateLayout.from_ontology(ontology))
 
 
 @dataclass
@@ -189,14 +182,13 @@ class EncodedDataset:
 def encode_dataset(dataset: Dataset, ontology: Ontology) -> EncodedDataset:
     """Encode every turn of every split into (state, target) pairs."""
     layout = StateLayout.from_ontology(ontology)
-    table = _LayoutTable(layout)
     splits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for split in SPLIT_NAMES:
         dialogues = dataset.splits.get(split, [])
         state_rows, target_rows = [], []
         for dlg in dialogues:
             try:
-                s, t = _encode(dlg, ontology, table)
+                s, t = _encode(dlg, ontology, layout)
             except ValidationError as exc:
                 raise ValidationError(f"{split}/{dlg.id}: {exc}") from None
             state_rows.append(s)

@@ -590,9 +590,7 @@ def generate_dialogue(
         user_acts, event = sample_user_turn(stack, goal, rng, cfg)
         system_acts = step_policy(stack, user_acts)
         if not system_acts:
-            raise RuntimeError(
-                f"engine produced an empty system response at turn {index}"
-            )
+            raise DialoforgeError(f"engine produced an empty system response at turn {index}")
         turns.append(DialogueTurn(user_acts=user_acts, system_acts=system_acts, event=event))
         if goal.finished and not stack.frames:
             break

@@ -12,8 +12,9 @@ import csv
 import math
 import zipfile
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
-from typing import Optional, Union
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -26,27 +27,36 @@ from .metrics import MetricsReport, compute_metrics
 from .ontology import Ontology, check_setting
 from .rng import derive_seed
 
-MODEL_KINDS = ("memorizer", "linear")
 BATCH_SIZE = 128  # minibatch rows per gradient step of train_linear
 
 
 @dataclass
 class MemorizerModel:
-    """Maps each training state to its majority target set."""
+    """Maps each training state to its majority target set.  Its fields are
+    what its file holds: the distinct training states, bit-packed row by row
+    in first-seen order, the target row of each, and the fallback target."""
 
+    KIND: ClassVar[str] = "memorizer"
     state_width: int
-    table: dict[bytes, np.ndarray]
-    fallback: np.ndarray
+    packed_states: np.ndarray  # (n, ceil(state_width / 8)) uint8
+    targets: np.ndarray  # (n, target_width) uint8
+    fallback: np.ndarray  # (target_width,) uint8
 
     @property
     def target_width(self) -> int:
         return self.fallback.shape[0]
+
+    @cached_property
+    def table(self) -> dict[bytes, np.ndarray]:
+        """The target row of each packed state, as predict looks it up."""
+        return {row.tobytes(): target for row, target in zip(self.packed_states, self.targets)}
 
 
 @dataclass
 class LinearModel:
     """Independent per-action sigmoid scorers over the binary state."""
 
+    KIND: ClassVar[str] = "linear"
     weights: np.ndarray  # (state_width, n_actions)
     bias: np.ndarray  # (n_actions,)
     loss_history: list[float] = field(default_factory=list)
@@ -60,6 +70,8 @@ class LinearModel:
 
 
 Model = Union[MemorizerModel, LinearModel]
+_MODEL_CLASSES = {cls.KIND: cls for cls in (MemorizerModel, LinearModel)}
+MODEL_KINDS = tuple(_MODEL_CLASSES)
 
 
 def _pack_rows(states: np.ndarray) -> list[bytes]:
@@ -94,10 +106,10 @@ def train_memorizer(train: tuple[np.ndarray, np.ndarray]) -> MemorizerModel:
         best = min(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0]
         return np.frombuffer(best, dtype=np.uint8).copy()
 
-    table = {key: majority(c) for key, c in per_state.items()}
     return MemorizerModel(
         state_width=states.shape[1],
-        table=table,
+        packed_states=np.stack([np.frombuffer(key, dtype=np.uint8) for key in per_state]),
+        targets=np.stack([majority(c) for c in per_state.values()]),
         fallback=majority(overall),
     )
 
@@ -202,27 +214,16 @@ def predict(model: Model, states: np.ndarray) -> np.ndarray:
 
 
 def save_model(model: Model, path, ontology_hash: str) -> None:
-    """Write a model as .npz, tagged with the ontology its data came from."""
-    if isinstance(model, MemorizerModel):
-        arrays = dict(
-            kind="memorizer",
-            state_width=model.state_width,
-            target_width=model.target_width,
-            packed_states=np.stack(
-                [np.frombuffer(key, dtype=np.uint8) for key in model.table]
-            ),
-            targets=np.stack(list(model.table.values())),
-            fallback=model.fallback,
-        )
-    else:
-        arrays = dict(
-            kind="linear",
-            weights=model.weights,
-            bias=model.bias,
-            loss_history=np.array(model.loss_history),
-        )
+    """Write a model as .npz: its kind, each of its fields, and the ontology
+    its data came from.  A memorizer's file also holds a copy of its
+    target_width, after its state_width, which load_model checks."""
+    members = {"kind": model.KIND}
+    for f in fields(model):
+        members[f.name] = getattr(model, f.name)
+        if f.name == "state_width":
+            members["target_width"] = model.target_width
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays, ontology_hash=ontology_hash)
+        np.savez(fh, **members, ontology_hash=ontology_hash)
 
 
 def _shape_mismatch(kind: str, arrays: dict) -> Optional[str]:
@@ -241,6 +242,7 @@ def _shape_mismatch(kind: str, arrays: dict) -> Optional[str]:
         checks = (
             ("weights dimensions", weights.ndim, 2),
             ("bias shape", bias.shape, weights.shape[1:]),
+            ("loss_history dimensions", arrays["loss_history"].ndim, 1),
         )
     for what, got, expected in checks:
         if got != expected:
@@ -250,7 +252,8 @@ def _shape_mismatch(kind: str, arrays: dict) -> Optional[str]:
 
 def load_model(path) -> tuple[Model, str]:
     """Read a model written by save_model, with the ontology hash it was tagged
-    with.  A missing file raises OSError; a damaged one, or one whose arrays
+    with: the class its kind names, built from the members named after its
+    fields.  A missing file raises OSError; a damaged one, or one whose arrays
     disagree in shape, raises ValidationError."""
     with open(path, "rb") as fh:
         try:
@@ -262,21 +265,13 @@ def load_model(path) -> tuple[Model, str]:
             mismatch = _shape_mismatch(kind, arrays)
             if mismatch is not None:
                 raise ValidationError(f"{path}: {mismatch}")
-            if kind == "memorizer":
-                model = MemorizerModel(
-                    state_width=int(arrays["state_width"]),
-                    table={
-                        row.tobytes(): target
-                        for row, target in zip(arrays["packed_states"], arrays["targets"])
-                    },
-                    fallback=arrays["fallback"],
-                )
-            else:
-                model = LinearModel(
-                    weights=arrays["weights"],
-                    bias=arrays["bias"],
-                    loss_history=list(arrays["loss_history"]),
-                )
+            # An array field is read as stored, any other (a width, a loss
+            # history) as the Python value it was written from.
+            cls = _MODEL_CLASSES[kind]
+            model = cls(**{
+                f.name: arrays[f.name] if f.type == "np.ndarray" else arrays[f.name].tolist()
+                for f in fields(cls)
+            })
             return model, str(arrays["ontology_hash"])
         except (
             ValueError, TypeError, EOFError, RuntimeError, OSError, zipfile.BadZipFile

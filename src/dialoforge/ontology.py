@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 from typing import Any, ClassVar, Iterable, Optional
 
@@ -139,12 +140,6 @@ class DomainSpec:
     name: str
     topics: tuple[TopicSpec, ...]
 
-    def topic(self, name: str) -> Optional[TopicSpec]:
-        for t in self.topics:
-            if t.name == name:
-                return t
-        return None
-
 
 @dataclass(frozen=True)
 class Ontology:
@@ -163,9 +158,12 @@ class Ontology:
                 return d
         return None
 
+    @cached_property
+    def _topics(self) -> dict[tuple[str, str], TopicSpec]:
+        return {(d.name, t.name): t for d in self.domains for t in d.topics}
+
     def topic(self, domain: str, topic: str) -> Optional[TopicSpec]:
-        d = self.domain(domain)
-        return d.topic(topic) if d else None
+        return self._topics.get((domain, topic))
 
     def topic_pairs(self) -> list[tuple[str, str]]:
         return [(d.name, t.name) for d in self.domains for t in d.topics]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dialoforge import __version__, cli
+from dialoforge import __version__, cli, engine
 from dialoforge.cli import run_cli
 from dialoforge.errors import DialoforgeError, ValidationError
 
@@ -92,6 +92,16 @@ def test_failed_generation_writes_nothing(jobs, tmp_path, capsys):
             "--jobs", jobs, "--out", str(out)]
     assert run_cli(argv) == 2
     assert "dialogue 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_system_response_exits_2_and_names_the_dialogue(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(engine, "step_policy", lambda stack, user_acts: [])
+    out = tmp_path / "ds"
+    assert run_cli(["generate", "--preset", "simple", "--dialogues", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "dialogue 0: engine produced an empty system response" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -793,7 +803,8 @@ def test_generate_from_custom_ontology_file(tmp_path):
 
 
 def test_generate_requires_an_ontology_source(tmp_path):
-    assert run_cli(["generate", "--dialogues", "5", "--out", str(tmp_path / "x")]) == 1
+    assert run_cli(["generate", "--dialogues", "5", "--out", str(tmp_path / "x")]) == 64
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -971,10 +982,21 @@ def test_generate_records_split_fractions(tmp_path):
          "has no ontology.json"),
         (_bogus_action_in_first_train_dialogue, ["encode", "--in", "{ds}"], 1,
          "train/dlg000000: action 'restaurant-CONFIRM-bogus' is not in the catalog"),
+        (None, ["generate", "--preset", "simple", "--ontology", "{ds}/ontology.json",
+                "--dialogues", "5", "--out", "{tmp}/out"], 64,
+         "argument --ontology: not allowed with argument --preset"),
+        (None, ["generate", "--dialogues", "5", "--out", "{tmp}/out"], 64,
+         "one of the arguments --preset --ontology is required"),
+        (None, ["sweep", "--preset", "simple", "--ontology", "{ds}/ontology.json",
+                "--rates", "0", "--dialogues", "5", "--out", "{tmp}/out"], 64,
+         "argument --ontology: not allowed with argument --preset"),
+        (None, ["sweep", "--rates", "0", "--dialogues", "5", "--out", "{tmp}/out"], 64,
+         "one of the arguments --preset --ontology is required"),
     ],
     ids=["two-split-fractions", "nan-split-fraction", "train-in-encoded",
          "eval-in-encoded", "train-unencoded", "eval-bogus-split", "encode-without-ontology",
-         "encode-action-outside-catalog"],
+         "encode-action-outside-catalog", "generate-preset-and-ontology",
+         "generate-no-ontology", "sweep-preset-and-ontology", "sweep-no-ontology"],
 )
 def test_cli_path(prepare, argv, code, says, tiny_dataset, tmp_path, capsys):
     if prepare is not None:
@@ -984,3 +1006,4 @@ def test_cli_path(prepare, argv, code, says, tiny_dataset, tmp_path, capsys):
     assert run_cli(argv) == code
     err = capsys.readouterr().err
     assert (says or "") in err and "Traceback" not in err
+    assert code == 0 or not (tmp_path / "out").exists()

@@ -17,9 +17,12 @@ from dialoforge.encoding import (
 )
 from dialoforge.engine import (
     MAX_TURNS,
+    Dialogue,
     DialogueStack,
+    DialogueTurn,
     GeneratorConfig,
     GoalScript,
+    UserAct,
     dialogue_seeds,
     generate_dialogue,
     sample_user_turn,
@@ -27,7 +30,7 @@ from dialoforge.engine import (
 )
 from dialoforge.errors import ValidationError
 from dialoforge.injection import ErrorConfig, inject_errors
-from dialoforge.ontology import UNK_TOKEN, load_ontology, parse_action_id
+from dialoforge.ontology import UNK_TOKEN, IntentKind, load_ontology, parse_action_id
 
 from .conftest import events_off, preset_config
 
@@ -59,7 +62,7 @@ def test_hand_encoded_bits_after_first_inform(mini_ontology):
     expected = set()
     expected.add(2 * slot_pos)  # food filled
     expected.add(2 * slot_pos + 1)  # food just changed this turn
-    expected.add(layout.intent_offset + layout.intent_index()["inform"])
+    expected.add(layout.intent_offset + layout.intents.index("inform"))
     expected.add(layout.action_offset + layout.actions.index("restaurant-REQUEST-food"))
     expected.add(layout.management_offset + 1)  # phase one-hot: eliciting
     assert set(np.flatnonzero(state)) == expected
@@ -120,7 +123,7 @@ def test_unk_intents_light_the_unk_position(simple_ontology):
     noisy, _ = inject_errors(ds, simple_ontology, cfg)
     enc = encode_dataset(noisy, simple_ontology)
     layout = enc.layout
-    unk_col = layout.intent_offset + layout.intent_index()[UNK_TOKEN]
+    unk_col = layout.intent_offset + layout.intents.index(UNK_TOKEN)
     states = np.concatenate([enc.splits[s][0] for s in ("train", "val", "test")])
     intents = states[:, layout.intent_offset : layout.intent_offset + 9]
     assert states[:, unk_col].all()
@@ -133,6 +136,25 @@ def test_perturbed_slots_encode_as_unfilled(mini_ontology):
     layout = StateLayout.from_ontology(mini_ontology)
     state = encode_dialogue(d, mini_ontology)[0][1]
     assert not state[: layout.intent_offset].any()
+
+
+def test_a_slot_of_another_topic_encodes_as_unfilled(two_domain_ontology):
+    """An INFORM that names a slot of a topic not on top fills nothing."""
+    opening = [
+        UserAct(IntentKind.INFORM_INTENT, domain="restaurant", topic="book"),
+        UserAct(IntentKind.INFORM, slot="destination", value="airport"),
+        UserAct(IntentKind.INFORM, slot="food", value="thai"),
+    ]
+    d = Dialogue(id="d", seed=0, turns=[
+        DialogueTurn(user_acts=opening, system_acts=["restaurant-REQUEST-people"]),
+        DialogueTurn(user_acts=[UserAct(IntentKind.INFORM, slot="pickup", value="noon")],
+                     system_acts=["restaurant-REQUEST-people"]),
+    ])
+    layout = StateLayout.from_ontology(two_domain_ontology)
+    states = encode_dialogue(d, two_domain_ontology)[0]
+    food = 2 * layout.slot_keys.index("restaurant.book.food")
+    assert set(np.flatnonzero(states[0, : layout.intent_offset])) == {food, food + 1}
+    assert set(np.flatnonzero(states[1, : layout.intent_offset])) == {food}
 
 
 def test_clean_state_target_mapping_is_functional(simple_ontology):

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from dialoforge import engine
 from dialoforge.dataset import dumps_dialogue
 from dialoforge.engine import (
     DialogueStack,
@@ -296,6 +297,16 @@ def test_forced_domain_change_single_push(two_domain_ontology):
 def test_certain_chit_chat_overflows(simple_ontology):
     cfg = GeneratorConfig(n_dialogues=1, p_chitchat=1.0, seed=0)
     with pytest.raises(DialoforgeError, match="exceeded 60 turns") as err:
+        generate_dialogue(simple_ontology, cfg, 7)
+    assert type(err.value) is DialoforgeError
+
+
+def test_empty_system_response_is_a_runtime_error_that_names_the_turn(
+    simple_ontology, monkeypatch
+):
+    monkeypatch.setattr(engine, "step_policy", lambda stack, user_acts: [])
+    cfg = GeneratorConfig(n_dialogues=1, seed=0)
+    with pytest.raises(DialoforgeError, match="empty system response at turn 0") as err:
         generate_dialogue(simple_ontology, cfg, 7)
     assert type(err.value) is DialoforgeError
 

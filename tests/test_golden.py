@@ -113,6 +113,22 @@ SWEEP_GOLDEN = {
     "hard": {"sweep.csv": "6cc3a64625ea0c569c8b85a762bc6dce737ed46facf62782cca9d8419698effb"},
 }
 
+# memorizer.npz and linear.npz as the chain's train writes them.
+MODEL_GOLDEN = {
+    "simple": {
+        "memorizer.npz": "585bb2a9e3c531cd4238ca0107ccf6477dd68e3cccc98bd09cc0141bb157ced8",
+        "linear.npz": "cf16c26053a7cb56aaba5e6bc0d7fd961b76e77e8b884813ec01b5c806559446",
+    },
+    "medium": {
+        "memorizer.npz": "1928ff1fd38c0aabfff7398033a014d6f26a65bccfa6a02d23a23cc0406fd029",
+        "linear.npz": "34a18d1afb2bdd82f19ea36415fce5f3c5b676c2e12ba9b0abf183152d684e45",
+    },
+    "hard": {
+        "memorizer.npz": "ce5cfc778916eadbd6b2877bfb4e2fa9c84dac6bb5d568d15170eca30067ff45",
+        "linear.npz": "47bf9f7b56e3c87eb9e33343a0f9c799ceae56cce210d6189b7af0352b7a6b03",
+    },
+}
+
 # inject runs on the chain's clean dataset (seed 37) that the mixed 0.3 run
 # does not reach: certain relabels, near-certain UNKs, and action noise on the
 # train split only.
@@ -285,6 +301,12 @@ def test_sweep_exports_match_pins(chain):
     preset, root, _ = chain
     digests = {"sweep.csv": _sha256((root / "sweep" / "sweep.csv").read_bytes())}
     assert digests == SWEEP_GOLDEN[preset]
+
+
+def test_model_files_match_pins(chain):
+    preset, root, _ = chain
+    digests = {name: _sha256((root / name).read_bytes()) for name in MODEL_GOLDEN[preset]}
+    assert digests == MODEL_GOLDEN[preset]
 
 
 def test_linear_model_bits_match_pins(chain):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -242,9 +243,21 @@ def test_save_load_round_trip_predicts_identically(kind, simple_ontology, tmp_pa
         assert "threshold" not in blob.files
     loaded, ontology_hash = load_model(path)
     assert type(loaded) is type(model)
+    for f in dataclasses.fields(model):  # equal in value and in type
+        got, want = getattr(loaded, f.name), getattr(model, f.name)
+        assert type(got) is type(want), f.name
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+        elif isinstance(want, list):  # the loss history
+            assert got == want and list(map(type, got)) == list(map(type, want)), f.name
+        else:
+            assert got == want, f.name
     states = np.concatenate([enc.splits["test"][0], 1 - enc.splits["test"][0][:5]])
     assert np.array_equal(predict(loaded, states), predict(model, states))
     assert ontology_hash == enc.ontology_hash == simple_ontology.content_hash()
+    again = tmp_path / f"{kind}-again.npz"
+    save_model(loaded, again, ontology_hash)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_linear_file_with_a_threshold_member_loads(tmp_path):
@@ -258,6 +271,14 @@ def test_linear_file_with_a_threshold_member_loads(tmp_path):
     assert np.array_equal(loaded.weights, model.weights)
     states = np.array([[0], [1]], dtype=np.uint8)
     assert predict(loaded, states).tolist() == [[1, 1], [1, 0]]
+
+
+def test_load_model_rejects_a_loss_history_that_is_no_list(tmp_path):
+    path = tmp_path / "scalar.npz"
+    np.savez(path, kind="linear", weights=np.zeros((3, 2)), bias=np.zeros(2), loss_history=0.5,
+             ontology_hash="abc")
+    with pytest.raises(ValidationError, match="loss_history dimensions 0, expected 1"):
+        load_model(path)
 
 
 def test_load_model_rejects_unknown_kind(tmp_path):

@@ -10,7 +10,6 @@ carries no wall-clock fields so reruns stay byte-identical.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import gc
 import hashlib
 import json
 import os
@@ -31,6 +30,7 @@ from .errors import DialoforgeError, ValidationError
 from .harness import (
     LINEAR_RULES,
     MODEL_KINDS,
+    collector_paused,
     compute_metrics,
     load_model,
     predict,
@@ -405,22 +405,18 @@ def run_cli(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 64
     # A command builds and reads graphs of hundreds of thousands of records
     # that hold no reference cycles, and the cyclic collector would walk them
-    # again at every threshold crossing.  The command owns its run, so the
-    # collector is paused here and not in the library; the caller's setting is
-    # back in force on every way out.  Forked pool workers inherit the pause.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return args.func(args)
-    except ValidationError as exc:
-        _log(f"error: {exc}")
-        return 1
-    except (DialoforgeError, OSError) as exc:
-        _log(f"runtime error: {exc}")
-        return 2
-    finally:
-        if collecting:
-            gc.enable()
+    # again at every threshold crossing.  The command owns its run, so it
+    # pauses the collector through the helper a sweep uses too.  Forked pool
+    # workers inherit the pause.
+    with collector_paused():
+        try:
+            return args.func(args)
+        except ValidationError as exc:
+            _log(f"error: {exc}")
+            return 1
+        except (DialoforgeError, OSError) as exc:
+            _log(f"runtime error: {exc}")
+            return 2
 
 
 def main() -> None:

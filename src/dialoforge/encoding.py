@@ -16,6 +16,7 @@ the active topic simply stays unfilled.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -111,17 +112,16 @@ class StateLayout:
 
 
 def _encode(
-    dialogue: Dialogue, ontology: Ontology, layout: StateLayout
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-turn (state, target) matrices for one dialogue: the stack replay
-    collects the position of every set bit, and the rows are filled at the end."""
-    n, state_width, target_width = len(dialogue.turns), layout.state_width, layout.target_width
+    dialogue: Dialogue, ontology: Ontology, layout: StateLayout,
+    state_on: array, target_on: array, first_row: int,
+) -> None:
+    """Append the flat position of each bit the stack replay sets in one
+    dialogue's rows, from ``first_row`` on; the previous actions are left out."""
+    state_width, target_width = layout.state_width, layout.target_width
     slot_bits, intent_bits, actions = layout.slot_bits, layout.intent_bits, layout.action_bits
     management = layout.management_offset
-    state_on: list[int] = []  # flat positions in the (turns, state_width) matrix
-    target_on: list[int] = []
     stack = DialogueStack(ontology)
-    for i, turn in enumerate(dialogue.turns):
+    for i, turn in enumerate(dialogue.turns, first_row):
         filled = stack.apply_user_acts(turn.user_acts)
         row = i * state_width
         for frame in stack.frames:  # the stack holds only the ontology's topics and slots
@@ -150,20 +150,36 @@ def _encode(
             acts.append(act)
         stack.apply_system_acts(acts, {a.kind for a in turn.user_acts})
 
-    states = np.zeros((n, state_width), dtype=np.uint8)
-    targets = np.zeros((n, target_width), dtype=np.uint8)
-    states.reshape(-1)[state_on] = 1
-    targets.reshape(-1)[target_on] = 1
-    states[1:, layout.action_offset : management] = targets[:-1]
+
+def _fill(
+    dialogues: list[Dialogue], ontology: Ontology, layout: StateLayout, where: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (state, target) matrices of a run of dialogues, one row per turn,
+    each allocated once; an error names ``where`` and the dialogue."""
+    state_on, target_on = array("q"), array("q")
+    starts, rows = [], 0  # the first row of each dialogue that has one; the row count
+    for dlg in dialogues:
+        try:
+            _encode(dlg, ontology, layout, state_on, target_on, rows)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}{dlg.id}: {exc}") from None
+        if dlg.turns:
+            starts.append(rows)
+            rows += len(dlg.turns)
+    states = np.zeros((rows, layout.state_width), dtype=np.uint8)
+    targets = np.zeros((rows, layout.target_width), dtype=np.uint8)
+    states.reshape(-1)[np.frombuffer(state_on, dtype=np.int64)] = 1
+    targets.reshape(-1)[np.frombuffer(target_on, dtype=np.int64)] = 1
+    previous = states[:, layout.action_offset : layout.management_offset]
+    previous[1:] = targets[:-1]  # the previous target row, then none at a first turn
+    previous[starts] = 0
     return states, targets
 
 
 def encode_dialogue(dialogue: Dialogue, ontology: Ontology) -> tuple[np.ndarray, np.ndarray]:
-    """Per-turn (state, target) matrices for one dialogue.
-
-    A turn's previous-action block is the previous turn's target row.
-    """
-    return _encode(dialogue, ontology, StateLayout.from_ontology(ontology))
+    """Per-turn (state, target) matrices for one dialogue; a turn's
+    previous-action block is the previous turn's target row."""
+    return _fill([dialogue], ontology, StateLayout.from_ontology(ontology), "")
 
 
 @dataclass
@@ -182,24 +198,8 @@ class EncodedDataset:
 def encode_dataset(dataset: Dataset, ontology: Ontology) -> EncodedDataset:
     """Encode every turn of every split into (state, target) pairs."""
     layout = StateLayout.from_ontology(ontology)
-    splits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for split in SPLIT_NAMES:
-        dialogues = dataset.splits.get(split, [])
-        state_rows, target_rows = [], []
-        for dlg in dialogues:
-            try:
-                s, t = _encode(dlg, ontology, layout)
-            except ValidationError as exc:
-                raise ValidationError(f"{split}/{dlg.id}: {exc}") from None
-            state_rows.append(s)
-            target_rows.append(t)
-        if state_rows:
-            states = np.concatenate(state_rows, axis=0)
-            targets = np.concatenate(target_rows, axis=0)
-        else:
-            states = np.zeros((0, layout.state_width), dtype=np.uint8)
-            targets = np.zeros((0, layout.target_width), dtype=np.uint8)
-        splits[split] = (states, targets)
+    splits = {split: _fill(dataset.splits.get(split, []), ontology, layout, f"{split}/")
+              for split in SPLIT_NAMES}
     return EncodedDataset(splits=splits, layout=layout)
 
 

@@ -9,6 +9,7 @@ descent.
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import zipfile
 from collections import Counter
@@ -130,7 +131,9 @@ def logistic_loss_and_grad(
     l2: float = 0.0,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean binary cross-entropy over (sample, action) pairs plus an L2 term,
-    with its analytic gradient."""
+    with its analytic gradient.  The loss keeps ``np.logaddexp``, its largest
+    cost, for libm's bits: numpy's SIMD ``exp``/``log1p`` in the faster
+    ``maximum(z, 0) + log1p(exp(-|z|))`` differ in the last bit by CPU."""
     x = states.astype(np.float64)
     y = targets.astype(np.float64)
     n, a = y.shape
@@ -311,6 +314,20 @@ class SweepResult:
         return [(rate, float(np.mean(v))) for rate, v in sorted(rates.items())]
 
 
+class collector_paused:
+    """Pause the cyclic collector for a call that owns its run (a command or a
+    sweep); the caller's setting is back on every way out, and nothing is
+    allocated once it is, so no collection fires on the way out."""
+
+    def __enter__(self) -> None:
+        self.collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self.collecting:
+            gc.enable()
+
+
 def robustness_sweep(
     ontology: Ontology,
     gen_cfg: GeneratorConfig,
@@ -348,36 +365,37 @@ def robustness_sweep(
                 f"the ontology's {ontology.content_hash()}"
             )
 
-    clean = base_dataset if base_dataset is not None else generate_dataset(ontology, gen_cfg)
-    sizes = clean.split_sizes()
-    for split in ("train", "test"):
-        if not sizes[split]:
-            raise ValidationError(
-                f"the {split} split is empty (train/val/test {sizes['train']}/"
-                f"{sizes['val']}/{sizes['test']} dialogues); the sweep trains on "
-                "train and scores on test"
-            )
+    with collector_paused():  # the run builds and drops a dataset per cell
+        clean = base_dataset if base_dataset is not None else generate_dataset(ontology, gen_cfg)
+        sizes = clean.split_sizes()
+        for split in ("train", "test"):
+            if not sizes[split]:
+                raise ValidationError(
+                    f"the {split} split is empty (train/val/test {sizes['train']}/"
+                    f"{sizes['val']}/{sizes['test']} dialogues); the sweep trains on "
+                    "train and scores on test"
+                )
 
-    rows: list[SweepRow] = []
-    for rate_index, rate in enumerate(error_rates):
-        for k in range(n_seeds):
-            inj_seed = derive_seed(seed, rate_index * 1009 + k)
-            err_cfg = ErrorConfig(
-                p_intent=rate, p_action=rate, p_slot=rate,
-                mode_weights=mode_weights, seed=inj_seed,
-            )
-            # val is injected too, as each dialogue's stream follows from its
-            # position in the dataset, but only train and test are encoded.
-            perturbed, _ = inject_errors(clean, ontology, err_cfg)
-            scored = {split: perturbed.splits[split] for split in ("train", "test")}
-            encoded = encode_dataset(replace(perturbed, splits=scored), ontology)
-            train = encoded.splits["train"]
-            for kind in models:
-                model = (train_memorizer(train) if kind == "memorizer"
-                         else train_linear(train, seed=inj_seed))
-                preds = predict(model, encoded.splits["test"][0])
-                report = compute_metrics(preds, encoded.splits["test"][1])
-                rows.append(SweepRow(error_rate=rate, model=kind, report=report, seed=inj_seed))
+        rows: list[SweepRow] = []
+        for rate_index, rate in enumerate(error_rates):
+            for k in range(n_seeds):
+                inj_seed = derive_seed(seed, rate_index * 1009 + k)
+                err_cfg = ErrorConfig(
+                    p_intent=rate, p_action=rate, p_slot=rate,
+                    mode_weights=mode_weights, seed=inj_seed,
+                )
+                # val is injected too, as each dialogue's stream follows from its
+                # position in the dataset, but only train and test are encoded.
+                perturbed, _ = inject_errors(clean, ontology, err_cfg)
+                scored = {split: perturbed.splits[split] for split in ("train", "test")}
+                encoded = encode_dataset(replace(perturbed, splits=scored), ontology)
+                train = encoded.splits["train"]
+                for kind in models:
+                    model = (train_memorizer(train) if kind == "memorizer"
+                             else train_linear(train, seed=inj_seed))
+                    preds = predict(model, encoded.splits["test"][0])
+                    report = compute_metrics(preds, encoded.splits["test"][1])
+                    rows.append(SweepRow(error_rate=rate, model=kind, report=report, seed=inj_seed))
 
     rows.sort(key=lambda r: (r.error_rate, r.model, r.seed))
     manifest = {

@@ -103,6 +103,26 @@ def test_pair_count_equals_turn_count(simple_ontology):
         assert enc.n_pairs(split) == ds.n_turns(split)
 
 
+@pytest.mark.parametrize("position", [0, 3, 6], ids=["first", "middle", "last"])
+def test_zero_turn_dialogue_encodes_to_no_rows(position, simple_ontology):
+    """A dialogue with no turns adds no row, and the dialogue after it starts
+    with an empty previous-action block, as every first turn does."""
+    ds = generate_dataset(simple_ontology, GeneratorConfig(n_dialogues=10, seed=5))
+    train = ds.splits["train"]
+    assert len(train) == 6
+    before = encode_dataset(ds, simple_ontology).splits["train"]
+    train.insert(position, Dialogue(id="empty", seed=0, turns=[]))
+    states, targets = encode_dataset(ds, simple_ontology).splits["train"]
+    assert np.array_equal(states, before[0]) and np.array_equal(targets, before[1])
+    layout = StateLayout.from_ontology(simple_ontology)
+    first_row = sum(len(d.turns) for d in train[:position])
+    if position + 1 < len(train):
+        assert not states[first_row, layout.action_offset : layout.management_offset].any()
+    empty_states, empty_targets = encode_dialogue(train[position], simple_ontology)
+    assert empty_states.shape == (0, layout.state_width)
+    assert empty_targets.shape == (0, layout.target_width)
+
+
 def test_container_round_trip_is_idempotent(simple_ontology, tmp_path):
     ds = generate_dataset(simple_ontology, GeneratorConfig(n_dialogues=20, seed=23))
     enc = encode_dataset(ds, simple_ontology)

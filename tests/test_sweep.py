@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import ast
+import contextlib
+import gc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dialoforge
 from dialoforge import harness
 from dialoforge.dataset import generate_dataset
 from dialoforge.encoding import encode_dataset
@@ -149,3 +155,61 @@ def test_sweep_base_dataset_must_be_the_one_described(simple_ontology, medium_on
     result = robustness_sweep(simple_ontology, cfg, [0.0], ["memorizer"], n_seeds=1,
                               base_dataset=base)
     assert result.manifest["generator_config"]["seed"] == 2
+
+
+@pytest.mark.parametrize("caller_collects", [True, False], ids=["caller-on", "caller-off"])
+@pytest.mark.parametrize("cell_raises", [False, True], ids=["returns", "raises"])
+def test_sweep_restores_the_collector_setting_on_every_exit(
+    cell_raises, caller_collects, simple_ontology, monkeypatch
+):
+    seen = []
+
+    def spy(train):
+        seen.append(gc.isenabled())
+        if cell_raises:
+            raise RuntimeError("bug")
+        return train_memorizer(train)
+
+    monkeypatch.setattr(harness, "train_memorizer", spy)
+    if not caller_collects:
+        gc.disable()
+    try:
+        with pytest.raises(RuntimeError) if cell_raises else contextlib.nullcontext():
+            robustness_sweep(simple_ontology, _small_cfg(n=30), [0.0, 0.5], ["memorizer"],
+                             n_seeds=1)
+        assert gc.isenabled() is caller_collects
+    finally:
+        gc.enable()
+    assert seen == ([False] if cell_raises else [False, False])
+
+
+def _cyclic_garbage_of_a_sweep(ontology, n_dialogues: int) -> int:
+    robustness_sweep(ontology, _small_cfg(n=n_dialogues), [0.0, 0.5], ["memorizer"], n_seeds=1)
+    return gc.collect()
+
+
+def test_cyclic_garbage_of_a_sweep_does_not_grow_with_the_data(simple_ontology):
+    # The library twin of the CLI test in test_cli.py: what a sweep leaves in
+    # cycles while the collector is paused must not be a share of the data.
+    gc.collect()
+    small = _cyclic_garbage_of_a_sweep(simple_ontology, 20)
+    large = _cyclic_garbage_of_a_sweep(simple_ontology, 400)
+    assert small == large
+
+
+def test_only_collector_paused_touches_the_collector():
+    """One module imports gc, and only collector_paused switches it."""
+    importers, switchers = [], set()
+    for path in sorted(Path(dialoforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "gc"
+               for node in ast.walk(tree)):
+            importers.append(path.name)
+        for top in tree.body:  # a switch is named by the def or class around it
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in ("disable", "enable")
+                        and isinstance(node.value, ast.Name) and node.value.id == "gc"):
+                    switchers.add(f"{path.name}:{getattr(top, 'name', '<module>')}")
+    assert importers == ["harness.py"]
+    assert switchers == {"harness.py:collector_paused"}

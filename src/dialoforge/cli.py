@@ -40,7 +40,7 @@ from .harness import (
     train_memorizer,
     write_sweep_csv,
 )
-from .injection import ErrorConfig, inject_errors, write_records
+from .injection import NOISE_SPLITS, ErrorConfig, inject_errors, write_records
 from .ontology import PRESET_NAMES, Ontology, check_setting, load_ontology_file, preset_ontology
 
 SEED_ENV_VAR = "DIALOFORGE_SEED"
@@ -155,20 +155,14 @@ def _given(args, flags: dict) -> dict:
 
 def _generator_config(args, ontology: Ontology) -> GeneratorConfig:
     """Resolve generation settings: flags first, then the ontology's
-    `generation` defaults, then GeneratorConfig's own defaults.  A flag's
-    value must meet its field's rule, and an error names the flag."""
-    defaults = ontology.generation_defaults
+    defaults (see GeneratorConfig.for_ontology).  A flag's value must meet
+    its field's rule, and an error names the flag."""
     fields = _given(args, _GENERATOR_FLAGS)
     if getattr(args, "split_fractions", None) is not None:
         fractions = tuple(_parse_floats(args.split_fractions, "--split-fractions"))
         rule = GeneratorConfig.RULES["split_fractions"]
         fields["split_fractions"] = check_setting("--split-fractions", fractions, rule)
-    if "n_dialogues" not in fields and "n_dialogues" in defaults:
-        fields["n_dialogues"] = defaults["n_dialogues"]
-    if "split_fractions" not in fields and "split" in defaults:
-        counts = defaults["split"]
-        fields["split_fractions"] = tuple(c / sum(counts) for c in counts)
-    return GeneratorConfig(seed=_resolve_seed(args), **fields)
+    return GeneratorConfig.for_ontology(ontology, seed=_resolve_seed(args), **fields)
 
 
 def _cmd_generate(args) -> int:
@@ -358,7 +352,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", required=True)
     _add_table_flags(p, _INJECT_FLAGS)
     p.add_argument("--mode", choices=tuple(_MODE_WEIGHTS), default="mixed")
-    p.add_argument("--splits", choices=("all", "train"), default="all")
+    p.add_argument("--splits", choices=NOISE_SPLITS, default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_inject)

@@ -60,7 +60,7 @@ class EventKind(Enum):
     DOMAIN_CHANGE = "domain_change"
 
 
-@dataclass
+@dataclass(slots=True)
 class UserAct:
     kind: IntentKind
     domain: Optional[str] = None
@@ -88,17 +88,21 @@ class UserAct:
         return out
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "UserAct":
+    def unchecked(cls, kind, domain, topic, slot, value) -> "UserAct":
+        """The act of these fields without ``__post_init__``'s checks: a
+        read or noisy label need not fit its slot and value."""
         act = cls.__new__(cls)
+        act.kind, act.domain, act.topic, act.slot, act.value = kind, domain, topic, slot, value
+        return act
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "UserAct":
         try:
-            act.kind = IntentKind(obj["kind"])
+            kind = IntentKind(obj["kind"])
         except ValueError:
             raise ValidationError(f"intent kind {obj['kind']!r} is not in the catalog") from None
-        act.domain = obj.get("domain")
-        act.topic = obj.get("topic")
-        act.slot = obj.get("slot")
-        act.value = obj.get("value")
-        return act
+        get = obj.get
+        return cls.unchecked(kind, get("domain"), get("topic"), get("slot"), get("value"))
 
 
 @dataclass
@@ -198,7 +202,7 @@ class DialogueStack:
                     self.pop()
 
 
-@dataclass
+@dataclass(slots=True)
 class DialogueTurn:
     user_acts: list[UserAct]
     system_acts: list[str]
@@ -222,7 +226,7 @@ class DialogueTurn:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Dialogue:
     id: str
     seed: int
@@ -283,6 +287,17 @@ class GeneratorConfig:
             check_setting(name, getattr(self, name), rule)
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValidationError("split_fractions must sum to 1")
+
+    @classmethod
+    def for_ontology(cls, ontology: Ontology, **fields) -> "GeneratorConfig":
+        """The config of ``fields``; a field not given comes from the
+        ontology's ``generation`` block (whose ``split`` counts give
+        ``split_fractions``), else from the class's own default."""
+        defaults = dict(ontology.generation_defaults)
+        counts = defaults.pop("split", None)
+        if counts is not None and "split_fractions" not in fields:
+            defaults["split_fractions"] = tuple(c / sum(counts) for c in counts)
+        return cls(**{**defaults, **fields})
 
     @classmethod
     def from_dict(cls, obj: dict) -> "GeneratorConfig":

@@ -97,6 +97,7 @@ def _draw(
     return UNK_TOKEN, PerturbMode.UNK
 
 
+NOISE_SPLITS = ("all", "train")  # inject_errors' splits: noise everywhere, or in train
 _INTENT_LABEL = {kind: kind.value for kind in IntentKind}
 _INTENT_KIND = {kind.value: kind for kind in IntentKind}
 
@@ -112,33 +113,22 @@ def _label_at(turn: DialogueTurn, kind: ElementKind, index: int) -> Optional[str
     return _INTENT_LABEL[act.kind] if kind is ElementKind.INTENT else act.slot
 
 
-def _relabel(turn: DialogueTurn, kind: ElementKind, index: int, label: str) -> None:
-    """Make one label of a turn that ``_write_turn`` copied read ``label``.  A
-    user act is replaced, never changed in place.  The new act is built
-    attribute by attribute in the order of ``UserAct.from_dict``, so that it
-    keeps the instance-dict layout every other act shares, and like
-    ``from_dict`` it does not check that a noisy kind fits its slot and value."""
-    if kind is ElementKind.ACTION:
-        turn.system_acts[index] = label
-        return
-    old = turn.user_acts[index]
-    act = UserAct.__new__(UserAct)
-    act.kind = _INTENT_KIND[label] if kind is ElementKind.INTENT else old.kind
-    act.domain = old.domain
-    act.topic = old.topic
-    act.slot = label if kind is ElementKind.SLOT else old.slot
-    act.value = old.value
-    turn.user_acts[index] = act
-
-
 def _write_turn(turn: DialogueTurn, edits: Iterable[tuple[ElementKind, int, str]]) -> DialogueTurn:
     """The one writer of labels: a copy of ``turn`` in which each ``(kind,
     index, label)`` edit, in order, makes the addressed label read ``label``.
+    A user act is replaced, never changed in place, by one from
+    ``UserAct.unchecked``, since a noisy kind need not fit its slot and value.
     The input turn is left as it was, so no code mutates a built dialogue."""
-    copy = DialogueTurn(list(turn.user_acts), list(turn.system_acts), turn.event)
+    user_acts, system_acts = list(turn.user_acts), list(turn.system_acts)
     for kind, index, label in edits:
-        _relabel(copy, kind, index, label)
-    return copy
+        if kind is ElementKind.ACTION:
+            system_acts[index] = label
+            continue
+        old = user_acts[index]
+        intent = _INTENT_KIND[label] if kind is ElementKind.INTENT else old.kind
+        slot = label if kind is ElementKind.SLOT else old.slot
+        user_acts[index] = UserAct.unchecked(intent, old.domain, old.topic, slot, old.value)
+    return DialogueTurn(user_acts, system_acts, turn.event)
 
 
 def _turns_by_id(dataset: Dataset) -> dict[str, list[DialogueTurn]]:
@@ -175,7 +165,7 @@ def inject_errors(
     (its ``p_`` and the relabel weight above 0) over a catalog of fewer than
     two labels, before anything is drawn.
     """
-    if splits not in ("all", "train"):
+    if splits not in NOISE_SPLITS:
         raise ValidationError("splits must be 'all' or 'train'")
     # Per lane, every known label (the catalog plus UNK) maps to the catalog
     # minus that label, the list a relabel draws from uniformly.

@@ -88,14 +88,8 @@ def hard_ontology() -> Ontology:
 
 def preset_config(ontology: Ontology, seed: int, n_dialogues: int | None = None) -> GeneratorConfig:
     """GeneratorConfig matching a preset's bundled dialogue/split defaults."""
-    defaults = ontology.generation_defaults
-    counts = defaults["split"]
-    total = sum(counts)
-    return GeneratorConfig(
-        n_dialogues=n_dialogues or defaults["n_dialogues"],
-        seed=seed,
-        split_fractions=tuple(c / total for c in counts),
-    )
+    sized = {"n_dialogues": n_dialogues} if n_dialogues else {}
+    return GeneratorConfig.for_ontology(ontology, seed=seed, **sized)
 
 
 def events_off(n_dialogues: int = 1, seed: int = 0, **kw) -> GeneratorConfig:

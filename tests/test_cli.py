@@ -870,8 +870,14 @@ def _cyclic_garbage_per_command(root: Path, n_dialogues: int) -> list[int]:
     ]
     found = []
     for argv in commands:
-        assert run_cli(argv) == 0, argv
-        found.append(gc.collect())
+        # Off from before the argument parser runs, so that no automatic
+        # collection decides which of its cycles get counted.
+        gc.disable()
+        try:
+            assert run_cli(argv) == 0, argv
+            found.append(gc.collect())
+        finally:
+            gc.enable()
     return found
 
 

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import ast
 import copy
 import json
 import math
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import dialoforge
 from dialoforge import engine
 from dialoforge.dataset import dumps_dialogue
 from dialoforge.engine import (
@@ -154,6 +157,26 @@ def test_user_act_field_invariants():
     UserAct(IntentKind.INFORM, slot="food", value=None)  # clearing form is legal
 
 
+def test_only_the_unchecked_builder_calls_new():
+    """UserAct.unchecked is the one code that builds an object past its
+    __init__, so an act skips its checks in one place only."""
+    callers = set()
+
+    def visit(node, names, path):
+        for child in ast.iter_child_nodes(node):
+            inner = names
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = [*names, child.name]
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__new__"):
+                callers.add(f"{path.name}:{'.'.join(names)}")
+            visit(child, inner, path)
+
+    for path in sorted(Path(dialoforge.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [], path)
+    assert callers == {"engine.py:UserAct.unchecked"}
+
+
 def test_generator_config_validation():
     with pytest.raises(ValidationError):
         GeneratorConfig(n_dialogues=0)
@@ -189,6 +212,19 @@ def test_non_int_dialogue_count_rejected(setting, value):
     message = f"^{setting} must be .*, got {re.escape(repr(value))}$"
     with pytest.raises(ValidationError, match=message):
         GeneratorConfig(**{setting: value})
+
+
+def test_for_ontology_fills_only_what_is_not_given(mini_ontology, medium_ontology):
+    # medium's generation block: 6000 dialogues, split 3600/1200/1200.
+    assert GeneratorConfig.for_ontology(medium_ontology, seed=3) == GeneratorConfig(
+        n_dialogues=6000, seed=3, split_fractions=(0.6, 0.2, 0.2)
+    )
+    given = GeneratorConfig.for_ontology(
+        medium_ontology, n_dialogues=5, split_fractions=(0.5, 0.5, 0.0)
+    )
+    assert (given.n_dialogues, given.split_fractions) == (5, (0.5, 0.5, 0.0))
+    # With no generation block, the class's own defaults apply.
+    assert GeneratorConfig.for_ontology(mini_ontology) == GeneratorConfig()
 
 
 # -- sample_user_turn --------------------------------------------------------

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from dialoforge.dataset import dumps_dialogue, generate_dataset
-from dialoforge.engine import GeneratorConfig
+from dialoforge.engine import Dialogue, GeneratorConfig
 from dialoforge.errors import ValidationError
 from dialoforge.injection import (
     ElementKind,
@@ -303,3 +303,21 @@ def test_relabeled_labels_stay_in_catalog(medium_ontology):
             assert r.new in actions
         else:
             assert r.new in slots
+
+
+def test_records_have_no_instance_dict(medium_ontology, tmp_path):
+    """Every record class is a slots dataclass, whether an instance is
+    generated, relabeled by the writer or read back from its dict."""
+    ds = _dataset(medium_ontology, n=5, seed=6)
+    cfg = ErrorConfig(p_intent=1.0, p_slot=1.0, mode_weights=(1.0, 0.0), seed=12)
+    out, records = inject_errors(ds, medium_ontology, cfg)
+    write_records(records, tmp_path / "log.jsonl")
+    dialogues = [next(d.iter_dialogues())[1] for d in (ds, out)]
+    dialogues.append(Dialogue.from_dict(dialogues[1].to_dict()))
+    # The first act of each is its own object: generated, rewritten, read.
+    assert len({id(d.turns[0].user_acts[0]) for d in dialogues}) == 3
+    objects = [records[0], read_records(tmp_path / "log.jsonl")[0]]
+    for dlg in dialogues:
+        objects += [dlg, dlg.turns[0], dlg.turns[0].user_acts[0]]
+    for obj in objects:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__

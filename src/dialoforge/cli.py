@@ -18,7 +18,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .dataset import SPLIT_NAMES, Dataset, read_dataset, write_dataset, write_generated, write_json
+from .dataset import (
+    SPLIT_NAMES, Dataset, read_dataset, write_dataset, write_generated, write_json, write_manifest,
+)
 
 # Not called here, but bound: perfbench's tracer wraps this name on the cli
 # module (perfbench/workloads.py, install_wraps) and raises AttributeError
@@ -56,9 +58,6 @@ _GENERATOR_FLAGS = {
 _INJECT_FLAGS = {name: ErrorConfig.RULES[name] for name in ("p_intent", "p_action", "p_slot")}
 _TRAIN_FLAGS = {name: LINEAR_RULES[name] for name in ("learning_rate", "l2", "epochs")}
 
-# Heads every manifest a command writes ("version" is a dataset format's).
-_MANIFEST_HEADER = {"tool": "dialoforge", "tool_version": __version__}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 64 with a synopsis
@@ -80,10 +79,6 @@ def _input_hashes(indir: Path) -> dict:
         for p in sorted(indir.iterdir())
         if p.is_file() and p.suffix in (".json", ".jsonl", ".bin")
     }
-
-
-def _write_manifest(outdir: Path, payload: dict) -> None:
-    write_json(outdir / "manifest.json", {**_MANIFEST_HEADER, **payload})
 
 
 def _resolve_seed(args) -> int:
@@ -159,7 +154,7 @@ def _generator_config(args, ontology: Ontology) -> GeneratorConfig:
     its field's rule, and an error names the flag."""
     fields = _given(args, _GENERATOR_FLAGS)
     if getattr(args, "split_fractions", None) is not None:
-        fractions = tuple(_parse_floats(args.split_fractions, "--split-fractions"))
+        fractions = _parse_floats(args.split_fractions, "--split-fractions")
         rule = GeneratorConfig.RULES["split_fractions"]
         fields["split_fractions"] = check_setting("--split-fractions", fractions, rule)
     return GeneratorConfig.for_ontology(ontology, seed=_resolve_seed(args), **fields)
@@ -175,7 +170,7 @@ def _cmd_generate(args) -> int:
         cfg,
         out,
         jobs=args.jobs,
-        manifest_extra={**_MANIFEST_HEADER, "subcommand": "generate", "preset": args.preset},
+        manifest_extra={"subcommand": "generate", "preset": args.preset},
     )
     # Only after generation succeeded, so a failed run leaves no --out behind.
     _write_ontology(out, ontology)
@@ -206,7 +201,6 @@ def _cmd_inject(args) -> int:
         perturbed,
         out,
         manifest_extra={
-            **_MANIFEST_HEADER,
             "subcommand": "inject",
             "error_config": asdict(cfg),
             "noise_applied_to": args.splits,
@@ -221,13 +215,17 @@ def _cmd_inject(args) -> int:
 
 def _cmd_encode(args) -> int:
     indir = Path(getattr(args, "in"))
+    out = Path(args.out) if args.out else indir / "encoded"
+    if out.resolve() == indir.resolve():
+        raise ValidationError(
+            f"--out {out} is --in {indir}; encode would replace the dataset's manifest.json"
+        )
     dataset = read_dataset(indir)
     ontology = _dataset_ontology(indir, dataset)
     encoded = encode_dataset(dataset, ontology)
-    out = Path(args.out) if args.out else indir / "encoded"
     out.mkdir(parents=True, exist_ok=True)
     write_encoded(encoded, out, csv=args.csv)
-    _write_manifest(
+    write_manifest(
         out,
         {
             "subcommand": "encode",
@@ -307,7 +305,7 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(result, out / "sweep.csv")
-    _write_manifest(out, {"subcommand": "sweep", "sweep": result.manifest})
+    write_manifest(out, {"subcommand": "sweep", "sweep": result.manifest})
     _log(f"swept {len(rates)} rate(s) x {len(models)} model(s) x {args.seeds} seed(s) -> {out}")
     return 0
 

@@ -10,6 +10,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
+from . import __version__
 from .engine import (
     Dialogue,
     GeneratorConfig,
@@ -161,13 +162,18 @@ def dumps_dialogue(dialogue: Dialogue) -> str:
     return _compact(dialogue.to_dict())
 
 
-def _write_manifest(
-    out: Path,
-    ontology_hash: str,
-    config: GeneratorConfig,
-    sizes: dict[str, int],
-    manifest_extra: Optional[dict],
-) -> None:
+def write_manifest(outdir, payload: dict) -> None:
+    """The one writer of a ``manifest.json``: ``payload`` under the header
+    that names the tool and its version, which no payload key replaces."""
+    write_json(
+        Path(outdir) / "manifest.json",
+        {**payload, "tool": "dialoforge", "tool_version": __version__},
+    )
+
+
+def _dataset_manifest(
+    ontology_hash: str, config: GeneratorConfig, sizes: dict[str, int], extra: Optional[dict]
+) -> dict:
     manifest = {
         "format": "dialoforge-dataset",
         "version": FORMAT_VERSION,
@@ -178,7 +184,7 @@ def _write_manifest(
         "n_dialogues": sum(sizes.values()),
     }
     # An extra key never replaces one of the dataset's own.
-    write_json(out / "manifest.json", {**(manifest_extra or {}), **manifest})
+    return {**(extra or {}), **manifest}
 
 
 def write_dataset(dataset: Dataset, outdir, manifest_extra: Optional[dict] = None) -> None:
@@ -186,9 +192,9 @@ def write_dataset(dataset: Dataset, outdir, manifest_extra: Optional[dict] = Non
     out.mkdir(parents=True, exist_ok=True)
     for split in SPLIT_NAMES:
         write_jsonl(out / f"{split}.jsonl", (d.to_dict() for d in dataset.splits.get(split, [])))
-    _write_manifest(
-        out, dataset.ontology_hash, dataset.config, dataset.split_sizes(), manifest_extra
-    )
+    write_manifest(out, _dataset_manifest(
+        dataset.ontology_hash, dataset.config, dataset.split_sizes(), manifest_extra
+    ))
 
 
 def write_generated(
@@ -211,7 +217,7 @@ def write_generated(
     for split, lines in splits.items():
         _write_lines(out / f"{split}.jsonl", lines)
     sizes = {split: len(lines) for split, lines in splits.items()}
-    _write_manifest(out, ontology.content_hash(), cfg, sizes, manifest_extra)
+    write_manifest(out, _dataset_manifest(ontology.content_hash(), cfg, sizes, manifest_extra))
     return sizes
 
 
@@ -239,7 +245,7 @@ def read_dataset(indir) -> Dataset:
         )
     check_object(manifest["config"], f"{where}.config", GeneratorConfig.RULES)
     try:
-        config = GeneratorConfig.from_dict(manifest["config"])
+        config = GeneratorConfig(**manifest["config"])
     except ValidationError as exc:
         raise ValidationError(f"{where}.config: {exc}") from None
     if manifest["seed"] != config.seed:

@@ -285,6 +285,8 @@ class GeneratorConfig:
     def __post_init__(self):
         for name, rule in self.RULES.items():
             check_setting(name, getattr(self, name), rule)
+        # Stored as a tuple, so a config given a list equals and hashes like its twin.
+        object.__setattr__(self, "split_fractions", tuple(self.split_fractions))
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValidationError("split_fractions must sum to 1")
 
@@ -296,14 +298,8 @@ class GeneratorConfig:
         defaults = dict(ontology.generation_defaults)
         counts = defaults.pop("split", None)
         if counts is not None and "split_fractions" not in fields:
-            defaults["split_fractions"] = tuple(c / sum(counts) for c in counts)
+            defaults["split_fractions"] = [c / sum(counts) for c in counts]
         return cls(**{**defaults, **fields})
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GeneratorConfig":
-        obj = dict(obj)
-        obj["split_fractions"] = tuple(obj["split_fractions"])
-        return cls(**obj)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,8 @@ class ErrorConfig:
     def __post_init__(self):
         for name, rule in self.RULES.items():
             check_setting(name, getattr(self, name), rule)
+        # Stored as a tuple, so a config given a list equals and hashes like its twin.
+        object.__setattr__(self, "mode_weights", tuple(self.mode_weights))
         if sum(self.mode_weights) == 0:
             raise ValidationError(f"mode_weights must not both be zero, got {self.mode_weights!r}")
 
@@ -250,29 +252,19 @@ def revert_errors(dataset: Dataset, records: list[PerturbationRecord]) -> Datase
     Each record must find its ``new`` label where it points, as the records
     before it in the log left that label, else the log is rejected."""
     turns_by_id = _turns_by_id(dataset)
-    # The edits of each (dialogue id, turn index), in log order.
-    edits: dict[tuple[str, int], list[tuple[ElementKind, int, str]]] = {}
+    changed: dict[str, list[DialogueTurn]] = {}  # the new turn list of each edited dialogue
     for rec in records:
-        turns = turns_by_id.get(rec.dialogue_id, [])
+        turns = changed.get(rec.dialogue_id) or turns_by_id.get(rec.dialogue_id, [])
         turn = turns[rec.turn_index] if 0 <= rec.turn_index < len(turns) else None
-        label = None if turn is None else _label_at(turn, rec.element, rec.index)
-        turn_edits = edits.setdefault((rec.dialogue_id, rec.turn_index), [])
-        for kind, index, written in turn_edits:
-            if kind is rec.element and index == rec.index:
-                label = written
         if (
-            label is None
-            or label != rec.new
+            turn is None
+            or _label_at(turn, rec.element, rec.index) != rec.new
             or (rec.element is ElementKind.INTENT and rec.original not in _INTENT_KIND)
         ):
             raise ValidationError(f"record does not match dataset: {rec}")
-        turn_edits.append((rec.element, rec.index, rec.original))
-    changed: dict[str, list[DialogueTurn]] = {}
-    for (dialogue_id, ti), turn_edits in edits.items():
-        turns = turns_by_id[dialogue_id]
-        if dialogue_id not in changed:
-            changed[dialogue_id] = list(turns)
-        changed[dialogue_id][ti] = _write_turn(turns[ti], turn_edits)
+        if rec.dialogue_id not in changed:
+            turns = changed[rec.dialogue_id] = list(turns)
+        turns[rec.turn_index] = _write_turn(turn, [(rec.element, rec.index, rec.original)])
     return _with_turns(dataset, changed)
 
 

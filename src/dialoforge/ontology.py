@@ -143,6 +143,9 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class Ontology:
+    """Domains with unique names, plus the ``generation`` defaults as written
+    (checked here, however the ontology is built; errors name their JSON path)."""
+
     domains: tuple[DomainSpec, ...]
     generation_defaults: dict = field(default_factory=dict, compare=False)
     intent_catalog: ClassVar[tuple[str, ...]] = INTENT_CATALOG
@@ -150,6 +153,22 @@ class Ontology:
     action_catalog: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
+        generation = check_object(
+            self.generation_defaults, "$.generation", {},
+            {"n_dialogues": "an int >= 1", "split": "a list of ints"},
+        )
+        if "split" in generation:
+            split = generation["split"]
+            _require(
+                len(split) == 3 and min(split) >= 0 and sum(split) > 0,
+                "$.generation.split",
+                "must be three non-negative integers with a positive sum",
+            )
+        object.__setattr__(self, "domains", tuple(self.domains))
+        seen: set[str] = set()
+        for i, d in enumerate(self.domains):
+            _require(d.name not in seen, f"$.domains[{i}]", f"duplicate domain name {d.name!r}")
+            seen.add(d.name)
         object.__setattr__(self, "action_catalog", tuple(_atomic_actions(self.domains)))
 
     def domain(self, name: str) -> Optional[DomainSpec]:
@@ -166,7 +185,7 @@ class Ontology:
         return self._topics.get((domain, topic))
 
     def topic_pairs(self) -> list[tuple[str, str]]:
-        return [(d.name, t.name) for d in self.domains for t in d.topics]
+        return list(self._topics)
 
     def slot_keys(self) -> list[tuple[str, str, str]]:
         """Every (domain, topic, slot) triple in document order."""
@@ -415,30 +434,6 @@ def _parse_domain(obj: object, path: str) -> DomainSpec:
     return DomainSpec(name=name, topics=topics)
 
 
-def _parse_generation(obj: object) -> dict:
-    """Check the generation defaults; the dict itself is kept as written."""
-    path = "$.generation"
-    check_object(obj, path, {}, {"n_dialogues": "an int >= 1", "split": "a list of ints"})
-    if "split" in obj:
-        split = obj["split"]
-        _require(
-            len(split) == 3 and min(split) >= 0 and sum(split) > 0,
-            f"{path}.split",
-            "must be three non-negative integers with a positive sum",
-        )
-    return obj
-
-
-def build_ontology(domains: Iterable[DomainSpec], generation_defaults: Optional[dict] = None) -> Ontology:
-    """Assemble an ontology from parsed domains with unique names."""
-    domains = tuple(domains)
-    seen: set[str] = set()
-    for i, d in enumerate(domains):
-        _require(d.name not in seen, f"$.domains[{i}]", f"duplicate domain name {d.name!r}")
-        seen.add(d.name)
-    return Ontology(domains=domains, generation_defaults=generation_defaults or {})
-
-
 def load_ontology(source: str) -> Ontology:
     """Parse and validate a JSON ontology document.
 
@@ -453,7 +448,7 @@ def load_ontology(source: str) -> Ontology:
     check_object(doc, "$", {"domains": "a list"}, {"generation": "an object"})
     _require(len(doc["domains"]) >= 1, "$.domains", "needs at least one domain")
     domains = [_parse_domain(d, f"$.domains[{i}]") for i, d in enumerate(doc["domains"])]
-    return build_ontology(domains, _parse_generation(doc.get("generation", {})))
+    return Ontology(domains, doc.get("generation", {}))
 
 
 def load_ontology_file(path) -> Ontology:

@@ -961,6 +961,17 @@ def _bogus_action_in_first_train_dialogue(ds: Path, tmp: Path) -> None:
     train.write_text(json.dumps(dialogue) + "\n" + "".join(rest))
 
 
+@pytest.mark.parametrize("out", ["{ds}", "{ds}/../ds/."], ids=["same", "same-resolved"])
+def test_encode_refuses_to_write_over_its_input(out, tiny_dataset, capsys):
+    before = _dir_bytes(tiny_dataset)
+    out = out.format(ds=tiny_dataset)
+    assert run_cli(["encode", "--in", str(tiny_dataset), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"--out {Path(out)} is --in {tiny_dataset}" in err
+    assert _dir_bytes(tiny_dataset) == before
+    assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
+
+
 def test_generate_records_split_fractions(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["generate", "--preset", "simple", "--dialogues", "8",

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from dialoforge import cli, dataset
+from dialoforge import __version__, cli, dataset
 from dialoforge.dataset import generate_dataset, read_dataset, write_dataset, write_generated
 from dialoforge.engine import GeneratorConfig, split_counts
 from dialoforge.errors import DialoforgeError, ValidationError
@@ -156,9 +156,15 @@ def test_write_generated_matches_write_dataset(preset, jobs, tmp_path):
 
 def test_manifest_extra_cannot_replace_a_dataset_key(simple_ontology, tmp_path):
     ds = generate_dataset(simple_ontology, GeneratorConfig(n_dialogues=2, seed=0))
-    write_dataset(ds, tmp_path, manifest_extra={"version": "0.1.0", "subcommand": "x"})
+    write_dataset(
+        ds, tmp_path, manifest_extra={"version": "0.1.0", "subcommand": "x", "tool": "x"}
+    )
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert (manifest["version"], manifest["subcommand"]) == (2, "x")
+    assert (manifest["tool"], manifest["tool_version"]) == ("dialoforge", __version__)
+    write_dataset(ds, tmp_path / "plain")
+    manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
+    assert (manifest["tool"], manifest["tool_version"]) == ("dialoforge", __version__)
 
 
 def test_preset_config_helper_matches_table(hard_ontology):

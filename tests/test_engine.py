@@ -28,7 +28,8 @@ from dialoforge.engine import (
     step_policy,
 )
 from dialoforge.errors import DialoforgeError, ValidationError
-from dialoforge.ontology import IntentKind, load_ontology
+from dialoforge.injection import ErrorConfig
+from dialoforge.ontology import IntentKind, Ontology, load_ontology
 
 from .conftest import MINI_DOC, events_off
 
@@ -194,6 +195,25 @@ def test_generator_config_validation():
 def test_non_finite_split_fraction_rejected(fractions):
     with pytest.raises(ValidationError, match="^split_fractions must be three finite"):
         GeneratorConfig(split_fractions=fractions)
+
+
+def _mini_domains():
+    return load_ontology(json.dumps(MINI_DOC)).domains
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda seq: GeneratorConfig(split_fractions=seq((0.5, 0.25, 0.25))), "split_fractions"),
+        (lambda seq: ErrorConfig(0.1, mode_weights=seq((0.25, 0.75))), "mode_weights"),
+        (lambda seq: Ontology(seq(_mini_domains())), "domains"),
+    ],
+    ids=["generator-config", "error-config", "ontology"],
+)
+def test_a_value_built_from_lists_is_its_tuple_twin(build, field):
+    from_list, from_tuple = build(list), build(tuple)
+    assert type(getattr(from_list, field)) is tuple
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
 
 
 # A bool is no number, and a string no int or number, for any setting.

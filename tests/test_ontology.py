@@ -13,8 +13,8 @@ from dialoforge.ontology import (
     ActionKind,
     AtomicActionId,
     IntentKind,
+    Ontology,
     _RULES,
-    build_ontology,
     check_object,
     check_setting,
     load_ontology,
@@ -63,7 +63,7 @@ def test_unknown_preset():
 
 
 def test_enumerate_empty_domains():
-    ont = build_ontology([])
+    ont = Ontology([])
     assert ont.action_catalog == (GENERAL_CHIT_CHAT_ID,)
 
 
@@ -202,25 +202,40 @@ def test_unknown_keys_rejected():
         load_ontology(json.dumps(doc))
 
 
+_BAD_GENERATION = {
+    "n-text": ({"n_dialogues": "many"}, "$.generation.n_dialogues"),
+    "n-zero": ({"n_dialogues": 0}, "$.generation.n_dialogues"),
+    "n-bool": ({"n_dialogues": True}, "$.generation.n_dialogues"),
+    "split-two": ({"split": [3, 1]}, "$.generation.split"),
+    "split-zero-sum": ({"split": [0, 0, 0]}, "$.generation.split"),
+    "split-negative": ({"split": [3, -1, 1]}, "$.generation.split"),
+    "split-float": ({"split": [0.6, 0.2, 0.2]}, "$.generation.split[0]"),
+    "unknown-key": ({"n_dialogues": 10, "seed": 3}, "$.generation"),
+}
+
+
+def _built(builder: str, doc: dict) -> Ontology:
+    """The ontology of ``doc``, loaded from its JSON or given, as parsed
+    domains and a generation block, to the constructor."""
+    if builder == "load":
+        return load_ontology(json.dumps(doc))
+    domains = [load_ontology(json.dumps({"domains": [d]})).domains[0] for d in doc["domains"]]
+    return Ontology(domains, doc.get("generation", {}))
+
+
 @pytest.mark.parametrize(
-    "generation, where",
+    "builder, doc, where",
     [
-        ({"n_dialogues": "many"}, "$.generation.n_dialogues"),
-        ({"n_dialogues": 0}, "$.generation.n_dialogues"),
-        ({"n_dialogues": True}, "$.generation.n_dialogues"),
-        ({"split": [3, 1]}, "$.generation.split"),
-        ({"split": [0, 0, 0]}, "$.generation.split"),
-        ({"split": [3, -1, 1]}, "$.generation.split"),
-        ({"split": [0.6, 0.2, 0.2]}, "$.generation.split[0]"),
-        ({"n_dialogues": 10, "seed": 3}, "$.generation"),
+        *(pytest.param(builder, {**MINI_DOC, "generation": generation}, where,
+                       id=name if builder == "load" else f"init-{name}")
+          for builder in ("load", "init") for name, (generation, where) in _BAD_GENERATION.items()),
+        pytest.param("init", {"domains": MINI_DOC["domains"] * 2}, "$.domains[1]",
+                     id="init-duplicate-domain"),
     ],
-    ids=["n-text", "n-zero", "n-bool", "split-two", "split-zero-sum", "split-negative",
-         "split-float", "unknown-key"],
 )
-def test_bad_generation_block_rejected(generation, where):
-    doc = {**MINI_DOC, "generation": generation}
+def test_bad_generation_block_rejected(builder, doc, where):
     with pytest.raises(ValidationError, match=f"^{re.escape(where)}[:.]"):
-        load_ontology(json.dumps(doc))
+        _built(builder, doc)
 
 
 def test_generation_defaults_kept_as_written():

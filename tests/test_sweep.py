@@ -10,7 +10,7 @@ import pytest
 
 import dialoforge
 from dialoforge import harness
-from dialoforge.dataset import generate_dataset
+from dialoforge.dataset import generate_dataset, read_dataset, write_dataset
 from dialoforge.encoding import encode_dataset
 from dialoforge.engine import GeneratorConfig
 from dialoforge.errors import ValidationError
@@ -155,6 +155,14 @@ def test_sweep_base_dataset_must_be_the_one_described(simple_ontology, medium_on
     result = robustness_sweep(simple_ontology, cfg, [0.0], ["memorizer"], n_seeds=1,
                               base_dataset=base)
     assert result.manifest["generator_config"]["seed"] == 2
+
+
+def test_sweep_takes_the_dataset_read_back_for_a_list_fraction_config(simple_ontology, tmp_path):
+    cfg = GeneratorConfig(n_dialogues=30, seed=2, split_fractions=[0.5, 0.25, 0.25])
+    write_dataset(generate_dataset(simple_ontology, cfg), tmp_path)
+    result = robustness_sweep(simple_ontology, cfg, [0.0], ["memorizer"], n_seeds=1,
+                              base_dataset=read_dataset(tmp_path))
+    assert result.manifest["generator_config"]["split_fractions"] == (0.5, 0.25, 0.25)
 
 
 @pytest.mark.parametrize("caller_collects", [True, False], ids=["caller-on", "caller-off"])

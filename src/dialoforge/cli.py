@@ -16,10 +16,12 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .dataset import (
-    SPLIT_NAMES, Dataset, read_dataset, write_dataset, write_generated, write_json, write_manifest,
+    SPLIT_NAMES, Dataset, read_dataset, read_json, write_dataset, write_generated, write_json,
+    write_manifest,
 )
 
 # Not called here, but bound: perfbench's tracer wraps this name on the cli
@@ -69,8 +71,15 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+_HASH_BLOCK = 1 << 20  # bytes a file is hashed in, so no whole input is held
+
+
 def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(_HASH_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _input_hashes(indir: Path) -> dict:
@@ -106,6 +115,27 @@ def _dataset_ontology(indir: Path, dataset: Dataset) -> Ontology:
             f"{indir / 'manifest.json'}'s ontology_hash {dataset.ontology_hash}"
         )
     return ontology
+
+
+def _check_out(out: Path, subcommand: str, indir: Optional[Path] = None) -> None:
+    """Refuse an --out that would write over an input, before anything is
+    read or written: the --in directory itself, or a directory whose
+    manifest.json another command wrote.  A rerun into the command's own
+    output goes ahead."""
+    if indir is not None and out.resolve() == indir.resolve():
+        raise ValidationError(
+            f"--out {out} is --in {indir}; {subcommand} would write over its input"
+        )
+    manifest = out / "manifest.json"
+    if manifest.is_file():
+        found = read_json(manifest)
+        owner = found.get("subcommand") if isinstance(found, dict) else None
+        if owner != subcommand:
+            writer = f"`{owner}`" if isinstance(owner, str) else "no command"
+            raise ValidationError(
+                f"--out {out}: {manifest} was written by {writer}; {subcommand} "
+                "writes over its own output only"
+            )
 
 
 def _write_ontology(outdir: Path, ontology: Ontology) -> None:
@@ -162,9 +192,10 @@ def _generator_config(args, ontology: Ontology) -> GeneratorConfig:
 
 def _cmd_generate(args) -> int:
     check_setting("--jobs", args.jobs, "an int >= 1")
+    out = Path(args.out)
+    _check_out(out, "generate")
     ontology = _load_cli_ontology(args)
     cfg = _generator_config(args, ontology)
-    out = Path(args.out)
     sizes = write_generated(
         ontology,
         cfg,
@@ -183,7 +214,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_inject(args) -> int:
     rates = _given(args, _INJECT_FLAGS)
-    indir = Path(getattr(args, "in"))
+    indir, out = Path(getattr(args, "in")), Path(args.out)
+    _check_out(out, "inject", indir)
     if (indir / "perturbations.jsonl").exists():
         # The new log could restore only this input, not the clean data.
         raise ValidationError(
@@ -194,7 +226,6 @@ def _cmd_inject(args) -> int:
     ontology = _dataset_ontology(indir, dataset)
     cfg = ErrorConfig(**rates, mode_weights=_MODE_WEIGHTS[args.mode], seed=_resolve_seed(args))
     perturbed, records = inject_errors(dataset, ontology, cfg, splits=args.splits)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_ontology(out, ontology)
     write_dataset(
@@ -216,10 +247,7 @@ def _cmd_inject(args) -> int:
 def _cmd_encode(args) -> int:
     indir = Path(getattr(args, "in"))
     out = Path(args.out) if args.out else indir / "encoded"
-    if out.resolve() == indir.resolve():
-        raise ValidationError(
-            f"--out {out} is --in {indir}; encode would replace the dataset's manifest.json"
-        )
+    _check_out(out, "encode", indir)
     dataset = read_dataset(indir)
     ontology = _dataset_ontology(indir, dataset)
     encoded = encode_dataset(dataset, ontology)
@@ -286,6 +314,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    out = Path(args.out)
+    _check_out(out, "sweep")
     ontology = _load_cli_ontology(args)
     rates = _parse_floats(args.rates, "--rates")
     for rate in rates:  # a rate is each p_ of an ErrorConfig
@@ -302,7 +332,6 @@ def _cmd_sweep(args) -> int:
         n_seeds=args.seeds,
         mode_weights=_MODE_WEIGHTS[args.mode],
     )
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(result, out / "sweep.csv")
     write_manifest(out, {"subcommand": "sweep", "sweep": result.manifest})

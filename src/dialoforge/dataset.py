@@ -7,6 +7,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
@@ -251,10 +252,12 @@ def read_dataset(indir) -> Dataset:
     if manifest["seed"] != config.seed:
         raise ValidationError(f"{where}.seed: {manifest['seed']} differs from config.seed")
     claimed = check_object(manifest["splits"], f"{where}.splits", _SPLITS_KEYS)
+    # One memo per read: the splits share their records, and no two reads do.
+    parse = partial(Dialogue.from_dict, memo={})
     splits: dict[str, list[Dialogue]] = {}
     for split in SPLIT_NAMES:
         fp = path / f"{split}.jsonl"
-        splits[split] = read_jsonl(fp, Dialogue.from_dict) if fp.exists() else []
+        splits[split] = read_jsonl(fp, parse) if fp.exists() else []
         if claimed[split] != len(splits[split]):
             raise ValidationError(
                 f"{where}.splits.{split}: {claimed[split]} differs from the "

@@ -60,6 +60,9 @@ class EventKind(Enum):
     DOMAIN_CHANGE = "domain_change"
 
 
+_ACT_LABELS = ("domain", "topic", "slot", "value")  # an act's optional string fields
+
+
 @dataclass(slots=True)
 class UserAct:
     kind: IntentKind
@@ -81,7 +84,7 @@ class UserAct:
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind.value}
-        for key in ("domain", "topic", "slot", "value"):
+        for key in _ACT_LABELS:
             v = getattr(self, key)
             if v is not None:
                 out[key] = v
@@ -96,13 +99,27 @@ class UserAct:
         return act
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "UserAct":
-        try:
-            kind = IntentKind(obj["kind"])
-        except ValueError:
-            raise ValidationError(f"intent kind {obj['kind']!r} is not in the catalog") from None
+    def from_dict(cls, obj: dict, memo: Optional[dict] = None) -> "UserAct":
+        """The act of a dict written by ``to_dict``.  ``memo`` is shared by
+        the records of one read (see ``Dialogue.from_dict``): an act equal to
+        one read before is that act, and only a new one is checked and built."""
         get = obj.get
-        return cls.unchecked(kind, get("domain"), get("topic"), get("slot"), get("value"))
+        key = (obj["kind"], get("domain"), get("topic"), get("slot"), get("value"))
+        memo = {} if memo is None else memo
+        try:
+            act = memo.get(key)
+        except TypeError:  # an unhashable field, which the checks below reject
+            act = None
+        if act is None:
+            try:
+                kind = IntentKind(key[0])
+            except ValueError:
+                raise ValidationError(f"intent kind {key[0]!r} is not in the catalog") from None
+            for name, value in zip(_ACT_LABELS, key[1:]):
+                if value is not None and not isinstance(value, str):
+                    raise ValidationError(f"act key {name!r}: {value!r} is not a string or null")
+            act = memo[key] = cls.unchecked(kind, *key[1:])
+        return act
 
 
 @dataclass
@@ -218,12 +235,26 @@ class DialogueTurn:
         return out
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "DialogueTurn":
-        return cls(
-            user_acts=[UserAct.from_dict(a) for a in obj["user_acts"]],
-            system_acts=list(obj["system_acts"]),
-            event=EventKind(obj["event"]) if obj.get("event") else None,
-        )
+    def from_dict(cls, obj: dict, memo: Optional[dict] = None) -> "DialogueTurn":
+        """The turn of a dict written by ``to_dict``; ``memo`` as in
+        ``Dialogue.from_dict``."""
+        memo = {} if memo is None else memo
+        user_acts = [UserAct.from_dict(a, memo) for a in obj["user_acts"]]
+        event = obj.get("event") or None
+        # The memo holds every act it built, so an act's id names its content.
+        key = (tuple(map(id, user_acts)), tuple(obj["system_acts"]), event)
+        try:
+            turn = memo.get(key)
+        except TypeError:  # an unhashable system act or event, which the checks below reject
+            turn = None
+        if turn is None:
+            for label in key[1]:
+                if not isinstance(label, str):
+                    raise ValidationError(f"system act {label!r} is not a string")
+            system_acts = [memo.setdefault(label, label) for label in key[1]]
+            event = EventKind(event) if event else None
+            turn = memo[key] = cls(user_acts, system_acts, event)
+        return turn
 
 
 @dataclass(slots=True)
@@ -249,13 +280,19 @@ class Dialogue:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "Dialogue":
+    def from_dict(cls, obj: dict, memo: Optional[dict] = None) -> "Dialogue":
         """The dialogue of a dict written by ``to_dict``; its ``events_log``
-        copy must equal the one the turns' events give."""
+        copy must equal the one the turns' events give.
+
+        The dialogues of one read share ``memo`` (a fresh one by default), in
+        which each distinct act, system act and turn is built once, keyed on
+        its raw fields, and then reused: a read dataset holds one object per
+        distinct record, which is safe because no code mutates a built one."""
+        memo = {} if memo is None else memo
         dialogue = cls(
             id=obj["id"],
             seed=obj["seed"],
-            turns=[DialogueTurn.from_dict(t) for t in obj["turns"]],
+            turns=[DialogueTurn.from_dict(t, memo) for t in obj["turns"]],
         )
         derived = dialogue._events_dicts()
         if obj["events_log"] != derived:

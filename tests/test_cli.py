@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -172,23 +173,33 @@ def test_unknown_intent_kind_in_dataset_is_a_validation_error(tiny_dataset, tmp_
 
 
 @pytest.mark.parametrize(
-    "damage",
+    "damage, says",
     [
-        lambda line: line[: len(line) // 2],
-        lambda line: line.replace('"kind":"inform"', '"kind":"bogus"', 1),
-        lambda line: re.sub(r'"events_log":\[.*\]}$', '"events_log":[[99,"chit_chat"]]}', line),
-        lambda line: line.replace('"seed":', '"sead":', 1),
+        (lambda line: line[: len(line) // 2], ""),
+        (lambda line: line.replace('"kind":"inform"', '"kind":"bogus"', 1), "'bogus'"),
+        (lambda line: re.sub(r'"events_log":\[.*\]}$', '"events_log":[[99,"chit_chat"]]}', line),
+         "events_log"),
+        (lambda line: line.replace('"seed":', '"sead":', 1), "'seed'"),
+        (lambda line: re.sub(r'"slot":("[^"]*")', r'"slot":[\1]', line, count=1),
+         "act key 'slot': ["),
+        (lambda line: line.replace('"system_acts":["', '"system_acts":[5,"', 1),
+         "system act 5 is not a string"),
     ],
-    ids=["truncated-line", "bogus-intent-kind", "events-log-differs-from-turns", "missing-key"],
+    ids=["truncated-line", "bogus-intent-kind", "events-log-differs-from-turns", "missing-key",
+         "list-valued-slot", "numeric-system-act"],
 )
-def test_bad_dataset_line_names_file_and_line(damage, tiny_dataset, capsys):
+def test_bad_dataset_line_names_file_and_line(damage, says, tiny_dataset, tmp_path, capsys):
     train = tiny_dataset / "train.jsonl"
     lines = train.read_text().splitlines(keepends=True)
     n = next(i for i, line in enumerate(lines) if '"kind":"inform"' in line)
-    lines[n] = damage(lines[n].rstrip("\n")) + "\n"
+    damaged = damage(lines[n].rstrip("\n"))
+    assert damaged != lines[n].rstrip("\n")
+    lines[n] = damaged + "\n"
     train.write_text("".join(lines))
-    assert run_cli(["encode", "--in", str(tiny_dataset)]) == 1
-    assert f"train.jsonl:{n + 1}: " in capsys.readouterr().err
+    for argv in (["encode"], ["inject", "--p-slot", "0.5", "--out", str(tmp_path / "noisy")]):
+        assert run_cli([*argv, "--in", str(tiny_dataset)]) == 1
+        err = capsys.readouterr().err
+        assert f"train.jsonl:{n + 1}: " in err and says in err
 
 
 def test_validate_rejects_bad_generation_block(tmp_path, capsys):
@@ -970,6 +981,66 @@ def test_encode_refuses_to_write_over_its_input(out, tiny_dataset, capsys):
     assert f"--out {Path(out)} is --in {tiny_dataset}" in err
     assert _dir_bytes(tiny_dataset) == before
     assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["inject", "--in", "{ds}", "--p-intent", "0.2", "--out", "{ds}"],
+         "--out {ds} is --in {ds}; inject would write over its input"),
+        (["inject", "--in", "{ds}", "--p-intent", "0.2", "--out", "{ds}/../ds"],
+         "is --in {ds}; inject"),
+        (["encode", "--in", "{other}", "--out", "{ds}"],
+         "{ds}/manifest.json was written by `generate`; encode writes over its own output only"),
+        (["inject", "--in", "{other}", "--out", "{ds}"], "written by `generate`; inject"),
+        (["generate", "--preset", "simple", "--dialogues", "5", "--out", "{ds}/encoded"],
+         "written by `encode`; generate"),
+        (["sweep", "--preset", "simple", "--dialogues", "10", "--rates", "0", "--seeds", "1",
+          "--out", "{ds}"], "written by `generate`; sweep"),
+    ],
+    ids=["inject-in-place", "inject-in-place-resolved", "encode-over-a-dataset",
+         "inject-over-a-dataset", "generate-over-an-encoding", "sweep-over-a-dataset"],
+)
+def test_an_output_may_not_overwrite_an_input(argv, says, tiny_dataset, tmp_path, capsys):
+    other = tmp_path / "other"
+    assert run_cli(["generate", "--preset", "simple", "--dialogues", "20", "--seed", "4",
+                    "--out", str(other)]) == 0
+    assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
+    before = [_dir_bytes(d) for d in (tiny_dataset, other)]
+    capsys.readouterr()
+    fill = {"ds": tiny_dataset, "other": other}
+    assert run_cli([arg.format(**fill) for arg in argv]) == 1
+    assert says.format(**fill) in capsys.readouterr().err
+    assert [_dir_bytes(d) for d in (tiny_dataset, other)] == before
+
+
+def test_a_rerun_into_its_own_output_goes_ahead(tiny_dataset, tmp_path):
+    noisy, sweep = tmp_path / "noisy", tmp_path / "sweep"
+    commands = [
+        ["generate", "--preset", "simple", "--dialogues", "40", "--seed", "3",
+         "--out", str(tiny_dataset)],
+        ["inject", "--in", str(tiny_dataset), "--p-slot", "0.3", "--out", str(noisy)],
+        ["encode", "--in", str(noisy)],
+        ["sweep", "--preset", "simple", "--dialogues", "20", "--rates", "0", "--seeds", "1",
+         "--out", str(sweep)],
+    ]
+    for argv in commands:
+        assert run_cli(argv) == 0
+    outputs = (tiny_dataset, noisy, sweep)
+    before = [_dir_bytes(d) for d in outputs]
+    for argv in commands:
+        assert run_cli(argv) == 0
+    assert [_dir_bytes(d) for d in outputs] == before
+
+
+def test_an_input_is_hashed_in_blocks(tmp_path, monkeypatch):
+    path = tmp_path / "blob.bin"
+    data = os.urandom(2500)
+    path.write_bytes(data)
+    monkeypatch.setattr(cli, "_HASH_BLOCK", 1024)
+    assert cli._sha256_file(path) == hashlib.sha256(data).hexdigest()
+    path.write_bytes(b"")
+    assert cli._sha256_file(path) == hashlib.sha256(b"").hexdigest()
 
 
 def test_generate_records_split_fractions(tmp_path):

@@ -283,7 +283,10 @@ def _rows(encoded: EncodedDataset, enc_dir: Path, split: str) -> tuple:
 
 
 def _cmd_train(args) -> int:
-    enc_dir = _find_encoded(Path(getattr(args, "in")))
+    enc_dir, out = _find_encoded(Path(getattr(args, "in"))), Path(args.out)
+    for path in (enc_dir / "layout.json", *(enc_dir / f"{s}.bin" for s in SPLIT_NAMES)):
+        if out.resolve() == path.resolve():
+            raise ValidationError(f"--out {out} is {path}; train would write over its input")
     encoded = read_encoded(enc_dir)
     train_split = _rows(encoded, enc_dir, "train")
     if args.model == "memorizer":

@@ -19,8 +19,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -207,43 +208,35 @@ def encode_dataset(dataset: Dataset, ontology: Ontology) -> EncodedDataset:
 # Container format: text header + row-major packed bits
 
 
-_MAGIC = "dialoforge-encoded 1"
+def _bin_header(split: str, rows: int, layout: StateLayout) -> bytes:
+    """The text header of a split file, the one definition of the format:
+    ``write_encoded`` writes it and ``read_encoded`` compares each file to it."""
+    return (
+        "dialoforge-encoded 1\n"
+        f"split {split}\n"
+        f"rows {rows}\n"
+        f"state_width {layout.state_width}\n"
+        f"target_width {layout.target_width}\n"
+        f"ontology_hash {layout.ontology_hash}\n"
+        "---\n"
+    ).encode()
 
 
 def write_encoded(encoded: EncodedDataset, outdir, csv: bool = False) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "layout.json", encoded.layout.to_dict())
+    layout = encoded.layout
+    write_json(out / "layout.json", layout.to_dict())
     for split, (states, targets) in encoded.splits.items():
-        header = (
-            f"{_MAGIC}\n"
-            f"split {split}\n"
-            f"rows {states.shape[0]}\n"
-            f"state_width {encoded.layout.state_width}\n"
-            f"target_width {encoded.layout.target_width}\n"
-            f"ontology_hash {encoded.ontology_hash}\n"
-            "---\n"
-        )
-        payload = (
-            np.packbits(states, axis=1).tobytes()
-            + np.packbits(targets, axis=1).tobytes()
-        )
         with open(out / f"{split}.bin", "wb") as fh:
-            fh.write(header.encode("ascii"))
-            fh.write(payload)
-        if csv:
-            _write_csv(out / f"{split}.csv", encoded.layout, states, targets)
-
-
-def _write_csv(path, layout: StateLayout, states: np.ndarray, targets: np.ndarray) -> None:
-    cols = [f"s{i}" for i in range(layout.state_width)] + [
-        f"a{i}" for i in range(layout.target_width)
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for srow, trow in zip(states, targets):
-            fh.write(",".join(str(int(v)) for v in srow) + ",")
-            fh.write(",".join(str(int(v)) for v in trow) + "\n")
+            fh.write(_bin_header(split, states.shape[0], layout))
+            fh.write(np.packbits(states, axis=1).tobytes())
+            fh.write(np.packbits(targets, axis=1).tobytes())
+        if csv:  # a line of column names, then a line of 0s and 1s per row
+            columns = [f"s{i}" for i in range(layout.state_width)]
+            columns += [f"a{i}" for i in range(layout.target_width)]
+            np.savetxt(out / f"{split}.csv", np.hstack([states, targets]), fmt="%d",
+                       delimiter=",", header=",".join(columns), comments="")
 
 
 _LAYOUT_KEYS = {
@@ -272,42 +265,38 @@ def _read_layout(path: Path) -> StateLayout:
     return layout
 
 
+def _shown_line(line: Optional[bytes]) -> str:
+    """A header line as an error quotes it: its first 80 bytes as text."""
+    return "nothing" if line is None else repr(line[:80].decode(errors="replace"))
+
+
 def read_encoded(indir) -> EncodedDataset:
+    """The splits under ``indir``; each ``.bin`` must start with exactly the
+    header that ``layout.json``, its split name and its row count give."""
     path = Path(indir)
-    layout = _read_layout(path / "layout.json")
+    layout_path = path / "layout.json"
+    layout = _read_layout(layout_path)
+    sw, tw = layout.state_width, layout.target_width
+    sbytes, tbytes = (sw + 7) // 8, (tw + 7) // 8
     splits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for split in SPLIT_NAMES:
         fp = path / f"{split}.bin"
         if not fp.exists():
             continue
-        head, _, payload = fp.read_bytes().partition(b"---\n")
-        try:  # a bad header: non-ASCII, empty, a line without a value, a missing field
-            magic, *lines = head.decode("ascii").strip().splitlines()
-            meta = dict(line.split(" ", 1) for line in lines)
-            rows, sw, tw = (int(meta[key]) for key in ("rows", "state_width", "target_width"))
-            ontology_hash = meta["ontology_hash"]
-            header_split = meta["split"]
-        except (ValueError, KeyError) as exc:
-            raise ValidationError(f"{fp}: bad header: {exc}") from None
-        if magic != _MAGIC:
-            raise ValidationError(f"{fp}: first line is {magic!r}, expected {_MAGIC!r}")
-        if header_split != split:
-            raise ValidationError(f"{fp}: header names split {header_split!r}, expected {split!r}")
-        if ontology_hash != layout.ontology_hash:
+        head, sep, payload = fp.read_bytes().partition(b"---\n")
+        rows, rest = divmod(len(payload), sbytes + tbytes)
+        if rest:
             raise ValidationError(
-                f"{fp}: ontology_hash {ontology_hash} differs from "
-                f"{path / 'layout.json'}'s {layout.ontology_hash}"
+                f"{fp}: the {len(payload)} bytes after its header are no whole number "
+                f"of {layout_path}'s {sbytes + tbytes}-byte rows"
             )
-        if (sw, tw) != (layout.state_width, layout.target_width):
-            raise ValidationError(
-                f"{fp}: widths {sw}/{tw} differ from layout.json's "
-                f"{layout.state_width}/{layout.target_width}"
-            )
-        sbytes, tbytes = (sw + 7) // 8, (tw + 7) // 8
-        if len(payload) != rows * (sbytes + tbytes):
-            raise ValidationError(
-                f"{fp}: payload is {len(payload)} bytes, {rows} rows need {rows * (sbytes + tbytes)}"
-            )
+        found, want = (head + sep).split(b"\n"), _bin_header(split, rows, layout).split(b"\n")
+        for n, (line, expected) in enumerate(zip_longest(found, want), 1):
+            if line != expected:
+                raise ValidationError(
+                    f"{fp}: header line {n} is {_shown_line(line)}, but {layout_path}, "
+                    f"the split and the {rows} rows give {_shown_line(expected)}"
+                )
         packed = np.frombuffer(payload, dtype=np.uint8)
         states = np.unpackbits(packed[: rows * sbytes].reshape(rows, sbytes), axis=1)[:, :sw]
         targets = np.unpackbits(packed[rows * sbytes :].reshape(rows, tbytes), axis=1)[:, :tw]

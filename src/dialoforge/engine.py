@@ -61,6 +61,16 @@ class EventKind(Enum):
 
 
 _ACT_LABELS = ("domain", "topic", "slot", "value")  # an act's optional string fields
+_TYPE_NAMES = {str: "a string", int: "an int", list: "a list"}
+
+
+def _typed(record: str, obj: dict, key: str, kind: type):
+    """``obj[key]``, the value of a read record's key, which must be of
+    ``kind`` (a bool is no int); an error names the record and the key."""
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValidationError(f"{record} key {key!r}: {value!r} is not {_TYPE_NAMES[kind]}")
+    return value
 
 
 @dataclass(slots=True)
@@ -103,7 +113,10 @@ class UserAct:
         """The act of a dict written by ``to_dict``.  ``memo`` is shared by
         the records of one read (see ``Dialogue.from_dict``): an act equal to
         one read before is that act, and only a new one is checked and built."""
-        get = obj.get
+        try:
+            get = obj.get
+        except AttributeError:  # of the JSON values, only an object has one
+            raise ValidationError(f"user act {obj!r} is not an object") from None
         key = (obj["kind"], get("domain"), get("topic"), get("slot"), get("value"))
         memo = {} if memo is None else memo
         try:
@@ -239,10 +252,15 @@ class DialogueTurn:
         """The turn of a dict written by ``to_dict``; ``memo`` as in
         ``Dialogue.from_dict``."""
         memo = {} if memo is None else memo
-        user_acts = [UserAct.from_dict(a, memo) for a in obj["user_acts"]]
+        acts, labels = obj["user_acts"], obj["system_acts"]
+        if not isinstance(acts, list) or not isinstance(labels, list):
+            for name in ("user_acts", "system_acts"):  # raises for the first that is not
+                _typed("turn", obj, name, list)
+        user_acts = [UserAct.from_dict(a, memo) for a in acts]
         event = obj.get("event") or None
         # The memo holds every act it built, so an act's id names its content.
-        key = (tuple(map(id, user_acts)), tuple(obj["system_acts"]), event)
+        # A string's tuple equals a list's, so the labels' type is checked first.
+        key = (tuple(map(id, user_acts)), tuple(labels), event)
         try:
             turn = memo.get(key)
         except TypeError:  # an unhashable system act or event, which the checks below reject
@@ -290,9 +308,9 @@ class Dialogue:
         distinct record, which is safe because no code mutates a built one."""
         memo = {} if memo is None else memo
         dialogue = cls(
-            id=obj["id"],
-            seed=obj["seed"],
-            turns=[DialogueTurn.from_dict(t, memo) for t in obj["turns"]],
+            id=_typed("dialogue", obj, "id", str),
+            seed=_typed("dialogue", obj, "seed", int),
+            turns=[DialogueTurn.from_dict(t, memo) for t in _typed("dialogue", obj, "turns", list)],
         )
         derived = dialogue._events_dicts()
         if obj["events_log"] != derived:

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dialoforge import __version__, cli, engine
 from dialoforge.cli import run_cli
+from dialoforge.encoding import read_encoded
 from dialoforge.errors import DialoforgeError, ValidationError
 
 from .conftest import MINI_DOC
@@ -184,9 +185,25 @@ def test_unknown_intent_kind_in_dataset_is_a_validation_error(tiny_dataset, tmp_
          "act key 'slot': ["),
         (lambda line: line.replace('"system_acts":["', '"system_acts":[5,"', 1),
          "system act 5 is not a string"),
+        (lambda line: re.sub(r'"system_acts":\[[^\]]*\]',
+                             '"system_acts":"GENERAL-ANSWER_CHIT_CHAT"', line, count=1),
+         "turn key 'system_acts': 'GENERAL-ANSWER_CHIT_CHAT' is not a list"),
+        (lambda line: re.sub(r'"user_acts":\[[^\]]*\]', '"user_acts":"inform"', line, count=1),
+         "turn key 'user_acts': 'inform' is not a list"),
+        (lambda line: line.replace('"user_acts":[{', '"user_acts":["inform",{', 1),
+         "user act 'inform' is not an object"),
+        (lambda line: json.dumps({**json.loads(line), "turns": {}}),
+         "dialogue key 'turns': {} is not a list"),
+        (lambda line: re.sub(r'"id":"[^"]*"', '"id":5', line, count=1),
+         "dialogue key 'id': 5 is not a string"),
+        (lambda line: re.sub(r'"seed":\d+', '"seed":"x"', line, count=1),
+         "dialogue key 'seed': 'x' is not an int"),
+        (lambda line: re.sub(r'"seed":\d+', '"seed":true', line, count=1),
+         "dialogue key 'seed': True is not an int"),
     ],
     ids=["truncated-line", "bogus-intent-kind", "events-log-differs-from-turns", "missing-key",
-         "list-valued-slot", "numeric-system-act"],
+         "list-valued-slot", "numeric-system-act", "string-system-acts", "string-user-acts",
+         "string-user-act", "object-turns", "numeric-id", "string-seed", "bool-seed"],
 )
 def test_bad_dataset_line_names_file_and_line(damage, says, tiny_dataset, tmp_path, capsys):
     train = tiny_dataset / "train.jsonl"
@@ -362,6 +379,10 @@ def _missing_model(dataset: Path, tmp_path: Path):
         (_damaged_bin(lambda blob: blob.replace(b"dialoforge-encoded 1", b"dialoforge-encoded 2", 1)), 1),
         (_damaged_bin(lambda blob: re.sub(rb"state_width \d+", b"state_width 1", blob, count=1)), 1),
         (_damaged_bin(lambda blob: blob.replace(b"split train", b"split test", 1)), 1),
+        (_damaged_bin(lambda blob: re.sub(rb"(state_width \d+\n)(target_width \d+\n)",
+                                          rb"\2\1", blob, count=1)), 1),
+        (_damaged_bin(lambda blob: blob.replace(b"\n---\n", b"\ncomment x\n---\n", 1)), 1),
+        (_damaged_bin(lambda blob: re.sub(rb"(rows \d+\n)", rb"\1\1", blob, count=1)), 1),
         (_bad_model(lambda fh: fh.write(b"not a model\n")), 1),
         (_bad_model(lambda fh: np.save(fh, np.zeros(3))), 1),
         (_bad_model(_write_npz_with_unknown_compression), 1),
@@ -373,7 +394,8 @@ def _missing_model(dataset: Path, tmp_path: Path):
         (_resaved_model("linear", lambda a: a.pop("bias")), 1),
         (_missing_model, 2),  # a missing file is a runtime error, not bad input
     ],
-    ids=["truncated-bin", "wrong-magic", "wrong-width", "wrong-header-split", "text-model",
+    ids=["truncated-bin", "wrong-magic", "wrong-width", "wrong-header-split",
+         "swapped-header-lines", "extra-header-line", "repeated-rows-line", "text-model",
          "npy-model", "unknown-compression-model", "bad-directory-offset-model",
          "short-fallback-model", "narrow-targets-model", "wrong-target-width-model",
          "short-bias-model", "no-bias-model", "missing-model"],
@@ -672,9 +694,13 @@ def test_inject_does_not_mutate_input(tiny_dataset, tmp_path):
 
 def test_encode_csv_export(tiny_dataset):
     assert run_cli(["encode", "--in", str(tiny_dataset), "--csv"]) == 0
-    csv_path = tiny_dataset / "encoded" / "train.csv"
-    header = csv_path.read_text().splitlines()[0]
-    assert header.startswith("s0,s1,") and ",a0," in header
+    encoded = read_encoded(tiny_dataset / "encoded")
+    for split, (states, targets) in encoded.splits.items():
+        header, *body = (tiny_dataset / "encoded" / f"{split}.csv").read_bytes().split(b"\n")
+        assert header.startswith(b"s0,s1,") and b",a0," in header
+        rows = [",".join(map(str, row)).encode() for row in np.hstack([states, targets])]
+        assert len(rows) == states.shape[0] > 0
+        assert body == [*rows, b""]  # each row ends in one newline, the file too
 
 
 def test_sweep_command(tmp_path):
@@ -981,6 +1007,26 @@ def test_encode_refuses_to_write_over_its_input(out, tiny_dataset, capsys):
     assert f"--out {Path(out)} is --in {tiny_dataset}" in err
     assert _dir_bytes(tiny_dataset) == before
     assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
+
+
+@pytest.mark.parametrize(
+    "out", ["encoded/train.bin", "encoded/../encoded/test.bin", "encoded/layout.json"],
+    ids=["train-split", "other-split-resolved", "layout"],
+)
+def test_train_refuses_to_write_over_what_it_reads(out, tiny_dataset, capsys):
+    assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
+    before = _dir_bytes(tiny_dataset)
+    out = tiny_dataset / out
+    capsys.readouterr()
+    train = ["train", "--model", "memorizer", "--in", str(tiny_dataset)]
+    assert run_cli([*train, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    read = tiny_dataset / "encoded" / out.name
+    assert f"--out {out} is {read}; train would write over its input" in err
+    assert _dir_bytes(tiny_dataset) == before
+    beside = tiny_dataset / "encoded" / "model.npz"
+    assert run_cli([*train, "--out", str(beside)]) == 0
+    assert run_cli(["eval", "--model", str(beside), "--in", str(tiny_dataset)]) == 0
 
 
 @pytest.mark.parametrize(

@@ -283,8 +283,15 @@ def _rows(encoded: EncodedDataset, enc_dir: Path, split: str) -> tuple:
 
 
 def _cmd_train(args) -> int:
-    enc_dir, out = _find_encoded(Path(getattr(args, "in"))), Path(args.out)
-    for path in (enc_dir / "layout.json", *(enc_dir / f"{s}.bin" for s in SPLIT_NAMES)):
+    indir, out = Path(getattr(args, "in")), Path(args.out)
+    enc_dir = _find_encoded(indir)
+    # The files of the encoding, and of its dataset when --in is the dataset.
+    inputs = [enc_dir / name for name in ("manifest.json", "layout.json")]
+    inputs += [enc_dir / f"{s}.bin" for s in SPLIT_NAMES]
+    if enc_dir != indir:
+        names = ("manifest.json", "ontology.json", "perturbations.jsonl")
+        inputs += [indir / name for name in (*names, *(f"{s}.jsonl" for s in SPLIT_NAMES))]
+    for path in inputs:
         if out.resolve() == path.resolve():
             raise ValidationError(f"--out {out} is {path}; train would write over its input")
     encoded = read_encoded(enc_dir)

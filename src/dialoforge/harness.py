@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import gc
-import math
 import zipfile
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -115,11 +114,12 @@ def train_memorizer(train: tuple[np.ndarray, np.ndarray]) -> MemorizerModel:
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-z) without overflow.  ``minimum(z, -z)`` is -|z| that keeps
-    a NaN's sign and payload, so every z maps to the bits of the branchwise
-    formula."""
-    e = np.exp(np.minimum(z, -z))
+def _sigmoid(z: np.ndarray, e: Optional[np.ndarray] = None) -> np.ndarray:
+    """1 / (1 + e^-z) without overflow, from e = exp(-|z|), computed here when
+    not given.  ``minimum(z, -z)`` is -|z| that keeps a NaN's sign and
+    payload, so every z maps to the bits of the branchwise formula."""
+    if e is None:
+        e = np.exp(np.minimum(z, -z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -131,20 +131,27 @@ def logistic_loss_and_grad(
     l2: float = 0.0,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean binary cross-entropy over (sample, action) pairs plus an L2 term,
-    with its analytic gradient.  The loss keeps ``np.logaddexp``, its largest
-    cost, for libm's bits: numpy's SIMD ``exp``/``log1p`` in the faster
-    ``maximum(z, 0) + log1p(exp(-|z|))`` differ in the last bit by CPU."""
+    with its analytic gradient, for one model or a stack of them: leading
+    axes of ``weights`` (..., width, actions) and ``bias`` (..., actions)
+    pair with those of ``states`` (..., n, width) and ``targets``
+    (..., n, actions), and the loss then has their shape.
+
+    The loss ``max(z, 0) + log1p(e) - y*z`` shares the sigmoid's
+    ``e = exp(-|z|)``, so each step takes one exponential.  ``exp`` and
+    ``log1p`` run NumPy's SIMD code, whose last bit can differ by CPU, so a
+    model's bits are those of the machine's NumPy SIMD path."""
     x = states.astype(np.float64)
     y = targets.astype(np.float64)
-    n, a = y.shape
-    with np.errstate(over="ignore"):  # diverging runs overflow to inf, caught upstream
-        z = x @ weights + bias
-        # log(1 + e^z) - y*z, computed stably
-        loss = float((np.logaddexp(0.0, z) - y * z).sum() / (n * a))
-        loss += 0.5 * l2 * float((weights * weights).sum())
-        residual = _sigmoid(z) - y
-        grad_w = x.T @ residual / (n * a) + l2 * weights
-        grad_b = residual.sum(axis=0) / (n * a)
+    n, a = y.shape[-2:]
+    # A diverging run overflows to inf and then nan; the trainer stops it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x @ weights + bias[..., None, :]
+        e = np.exp(np.minimum(z, -z))
+        loss = (np.maximum(z, 0.0) + np.log1p(e) - y * z).sum(axis=(-2, -1)) / (n * a)
+        loss += 0.5 * l2 * (weights * weights).sum(axis=(-2, -1))
+        residual = _sigmoid(z, e) - y
+        grad_w = x.swapaxes(-1, -2) @ residual / (n * a) + l2 * weights
+        grad_b = residual.sum(axis=-2) / (n * a)
     return loss, grad_w, grad_b
 
 
@@ -157,6 +164,63 @@ LINEAR_RULES = {
 }
 
 
+def _train_linear_stack(
+    trains: list[tuple[np.ndarray, np.ndarray]],
+    seeds: list[int],
+    epochs: int,
+    learning_rate: float,
+    l2: float,
+) -> list[LinearModel]:
+    """One linear model per training set and seed, all trained in lockstep:
+    each pass of the loop takes every model's step at once.  Model i shuffles
+    with ``default_rng(seeds[i])``, so it gets the bits it gets trained alone."""
+    for seed in seeds:
+        settings = {"learning_rate": learning_rate, "l2": l2, "epochs": epochs, "seed": seed}
+        for name, rule in LINEAR_RULES.items():
+            check_setting(name, settings[name], rule)
+    pairs = [_training_pair(train) for train in trains]
+    kinds = [tuple((rows.shape, rows.dtype) for rows in pair) for pair in pairs]
+    for i, kind in enumerate(kinds):
+        if kind != kinds[0]:
+            raise ValidationError(
+                f"training set {i} has (states, targets) shapes and dtypes {kind}, but "
+                f"training set 0 has {kinds[0]}; a stack trains on one shape"
+            )
+
+    # The rows of every training set, end to end: a stack of one is its own
+    # training set, so training one model copies no rows.  Each step takes
+    # every model's batch with one index into them.
+    m = len(pairs)
+    states, targets = (np.concatenate(arrays) if m > 1 else arrays[0] for arrays in zip(*pairs))
+    n = len(states) // m
+    weights = np.zeros((m, states.shape[1], targets.shape[1]), dtype=np.float64)
+    bias = np.zeros((m, targets.shape[1]), dtype=np.float64)
+    shufflers = [np.random.default_rng(seed) for seed in seeds]
+    offsets = np.arange(0, m * n, n)[:, None]
+    history = np.empty((epochs, m))
+    batches = range(0, n, BATCH_SIZE)
+    for epoch in range(epochs):
+        orders = np.stack([shuffler.permutation(n) for shuffler in shufflers]) + offsets
+        epoch_loss = np.zeros(m)
+        for start in batches:
+            sel = orders[:, start : start + BATCH_SIZE]
+            loss, gw, gb = logistic_loss_and_grad(
+                weights, bias, states.take(sel, axis=0), targets.take(sel, axis=0), l2
+            )
+            finite = np.isfinite(loss)
+            if not finite.all():
+                raise DialoforgeError(f"loss became non-finite ({float(loss[~finite][0])})")
+            weights -= learning_rate * gw
+            bias -= learning_rate * gb
+            epoch_loss += loss
+        history[epoch] = epoch_loss / len(batches)
+
+    return [
+        LinearModel(weights=weights[i], bias=bias[i], loss_history=history[:, i].tolist())
+        for i in range(m)
+    ]
+
+
 def train_linear(
     train: tuple[np.ndarray, np.ndarray],
     epochs: int = 30,
@@ -164,36 +228,11 @@ def train_linear(
     l2: float = 0.0,
     seed: int = 0,
 ) -> LinearModel:
-    settings = {"learning_rate": learning_rate, "l2": l2, "epochs": epochs, "seed": seed}
-    for name, rule in LINEAR_RULES.items():
-        check_setting(name, settings[name], rule)
-    states, targets = _training_pair(train)
-
-    n, width = states.shape
-    n_actions = targets.shape[1]
-    weights = np.zeros((width, n_actions), dtype=np.float64)
-    bias = np.zeros(n_actions, dtype=np.float64)
-    shuffler = np.random.default_rng(seed)
-
-    history = []
-    for _ in range(epochs):
-        order = shuffler.permutation(n)
-        epoch_loss = 0.0
-        batches = 0
-        for start in range(0, n, BATCH_SIZE):
-            sel = order[start : start + BATCH_SIZE]
-            loss, gw, gb = logistic_loss_and_grad(
-                weights, bias, states.take(sel, axis=0), targets.take(sel, axis=0), l2
-            )
-            if not math.isfinite(loss):
-                raise DialoforgeError(f"loss became non-finite ({loss})")
-            weights -= learning_rate * gw
-            bias -= learning_rate * gb
-            epoch_loss += loss
-            batches += 1
-        history.append(epoch_loss / batches)
-
-    return LinearModel(weights=weights, bias=bias, loss_history=history)
+    """Per-action logistic regression by mini-batch gradient descent, with
+    batches of BATCH_SIZE rows drawn in the order ``default_rng(seed)``
+    shuffles each epoch to."""
+    (model,) = _train_linear_stack([train], [seed], epochs, learning_rate, l2)
+    return model
 
 
 def predict(model: Model, states: np.ndarray) -> np.ndarray:
@@ -314,6 +353,15 @@ class SweepResult:
         return [(rate, float(np.mean(v))) for rate, v in sorted(rates.items())]
 
 
+def _pack(pair: tuple[np.ndarray, np.ndarray]) -> tuple[tuple[np.ndarray, int], ...]:
+    """A (states, targets) pair of 0/1 rows, each bit-packed with its width."""
+    return tuple((np.packbits(rows, axis=1), rows.shape[1]) for rows in pair)
+
+
+def _unpack(packed: tuple[tuple[np.ndarray, int], ...]) -> tuple[np.ndarray, ...]:
+    return tuple(np.unpackbits(bits, axis=1, count=width) for bits, width in packed)
+
+
 class collector_paused:
     """Pause the cyclic collector for a call that owns its run (a command or a
     sweep); the caller's setting is back on every way out, and nothing is
@@ -377,6 +425,9 @@ def robustness_sweep(
                 )
 
         rows: list[SweepRow] = []
+        # (rate, seed, train, test) of each linear cell, its 0/1 rows bit-packed
+        # until every cell is encoded and one lockstep run trains them all.
+        linear_cells = []
         for rate_index, rate in enumerate(error_rates):
             for k in range(n_seeds):
                 inj_seed = derive_seed(seed, rate_index * 1009 + k)
@@ -386,16 +437,29 @@ def robustness_sweep(
                 )
                 # val is injected too, as each dialogue's stream follows from its
                 # position in the dataset, but only train and test are encoded.
-                perturbed, _ = inject_errors(clean, ontology, err_cfg)
+                perturbed = inject_errors(clean, ontology, err_cfg)[0]
                 scored = {split: perturbed.splits[split] for split in ("train", "test")}
                 encoded = encode_dataset(replace(perturbed, splits=scored), ontology)
-                train = encoded.splits["train"]
-                for kind in models:
-                    model = (train_memorizer(train) if kind == "memorizer"
-                             else train_linear(train, seed=inj_seed))
-                    preds = predict(model, encoded.splits["test"][0])
-                    report = compute_metrics(preds, encoded.splits["test"][1])
-                    rows.append(SweepRow(error_rate=rate, model=kind, report=report, seed=inj_seed))
+                train, test = encoded.splits["train"], encoded.splits["test"]
+                if "memorizer" in models:
+                    report = compute_metrics(predict(train_memorizer(train), test[0]), test[1])
+                    rows.append(SweepRow(rate, "memorizer", report, inj_seed))
+                if "linear" in models:
+                    linear_cells.append((rate, inj_seed, _pack(train), _pack(test)))
+                # Drop the cell's data before the next cell is injected, so
+                # that no two cells' datasets are held at once.
+                del perturbed, scored, encoded, train, test
+
+        if linear_cells:
+            trained = _train_linear_stack(
+                [_unpack(train) for _, _, train, _ in linear_cells],
+                [inj_seed for _, inj_seed, _, _ in linear_cells],
+                epochs=30, learning_rate=0.5, l2=0.0,  # train_linear's defaults
+            )
+            for (rate, inj_seed, _, test), model in zip(linear_cells, trained):
+                states, golds = _unpack(test)
+                report = compute_metrics(predict(model, states), golds)
+                rows.append(SweepRow(rate, "linear", report, inj_seed))
 
     rows.sort(key=lambda r: (r.error_rate, r.model, r.seed))
     manifest = {

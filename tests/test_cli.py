@@ -1010,23 +1010,32 @@ def test_encode_refuses_to_write_over_its_input(out, tiny_dataset, capsys):
 
 
 @pytest.mark.parametrize(
-    "out", ["encoded/train.bin", "encoded/../encoded/test.bin", "encoded/layout.json"],
-    ids=["train-split", "other-split-resolved", "layout"],
+    "out",
+    [
+        "encoded/train.bin", "encoded/../encoded/test.bin", "encoded/layout.json",
+        "encoded/manifest.json", "manifest.json", "ontology.json", "train.jsonl", "val.jsonl",
+        "test.jsonl", "perturbations.jsonl",
+    ],
+    ids=["train-split", "other-split-resolved", "layout", "encoded-manifest", "dataset-manifest",
+         "ontology", "train-jsonl", "val-jsonl", "test-jsonl", "perturbations"],
 )
-def test_train_refuses_to_write_over_what_it_reads(out, tiny_dataset, capsys):
-    assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
-    before = _dir_bytes(tiny_dataset)
-    out = tiny_dataset / out
+def test_train_refuses_to_write_over_what_it_reads(out, tiny_dataset, tmp_path, capsys):
+    noisy = tmp_path / "noisy"
+    assert run_cli(["inject", "--in", str(tiny_dataset), "--p-intent", "0.2",
+                    "--out", str(noisy)]) == 0
+    assert run_cli(["encode", "--in", str(noisy)]) == 0
+    before = _dir_bytes(noisy)
+    out = noisy / out
     capsys.readouterr()
-    train = ["train", "--model", "memorizer", "--in", str(tiny_dataset)]
+    train = ["train", "--model", "memorizer", "--in", str(noisy)]
     assert run_cli([*train, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    read = tiny_dataset / "encoded" / out.name
+    read = Path(os.path.normpath(out))
     assert f"--out {out} is {read}; train would write over its input" in err
-    assert _dir_bytes(tiny_dataset) == before
-    beside = tiny_dataset / "encoded" / "model.npz"
-    assert run_cli([*train, "--out", str(beside)]) == 0
-    assert run_cli(["eval", "--model", str(beside), "--in", str(tiny_dataset)]) == 0
+    assert _dir_bytes(noisy) == before
+    for beside in (noisy / "encoded" / "model.npz", noisy / "model.npz"):
+        assert run_cli([*train, "--out", str(beside)]) == 0
+        assert run_cli(["eval", "--model", str(beside), "--in", str(noisy)]) == 0
 
 
 @pytest.mark.parametrize(

@@ -12,8 +12,10 @@ from dialoforge.encoding import encode_dataset
 from dialoforge.engine import GeneratorConfig
 from dialoforge.errors import DialoforgeError, ValidationError
 from dialoforge.harness import (
+    BATCH_SIZE,
     LinearModel,
     _sigmoid,
+    _train_linear_stack,
     load_model,
     logistic_loss_and_grad,
     predict,
@@ -178,6 +180,96 @@ def test_divergence_raises():
     with pytest.raises(DialoforgeError, match="loss became non-finite") as err:
         train_linear(_toy(), epochs=50, learning_rate=1e307, seed=0)
     assert type(err.value) is DialoforgeError  # a runtime error: exit 2
+
+
+def _random_split(rng, n, width, actions):
+    return _split(rng.random((n, width)) < 0.4, rng.random((n, actions)) < 0.3)
+
+
+def _train_alone_reference(train, seed, epochs, learning_rate, l2):
+    """The trainer as a loop over one model, each step taking its batch from
+    the training set by the epoch's permutation."""
+    states, targets = train
+    weights = np.zeros((states.shape[1], targets.shape[1]))
+    bias = np.zeros(targets.shape[1])
+    shuffler = np.random.default_rng(seed)
+    history = []
+    for _ in range(epochs):
+        order = shuffler.permutation(len(states))
+        epoch_loss, batches = 0.0, 0
+        for start in range(0, len(states), BATCH_SIZE):
+            sel = order[start : start + BATCH_SIZE]
+            loss, gw, gb = logistic_loss_and_grad(weights, bias, states[sel], targets[sel], l2)
+            weights -= learning_rate * gw
+            bias -= learning_rate * gb
+            epoch_loss += loss
+            batches += 1
+        history.append(epoch_loss / batches)
+    return weights, bias, history
+
+
+def test_a_stack_trains_each_model_bit_for_bit_as_alone():
+    rng = np.random.default_rng(5)
+    n = 2 * BATCH_SIZE + 37  # the last batch of each epoch is short
+    trains = [_random_split(rng, n, 9, 4) for _ in range(3)]
+    seeds = [3, 11, 40]
+    stack = _train_linear_stack(trains, seeds, epochs=4, learning_rate=0.7, l2=0.01)
+    for train, seed, model in zip(trains, seeds, stack):
+        alone = train_linear(train, epochs=4, learning_rate=0.7, l2=0.01, seed=seed)
+        weights, bias, history = _train_alone_reference(train, seed, 4, 0.7, 0.01)
+        for got in (model, alone):
+            assert got.weights.tobytes() == weights.tobytes()
+            assert got.bias.tobytes() == bias.tobytes()
+            assert np.array(got.loss_history).tobytes() == np.array(history).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, width, actions", [(50, 6, 2), (60, 5, 2), (60, 6, 3)], ids=["rows", "width", "actions"]
+)
+def test_a_stack_refuses_training_sets_of_different_shapes(rows, width, actions):
+    rng = np.random.default_rng(8)
+    trains = [_random_split(rng, 60, 6, 2), _random_split(rng, rows, width, actions)]
+    with pytest.raises(ValidationError, match="^training set 1 has .* training set 0 has"):
+        _train_linear_stack(trains, [0, 1], epochs=2, learning_rate=0.5, l2=0.0)
+
+
+def test_one_diverging_model_stops_the_stack():
+    calm = _split(np.zeros((4, 4)), np.zeros((4, 2)))  # no bit set: its loss stays finite
+    train_linear(calm, epochs=50, learning_rate=1e307, seed=0)
+    with pytest.raises(DialoforgeError, match="loss became non-finite") as err:
+        _train_linear_stack([calm, _toy()], [0, 0], epochs=50, learning_rate=1e307, l2=0.0)
+    assert type(err.value) is DialoforgeError  # a runtime error: exit 2
+
+
+def test_loss_is_the_cross_entropy_to_rounding():
+    rng = np.random.default_rng(21)
+    l2 = 0.01
+    for n, width, actions in ((1, 3, 2), (128, 33, 8), (77, 75, 26)):
+        states, targets = _random_split(rng, n, width, actions)
+        weights = rng.normal(scale=3.0, size=(width, actions))
+        bias = rng.normal(scale=3.0, size=actions)
+        loss, _, _ = logistic_loss_and_grad(weights, bias, states, targets, l2)
+        z = states @ weights + bias
+        terms = [
+            max(v, 0.0) + math.log1p(math.exp(-abs(v))) - y * v
+            for v, y in zip(z.ravel().tolist(), targets.ravel().tolist())
+        ]
+        penalty = 0.5 * l2 * math.fsum((weights * weights).ravel().tolist())
+        expected = math.fsum(terms) / (n * actions) + penalty
+        assert abs(loss - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("y", [0, 1])
+@pytest.mark.parametrize("z", [0.0, 40.0, -40.0, 1e3, -1e3, math.inf, -math.inf])
+def test_loss_is_finite_where_the_logaddexp_form_is(z, y):
+    loss, _, _ = logistic_loss_and_grad(
+        np.zeros((1, 1)), np.array([z]), np.zeros((1, 1), np.uint8), np.array([[y]], np.uint8)
+    )
+    with np.errstate(invalid="ignore"):
+        reference = float(np.logaddexp(0.0, z) - y * z)
+    assert math.isfinite(loss) == math.isfinite(reference)
+    if math.isfinite(reference):
+        assert loss == pytest.approx(reference, rel=1e-12)
 
 
 def test_linear_deterministic_given_seed():

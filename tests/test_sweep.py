@@ -18,11 +18,13 @@ from dialoforge.harness import (
     linear_fit_r2,
     predict,
     robustness_sweep,
+    train_linear,
     train_memorizer,
     write_sweep_csv,
 )
 from dialoforge.injection import ErrorConfig, inject_errors
 from dialoforge.metrics import compute_metrics
+from dialoforge.rng import derive_seed
 
 
 def _small_cfg(seed=0, n=250):
@@ -71,6 +73,31 @@ def test_sweep_rows_sorted_and_reproducible(simple_ontology):
     assert [row.report.micro_f1 for row in r1.rows] == [
         row.report.micro_f1 for row in r2.rows
     ]
+
+
+def _sweep_rows_one_cell_at_a_time(ontology, cfg, rates, seed, n_seeds):
+    """The sweep's rows, each cell's models trained alone on it."""
+    clean = generate_dataset(ontology, cfg)
+    rows = []
+    for rate_index, rate in enumerate(rates):
+        for k in range(n_seeds):
+            inj_seed = derive_seed(seed, rate_index * 1009 + k)
+            err_cfg = ErrorConfig(rate, rate, rate, mode_weights=(0.5, 0.5), seed=inj_seed)
+            encoded = encode_dataset(inject_errors(clean, ontology, err_cfg)[0], ontology)
+            train, (states, golds) = encoded.splits["train"], encoded.splits["test"]
+            for kind, model in (("memorizer", train_memorizer(train)),
+                                ("linear", train_linear(train, seed=inj_seed))):
+                rows.append((rate, kind, inj_seed, compute_metrics(predict(model, states), golds)))
+    return sorted(rows, key=lambda row: row[:3])
+
+
+def test_sweep_rows_equal_each_cell_trained_alone(simple_ontology):
+    cfg = _small_cfg(seed=6, n=120)
+    rates = [0.0, 0.3, 0.8]
+    result = robustness_sweep(simple_ontology, cfg, rates, ["memorizer", "linear"], seed=8,
+                              n_seeds=2)
+    got = [(row.error_rate, row.model, row.seed, row.report) for row in result.rows]
+    assert got == _sweep_rows_one_cell_at_a_time(simple_ontology, cfg, rates, 8, 2)
 
 
 def test_sweep_rate_validation(simple_ontology):

@@ -45,7 +45,9 @@ from .harness import (
     write_sweep_csv,
 )
 from .injection import NOISE_SPLITS, ErrorConfig, inject_errors, write_records
-from .ontology import PRESET_NAMES, Ontology, check_setting, load_ontology_file, preset_ontology
+from .ontology import (
+    PRESET_NAMES, Ontology, check_object, check_setting, load_ontology_file, preset_ontology,
+)
 
 SEED_ENV_VAR = "DIALOFORGE_SEED"
 
@@ -119,13 +121,15 @@ def _dataset_ontology(indir: Path, dataset: Dataset) -> Ontology:
 
 def _check_out(out: Path, subcommand: str, indir: Optional[Path] = None) -> None:
     """Refuse an --out that would write over an input, before anything is
-    read or written: the --in directory itself, or a directory whose
+    read or written: the --in directory itself, a file, or a directory whose
     manifest.json another command wrote.  A rerun into the command's own
     output goes ahead."""
     if indir is not None and out.resolve() == indir.resolve():
         raise ValidationError(
             f"--out {out} is --in {indir}; {subcommand} would write over its input"
         )
+    if out.exists() and not out.is_dir():
+        raise ValidationError(f"--out {out} is a file; {subcommand} writes a directory")
     manifest = out / "manifest.json"
     if manifest.is_file():
         found = read_json(manifest)
@@ -265,10 +269,32 @@ def _cmd_encode(args) -> int:
     return 0
 
 
+def _check_encoded_from(indir: Path, enc_dir: Path) -> None:
+    """Each file of indir that enc_dir's manifest.json hashed still has that
+    hash; a file added since does not count.  The library's write_encoded
+    writes no manifest, and then there is nothing to compare."""
+    manifest = enc_dir / "manifest.json"
+    if not manifest.is_file():
+        return
+    where = f"{manifest}: $"
+    found = check_object(read_json(manifest), where, {"input_hashes": "an object"}, extra=True)
+    hashes = found["input_hashes"]
+    plain = [name for name in hashes if name not in ("", "..") and Path(name).name == name]
+    check_object(hashes, f"{where}.input_hashes", dict.fromkeys(plain, "a string"))
+    for name, digest in hashes.items():
+        path = indir / name
+        if not path.is_file() or _sha256_file(path) != digest:
+            state = "changed" if path.is_file() else "is gone"
+            raise ValidationError(
+                f"{enc_dir} is stale: {path} {state} since it was encoded; run `encode` again"
+            )
+
+
 def _find_encoded(indir: Path) -> Path:
     if (indir / "train.bin").exists():
         return indir
     if (indir / "encoded" / "train.bin").exists():
+        _check_encoded_from(indir, indir / "encoded")
         return indir / "encoded"
     raise ValidationError(f"no encoded data under {indir}; run `encode` first")
 
@@ -283,17 +309,15 @@ def _rows(encoded: EncodedDataset, enc_dir: Path, split: str) -> tuple:
 
 
 def _cmd_train(args) -> int:
-    indir, out = Path(getattr(args, "in")), Path(args.out)
-    enc_dir = _find_encoded(indir)
-    # The files of the encoding, and of its dataset when --in is the dataset.
-    inputs = [enc_dir / name for name in ("manifest.json", "layout.json")]
-    inputs += [enc_dir / f"{s}.bin" for s in SPLIT_NAMES]
-    if enc_dir != indir:
-        names = ("manifest.json", "ontology.json", "perturbations.jsonl")
-        inputs += [indir / name for name in (*names, *(f"{s}.jsonl" for s in SPLIT_NAMES))]
-    for path in inputs:
-        if out.resolve() == path.resolve():
-            raise ValidationError(f"--out {out} is {path}; train would write over its input")
+    out = Path(args.out)
+    if out.exists():
+        try:  # a directory raises OSError
+            load_model(out)
+        except (ValidationError, OSError):
+            raise ValidationError(
+                f"--out {out} is no model file; train writes over its own output only"
+            ) from None
+    enc_dir = _find_encoded(Path(getattr(args, "in")))
     encoded = read_encoded(enc_dir)
     train_split = _rows(encoded, enc_dir, "train")
     if args.model == "memorizer":

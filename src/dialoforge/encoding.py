@@ -298,7 +298,7 @@ def read_encoded(indir) -> EncodedDataset:
                     f"the split and the {rows} rows give {_shown_line(expected)}"
                 )
         packed = np.frombuffer(payload, dtype=np.uint8)
-        states = np.unpackbits(packed[: rows * sbytes].reshape(rows, sbytes), axis=1)[:, :sw]
-        targets = np.unpackbits(packed[rows * sbytes :].reshape(rows, tbytes), axis=1)[:, :tw]
-        splits[split] = (states.astype(np.uint8), targets.astype(np.uint8))
+        states = np.unpackbits(packed[: rows * sbytes].reshape(rows, sbytes), axis=1, count=sw)
+        targets = np.unpackbits(packed[rows * sbytes :].reshape(rows, tbytes), axis=1, count=tw)
+        splits[split] = (states, targets)
     return EncodedDataset(splits=splits, layout=layout)

@@ -18,6 +18,7 @@ from dialoforge import __version__, cli, engine
 from dialoforge.cli import run_cli
 from dialoforge.encoding import read_encoded
 from dialoforge.errors import DialoforgeError, ValidationError
+from dialoforge.harness import load_model
 
 from .conftest import MINI_DOC
 
@@ -1010,32 +1011,103 @@ def test_encode_refuses_to_write_over_its_input(out, tiny_dataset, capsys):
 
 
 @pytest.mark.parametrize(
-    "out",
+    "indir, out",
     [
-        "encoded/train.bin", "encoded/../encoded/test.bin", "encoded/layout.json",
-        "encoded/manifest.json", "manifest.json", "ontology.json", "train.jsonl", "val.jsonl",
-        "test.jsonl", "perturbations.jsonl",
+        *(("{noisy}", "{noisy}/" + name) for name in (
+            "encoded/train.bin", "encoded/../encoded/test.bin", "encoded/layout.json",
+            "encoded/manifest.json", "manifest.json", "ontology.json", "train.jsonl",
+            "val.jsonl", "test.jsonl", "perturbations.jsonl", "encoded/train.csv", "encoded",
+        )),
+        ("{noisy}/encoded", "{noisy}/manifest.json"),
+        ("{noisy}", "{tmp}/notes.txt"),
+        ("{noisy}", "{tmp}/corrupt.npz"),
     ],
     ids=["train-split", "other-split-resolved", "layout", "encoded-manifest", "dataset-manifest",
-         "ontology", "train-jsonl", "val-jsonl", "test-jsonl", "perturbations"],
+         "ontology", "train-jsonl", "val-jsonl", "test-jsonl", "perturbations", "csv",
+         "directory", "dataset-manifest-from-encoded", "user-file", "corrupt-model"],
 )
-def test_train_refuses_to_write_over_what_it_reads(out, tiny_dataset, tmp_path, capsys):
+def test_train_refuses_to_write_over_what_it_reads(indir, out, tiny_dataset, tmp_path, capsys):
     noisy = tmp_path / "noisy"
     assert run_cli(["inject", "--in", str(tiny_dataset), "--p-intent", "0.2",
                     "--out", str(noisy)]) == 0
-    assert run_cli(["encode", "--in", str(noisy)]) == 0
-    before = _dir_bytes(noisy)
-    out = noisy / out
+    assert run_cli(["encode", "--in", str(noisy), "--csv"]) == 0
+    (tmp_path / "notes.txt").write_text("a user's own notes\n")
+    (tmp_path / "corrupt.npz").write_bytes(b"PK\x03\x04 cut short")
+    before = _dir_bytes(tmp_path)
+    indir, out = Path(indir.format(noisy=noisy)), Path(out.format(noisy=noisy, tmp=tmp_path))
     capsys.readouterr()
-    train = ["train", "--model", "memorizer", "--in", str(noisy)]
+    train = ["train", "--model", "memorizer", "--in", str(indir)]
     assert run_cli([*train, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    read = Path(os.path.normpath(out))
-    assert f"--out {out} is {read}; train would write over its input" in err
-    assert _dir_bytes(noisy) == before
+    assert f"--out {out} is no model file; train writes over its own output only" in err
+    assert _dir_bytes(tmp_path) == before
     for beside in (noisy / "encoded" / "model.npz", noisy / "model.npz"):
         assert run_cli([*train, "--out", str(beside)]) == 0
-        assert run_cli(["eval", "--model", str(beside), "--in", str(noisy)]) == 0
+        assert run_cli(["eval", "--model", str(beside), "--in", str(indir)]) == 0
+
+
+def test_train_rewrites_a_model_of_either_kind(tiny_dataset, tmp_path):
+    model = tmp_path / "m.npz"
+    assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
+    for kind, flags in (("memorizer", []), ("linear", ["--epochs", "2"]), ("memorizer", [])):
+        assert run_cli(["train", "--model", kind, *flags, "--in", str(tiny_dataset),
+                        "--out", str(model)]) == 0
+        assert load_model(model)[0].KIND == kind
+
+
+def test_a_stale_encoding_is_refused(tiny_dataset, tmp_path, capsys):
+    ds, model = tiny_dataset, tmp_path / "m.npz"
+    train = ["train", "--model", "memorizer", "--in", str(ds), "--out", str(model)]
+    evaluate = ["eval", "--model", str(model), "--in", str(ds)]
+    assert run_cli(["encode", "--in", str(ds)]) == 0
+    (ds / "notes.json").write_text("{}")  # a file added since the encoding does not count
+    assert run_cli(train) == 0
+    assert run_cli(["generate", "--preset", "simple", "--dialogues", "60", "--seed", "2",
+                    "--out", str(ds)]) == 0
+    capsys.readouterr()
+    stale = f"{ds / 'encoded'} is stale: {ds / 'manifest.json'} changed since it was encoded; " \
+            "run `encode` again"
+    for argv in (train, evaluate):
+        assert run_cli(argv) == 1
+        assert stale in capsys.readouterr().err
+    # --in naming the encoded directory itself compares nothing.
+    assert run_cli(["train", "--model", "memorizer", "--in", str(ds / "encoded"),
+                    "--out", str(model)]) == 0
+    assert run_cli(["encode", "--in", str(ds)]) == 0
+    assert run_cli(train) == 0 and run_cli(evaluate) == 0
+    (ds / "ontology.json").rename(tmp_path / "ontology.json")
+    capsys.readouterr()
+    assert run_cli(train) == 1
+    assert f"{ds / 'ontology.json'} is gone since it was encoded" in capsys.readouterr().err
+    # The library's write_encoded writes no manifest, so nothing is compared.
+    (ds / "encoded" / "manifest.json").unlink()
+    assert run_cli(train) == 0
+
+
+@pytest.mark.parametrize(
+    "edit, says",
+    [
+        (lambda m: m.pop("input_hashes"), "$: missing key(s) ['input_hashes']"),
+        (lambda m: m.update(input_hashes=["train.jsonl"]), "$.input_hashes: must be an object"),
+        (lambda m: m["input_hashes"].update({"train.jsonl": 1}),
+         "$.input_hashes.train.jsonl: must be a string, got 1"),
+        (lambda m: m["input_hashes"].update({"../ds/train.jsonl": "0"}),
+         "$.input_hashes: unknown key(s) ['../ds/train.jsonl']"),
+        (lambda m: m["input_hashes"].update({"..": "0"}), "$.input_hashes: unknown key(s) ['..']"),
+    ],
+    ids=["no-input-hashes", "list", "number", "path", "parent"],
+)
+def test_a_bad_encode_manifest_names_the_file_and_key(edit, says, tiny_dataset, tmp_path, capsys):
+    assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
+    path = tiny_dataset / "encoded" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli(["train", "--model", "memorizer", "--in", str(tiny_dataset),
+                    "--out", str(tmp_path / "m.npz")]) == 1
+    assert f"{path}: {says}" in capsys.readouterr().err
+    assert not (tmp_path / "m.npz").exists()
 
 
 @pytest.mark.parametrize(
@@ -1052,21 +1124,32 @@ def test_train_refuses_to_write_over_what_it_reads(out, tiny_dataset, tmp_path, 
          "written by `encode`; generate"),
         (["sweep", "--preset", "simple", "--dialogues", "10", "--rates", "0", "--seeds", "1",
           "--out", "{ds}"], "written by `generate`; sweep"),
+        (["generate", "--preset", "simple", "--dialogues", "5", "--out", "{afile}"],
+         "--out {afile} is a file; generate writes a directory"),
+        (["inject", "--in", "{ds}", "--p-intent", "0.2", "--out", "{afile}"],
+         "--out {afile} is a file; inject writes a directory"),
+        (["encode", "--in", "{ds}", "--out", "{afile}"],
+         "--out {afile} is a file; encode writes a directory"),
+        (["sweep", "--preset", "simple", "--dialogues", "10", "--rates", "0", "--seeds", "1",
+          "--out", "{afile}"], "--out {afile} is a file; sweep writes a directory"),
     ],
     ids=["inject-in-place", "inject-in-place-resolved", "encode-over-a-dataset",
-         "inject-over-a-dataset", "generate-over-an-encoding", "sweep-over-a-dataset"],
+         "inject-over-a-dataset", "generate-over-an-encoding", "sweep-over-a-dataset",
+         "generate-over-a-file", "inject-over-a-file", "encode-over-a-file",
+         "sweep-over-a-file"],
 )
 def test_an_output_may_not_overwrite_an_input(argv, says, tiny_dataset, tmp_path, capsys):
-    other = tmp_path / "other"
+    other, afile = tmp_path / "other", tmp_path / "afile"
     assert run_cli(["generate", "--preset", "simple", "--dialogues", "20", "--seed", "4",
                     "--out", str(other)]) == 0
     assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0
-    before = [_dir_bytes(d) for d in (tiny_dataset, other)]
+    afile.write_text("a user's own file\n")
+    before = _dir_bytes(tmp_path)
     capsys.readouterr()
-    fill = {"ds": tiny_dataset, "other": other}
+    fill = {"ds": tiny_dataset, "other": other, "afile": afile}
     assert run_cli([arg.format(**fill) for arg in argv]) == 1
     assert says.format(**fill) in capsys.readouterr().err
-    assert [_dir_bytes(d) for d in (tiny_dataset, other)] == before
+    assert _dir_bytes(tmp_path) == before
 
 
 def test_a_rerun_into_its_own_output_goes_ahead(tiny_dataset, tmp_path):

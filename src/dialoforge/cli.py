@@ -120,16 +120,19 @@ def _dataset_ontology(indir: Path, dataset: Dataset) -> Ontology:
 
 
 def _check_out(out: Path, subcommand: str, indir: Optional[Path] = None) -> None:
-    """Refuse an --out that would write over an input, before anything is
-    read or written: the --in directory itself, a file, or a directory whose
-    manifest.json another command wrote.  A rerun into the command's own
-    output goes ahead."""
+    """Refuse an --out that would write over an input or could not be made,
+    before anything is read or written: the --in directory itself, a file, a
+    path below a file, or a directory whose manifest.json another command
+    wrote.  A rerun into the command's own output goes ahead."""
     if indir is not None and out.resolve() == indir.resolve():
         raise ValidationError(
             f"--out {out} is --in {indir}; {subcommand} would write over its input"
         )
-    if out.exists() and not out.is_dir():
-        raise ValidationError(f"--out {out} is a file; {subcommand} writes a directory")
+    # A relative path's last parent is ".", so some path here exists.
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        where = "is a file" if existing == out else f"lies below the file {existing}"
+        raise ValidationError(f"--out {out} {where}; {subcommand} writes a directory")
     manifest = out / "manifest.json"
     if manifest.is_file():
         found = read_json(manifest)

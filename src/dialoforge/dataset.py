@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Iterator, Optional, TypeVar
 from . import __version__
 from .engine import (
     Dialogue,
+    DialogueTurn,
     GeneratorConfig,
     dialogue_seeds,
     generate_dialogue,
@@ -52,51 +53,72 @@ class Dataset:
         return sum(len(d.turns) for s in names for d in self.splits.get(s, []))
 
 
-def _generate_one(args) -> Dialogue:
-    ontology, cfg, index, seed = args
-    try:
-        return generate_dialogue(ontology, cfg, seed, f"dlg{index:06d}")
-    except DialoforgeError as exc:
-        # Raised inside the worker, so both the serial and the pool path name
-        # the failing dialogue.
-        raise type(exc)(f"dialogue {index}: {exc}") from None
+# Dialogues per task of ``_generated``; a constant, so a dataset's bytes and its
+# blocks never depend on how it was asked for.
+BLOCK_SIZE = 256
 
 
-def _generate_line(args) -> str:
-    return dumps_dialogue(_generate_one(args)) + "\n"
+def _block_dialogues(task) -> Iterator[Dialogue]:
+    ontology, cfg, first, seeds = task
+    for index, seed in enumerate(seeds, first):
+        try:
+            yield generate_dialogue(ontology, cfg, seed, f"dlg{index:06d}")
+        except DialoforgeError as exc:
+            # Raised inside the task, so both the serial and the pool path name
+            # the failing dialogue.
+            raise type(exc)(f"dialogue {index}: {exc}") from None
+
+
+def _generate_block(task) -> list[Dialogue]:
+    return list(_block_dialogues(task))
+
+
+def _write_block(task) -> str:
+    """The block's JSONL text; its dialogues share one fragment memo."""
+    memo: dict = {}
+    return "".join([dumps_dialogue(dlg, memo) + "\n" for dlg in _block_dialogues(task)])
 
 
 def _generated(
     ontology: Ontology, cfg: GeneratorConfig, jobs: int, work: Callable[[tuple], T]
 ) -> dict[str, list[T]]:
-    """``work`` applied to every dialogue's task, split in generation order.
+    """``work`` applied to every block of dialogues, by split in generation order.
 
-    Every dialogue owns a private seed derived from cfg.seed, so the result
-    is byte-identical no matter how many worker processes are used.  The pool
+    A block is a run of at most ``BLOCK_SIZE`` consecutive dialogue indices
+    within one split, so each split's results are whole blocks.  Every
+    dialogue owns a private seed derived from cfg.seed, so the result is
+    byte-identical no matter how many worker processes are used.  The pool
     starts no more workers than there are CPUs, and ``work`` must be a
     module-level function so that it can be sent to them.
     """
     check_setting("jobs", jobs, "an int >= 1")
-    tasks = [(ontology, cfg, index, seed) for index, seed in enumerate(dialogue_seeds(cfg))]
+    seeds = dialogue_seeds(cfg)
+    tasks, owners = [], []
+    start = 0
+    for split, size in zip(SPLIT_NAMES, split_counts(cfg.n_dialogues, cfg.split_fractions)):
+        stop = start + size
+        for first in range(start, stop, BLOCK_SIZE):
+            tasks.append((ontology, cfg, first, seeds[first : min(first + BLOCK_SIZE, stop)]))
+            owners.append(split)
+        start = stop
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            items = list(pool.map(work, tasks, chunksize=64))
+            results = list(pool.map(work, tasks))
     else:
-        items = [work(task) for task in tasks]
+        results = [work(task) for task in tasks]
 
-    n_train, n_val, _ = split_counts(cfg.n_dialogues, cfg.split_fractions)
-    return {
-        "train": items[:n_train],
-        "val": items[n_train : n_train + n_val],
-        "test": items[n_train + n_val :],
-    }
+    splits: dict[str, list[T]] = {split: [] for split in SPLIT_NAMES}
+    for split, result in zip(owners, results):
+        splits[split].append(result)
+    return splits
 
 
 def generate_dataset(ontology: Ontology, cfg: GeneratorConfig) -> Dataset:
     """Generate cfg.n_dialogues dialogues in this process and split them in
     generation order; only ``write_generated`` pools, so no ``Dialogue`` is pickled."""
-    splits = _generated(ontology, cfg, 1, _generate_one)
+    blocks = _generated(ontology, cfg, 1, _generate_block)
+    splits = {split: [dlg for block in runs for dlg in block] for split, runs in blocks.items()}
     return Dataset(splits=splits, ontology_hash=ontology.content_hash(), config=cfg)
 
 
@@ -118,8 +140,9 @@ def read_json(path):
         raise ValidationError(f"{path}: not UTF-8: {exc}") from None
 
 
-def _compact(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+# One JSON text per object, with no whitespace.  json.dumps would build an
+# encoder on every call; this one is built once and writes the same bytes.
+_compact = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:
@@ -159,8 +182,28 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
 # On-disk layout: manifest.json + {train,val,test}.jsonl
 
 
-def dumps_dialogue(dialogue: Dialogue) -> str:
-    return _compact(dialogue.to_dict())
+def _turn_key(turn: DialogueTurn) -> tuple:
+    """Every field ``DialogueTurn.to_dict`` writes."""
+    acts = tuple([(a.kind.value, a.domain, a.topic, a.slot, a.value) for a in turn.user_acts])
+    return acts, tuple(turn.system_acts), turn.event
+
+
+def dumps_dialogue(dialogue: Dialogue, memo: Optional[dict] = None) -> str:
+    """``_compact(dialogue.to_dict())``, assembled from one JSON fragment per
+    turn.  Dialogues that share ``memo`` serialize each distinct turn once:
+    it maps a turn's fields (``_turn_key``) to its fragment."""
+    memo = {} if memo is None else memo
+    fragments = []
+    for turn in dialogue.turns:
+        key = _turn_key(turn)
+        fragment = memo.get(key)
+        if fragment is None:
+            fragment = memo[key] = _compact(turn.to_dict())
+        fragments.append(fragment)
+    return (
+        f'{{"id":{_compact(dialogue.id)},"seed":{_compact(dialogue.seed)},'
+        f'"turns":[{",".join(fragments)}],"events_log":{_compact(dialogue._events_dicts())}}}'
+    )
 
 
 def write_manifest(outdir, payload: dict) -> None:
@@ -208,16 +251,17 @@ def write_generated(
     """Generate a dataset straight into ``outdir`` and return its split sizes.
 
     The same files as ``write_dataset(generate_dataset(...))``, but each
-    task hands back its dialogue as a JSONL line, so no ``Dialogue`` crosses a
-    process boundary and none outlives its line.  Every line exists before
-    ``outdir`` or any file is created, so a failed generation writes nothing.
+    block of dialogues comes back as one JSONL text (``_write_block``), so no
+    ``Dialogue`` crosses a process boundary and none outlives its block.
+    Every text exists before ``outdir`` or any file is created, so a failed
+    generation writes nothing.
     """
-    splits = _generated(ontology, cfg, jobs, _generate_line)
+    splits = _generated(ontology, cfg, jobs, _write_block)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    for split, lines in splits.items():
-        _write_lines(out / f"{split}.jsonl", lines)
-    sizes = {split: len(lines) for split, lines in splits.items()}
+    for split, texts in splits.items():
+        _write_lines(out / f"{split}.jsonl", texts)
+    sizes = dict(zip(SPLIT_NAMES, split_counts(cfg.n_dialogues, cfg.split_fractions)))
     write_manifest(out, _dataset_manifest(ontology.content_hash(), cfg, sizes, manifest_extra))
     return sizes
 

@@ -105,7 +105,7 @@ def check_dialogue_invariants(dialogue: Dialogue, ontology: Ontology) -> list[st
                     sig(ti, f"REQUEST for optional slot {parsed.slot!r}")
                 if top and top.domain == parsed.domain:
                     spec = ontology.topic(top.domain, top.topic)
-                    if spec and parsed.slot in spec.desired_slots():
+                    if spec and parsed.slot in spec.desired_slots:
                         n = top.desired_requests.get(parsed.slot, 0) + 1
                         top.desired_requests[parsed.slot] = n
                         if n > 1:
@@ -113,7 +113,7 @@ def check_dialogue_invariants(dialogue: Dialogue, ontology: Ontology) -> list[st
             elif parsed.kind is ActionKind.NOTIFY and top and top.domain == parsed.domain:
                 spec = ontology.topic(top.domain, top.topic)
                 missing = [
-                    s for s in spec.mandatory_slots() if top.fills.get(s) is None
+                    s for s in spec.mandatory_slots if top.fills.get(s) is None
                 ]
                 if missing:
                     sig(ti, f"NOTIFY with unfilled mandatory slots {missing}")

@@ -34,7 +34,6 @@ from .ontology import (
     IntentKind,
     Ontology,
     SlotCategory,
-    TopicSpec,
     check_setting,
 )
 from .rng import derive_seed
@@ -198,7 +197,7 @@ class DialogueStack:
             elif act.kind is IntentKind.NEGATE and self.frames:
                 top = self.top
                 if top.phase is Phase.ELICITING:
-                    top.requested_desired.update(ont.topic(top.domain, top.topic).desired_slots())
+                    top.requested_desired.update(ont.topic(top.domain, top.topic).desired_slots)
         return filled
 
     def apply_system_acts(self, acts: list[AtomicActionId], kinds: set[IntentKind]) -> None:
@@ -222,7 +221,7 @@ class DialogueStack:
                 continue
             if act.kind is ActionKind.REQUEST:
                 top.pending_request = act.slot
-                if act.slot in self.ontology.topic(top.domain, top.topic).desired_slots():
+                if act.slot in self.ontology.topic(top.domain, top.topic).desired_slots:
                     top.requested_desired.add(act.slot)
             elif act.kind is ActionKind.NOTIFY:
                 top.phase = Phase.NOTIFIED
@@ -361,35 +360,31 @@ class GeneratorConfig:
 # Policy
 
 
-def _advance_frame(frame: TopicFrame, topic: TopicSpec) -> list[AtomicActionId]:
+def _advance_frame(frame: TopicFrame, ont: Ontology) -> list[AtomicActionId]:
     """Rules 4-6 for one frame: the acts its phase calls for."""
     out: list[AtomicActionId] = []
     if frame.phase is Phase.ELICITING:
-        missing = [
-            s.name
-            for s in topic.slots
-            if s.category is SlotCategory.MANDATORY and not frame.filled(s.name)
-        ]
+        topic = ont.topic(frame.domain, frame.topic)
+        missing = [s for s in topic.mandatory_slots if not frame.filled(s)]
         askable = [s for s in missing if s in topic.request_slots]
         if askable:
-            out.append(AtomicActionId(frame.domain, ActionKind.REQUEST, askable[0]))
+            out.append(ont.action(frame.domain, ActionKind.REQUEST, askable[0]))
         elif not missing:
             pending_desired = [
-                s.name
-                for s in topic.slots
-                if s.category is SlotCategory.DESIRED
-                and s.name in topic.request_slots
-                and not frame.filled(s.name)
-                and s.name not in frame.requested_desired
+                s
+                for s in topic.desired_slots
+                if s in topic.request_slots
+                and not frame.filled(s)
+                and s not in frame.requested_desired
             ]
             if pending_desired:
-                out.append(AtomicActionId(frame.domain, ActionKind.REQUEST, pending_desired[0]))
+                out.append(ont.action(frame.domain, ActionKind.REQUEST, pending_desired[0]))
             else:
-                out.append(AtomicActionId(frame.domain, ActionKind.NOTIFY))
+                out.append(ont.action(frame.domain, ActionKind.NOTIFY))
         # else: an unrequestable mandatory slot is still empty; the policy
         # cannot ask for it and waits for the user to volunteer it.
     elif frame.phase is Phase.NOTIFIED:
-        out.append(AtomicActionId(frame.domain, ActionKind.REQ_MORE))
+        out.append(ont.action(frame.domain, ActionKind.REQ_MORE))
     return out
 
 
@@ -417,16 +412,16 @@ def step_policy(stack: DialogueStack, user_acts: list[UserAct]) -> list[str]:
     # Emission follows user-act order, which the serialized system acts keep.
     for act in user_acts:
         if act.kind is IntentKind.INFORM and act.slot in topic.confirm_slots:
-            acts.append(AtomicActionId(top.domain, ActionKind.CONFIRM, act.slot))
+            acts.append(ont.action(top.domain, ActionKind.CONFIRM, act.slot))
         elif act.kind is IntentKind.REQUEST and act.slot in topic.inform_slots:
-            acts.append(AtomicActionId(top.domain, ActionKind.INFORM, act.slot))
+            acts.append(ont.action(top.domain, ActionKind.INFORM, act.slot))
 
-    acts.extend(_advance_frame(top, topic))
+    acts.extend(_advance_frame(top, ont))
     depth = stack.depth
     stack.apply_system_acts(acts, kinds)
     if stack.depth < depth and stack.frames:
         resumed = stack.top
-        resumed_acts = _advance_frame(resumed, ont.topic(resumed.domain, resumed.topic))
+        resumed_acts = _advance_frame(resumed, ont)
         stack.apply_system_acts(resumed_acts, kinds)
         acts.extend(resumed_acts)
 
@@ -465,8 +460,7 @@ class GoalScript:
 
     @classmethod
     def sample(cls, ontology: Ontology, rng: random.Random) -> "GoalScript":
-        pairs = ontology.topic_pairs()
-        domain, topic = rng.choice(pairs)
+        domain, topic = rng.choice(ontology.topic_pairs)
         topics = [sample_topic_goal(ontology, domain, topic, rng)]
         dom = ontology.domain(domain)
         if len(dom.topics) >= 2 and rng.random() < P_SECOND_TOPIC:
@@ -499,8 +493,8 @@ def _intent_turn_acts(
     """
     spec = ontology.topic(goal.domain, goal.topic)
     acts = [UserAct(IntentKind.INFORM_INTENT, domain=goal.domain, topic=goal.topic)]
-    informs = list(spec.unrequestable_mandatory())
-    multi_pair = len(ontology.topic_pairs()) >= 2
+    informs = list(spec.unrequestable_mandatory)
+    multi_pair = len(ontology.topic_pairs) >= 2
     if multi_pair and not informs:
         pool = [
             s.name
@@ -579,7 +573,7 @@ def sample_user_turn(
         and stack.depth == 1
         and goal.domain_change is None
     ):
-        pairs = [p for p in ont.topic_pairs() if p != (top.domain, top.topic)]
+        pairs = [p for p in ont.topic_pairs if p != (top.domain, top.topic)]
         if pairs and rng.random() < cfg.p_domain_change:
             domain, topic_name = rng.choice(pairs)
             goal.domain_change = sample_topic_goal(ont, domain, topic_name, rng)

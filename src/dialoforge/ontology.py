@@ -76,7 +76,7 @@ class AtomicActionId:
     kind: ActionKind
     slot: Optional[str] = None
 
-    @property
+    @cached_property
     def id(self) -> str:
         if self.slot is None:
             return f"{self.domain}-{self.kind.value}"
@@ -114,25 +114,31 @@ class TopicSpec:
     confirm_slots: frozenset[str] = frozenset()
     inform_slots: frozenset[str] = frozenset()
 
-    def slot(self, name: str) -> Optional[SlotSpec]:
-        for s in self.slots:
-            if s.name == name:
-                return s
-        return None
+    # The lookups below are built on first use and kept in the instance's
+    # __dict__; they are no fields, so equality, hashing and to_dict ignore them.
+    @cached_property
+    def _slots_by_name(self) -> dict[str, SlotSpec]:
+        return {s.name: s for s in self.slots}
 
-    @property
+    def slot(self, name: str) -> Optional[SlotSpec]:
+        return self._slots_by_name.get(name)
+
+    @cached_property
     def slot_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.slots)
 
+    @cached_property
     def mandatory_slots(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.slots if s.category is SlotCategory.MANDATORY)
 
+    @cached_property
     def desired_slots(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.slots if s.category is SlotCategory.DESIRED)
 
+    @cached_property
     def unrequestable_mandatory(self) -> tuple[str, ...]:
         """Mandatory slots the policy cannot ask for; the user must volunteer them."""
-        return tuple(s for s in self.mandatory_slots() if s not in self.request_slots)
+        return tuple(s for s in self.mandatory_slots if s not in self.request_slots)
 
 
 @dataclass(frozen=True)
@@ -184,8 +190,19 @@ class Ontology:
     def topic(self, domain: str, topic: str) -> Optional[TopicSpec]:
         return self._topics.get((domain, topic))
 
-    def topic_pairs(self) -> list[tuple[str, str]]:
-        return list(self._topics)
+    @cached_property
+    def topic_pairs(self) -> tuple[tuple[str, str], ...]:
+        return tuple(self._topics)
+
+    @cached_property
+    def _actions(self) -> dict[tuple, AtomicActionId]:
+        return {
+            (a.domain, a.kind, a.slot): a for a in map(parse_action_id, self.action_catalog)
+        }
+
+    def action(self, domain: str, kind: ActionKind, slot: Optional[str] = None) -> AtomicActionId:
+        """The catalog's act of these fields, built once per ontology."""
+        return self._actions[domain, kind, slot]
 
     def slot_keys(self) -> list[tuple[str, str, str]]:
         """Every (domain, topic, slot) triple in document order."""

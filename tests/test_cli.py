@@ -1132,11 +1132,20 @@ def test_a_bad_encode_manifest_names_the_file_and_key(edit, says, tiny_dataset, 
          "--out {afile} is a file; encode writes a directory"),
         (["sweep", "--preset", "simple", "--dialogues", "10", "--rates", "0", "--seeds", "1",
           "--out", "{afile}"], "--out {afile} is a file; sweep writes a directory"),
+        (["generate", "--preset", "simple", "--dialogues", "5", "--out", "{afile}/a/b"],
+         "--out {afile}/a/b lies below the file {afile}; generate writes a directory"),
+        (["inject", "--in", "{ds}", "--p-intent", "0.2", "--out", "{afile}/sub"],
+         "--out {afile}/sub lies below the file {afile}; inject writes a directory"),
+        (["encode", "--in", "{ds}", "--out", "{afile}/sub"],
+         "--out {afile}/sub lies below the file {afile}; encode writes a directory"),
+        (["sweep", "--preset", "simple", "--dialogues", "10", "--rates", "0", "--seeds", "1",
+          "--out", "{afile}/sub"], "--out {afile}/sub lies below the file {afile}; sweep writes"),
     ],
     ids=["inject-in-place", "inject-in-place-resolved", "encode-over-a-dataset",
          "inject-over-a-dataset", "generate-over-an-encoding", "sweep-over-a-dataset",
          "generate-over-a-file", "inject-over-a-file", "encode-over-a-file",
-         "sweep-over-a-file"],
+         "sweep-over-a-file", "generate-below-a-file", "inject-below-a-file",
+         "encode-below-a-file", "sweep-below-a-file"],
 )
 def test_an_output_may_not_overwrite_an_input(argv, says, tiny_dataset, tmp_path, capsys):
     other, afile = tmp_path / "other", tmp_path / "afile"

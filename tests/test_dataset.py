@@ -12,10 +12,13 @@ from dialoforge.dataset import (
 )
 from dialoforge.diagnostics import check_dialogue_invariants
 from dialoforge.encoding import encode_dataset
-from dialoforge.engine import GeneratorConfig, split_counts
+from dialoforge.engine import (
+    Dialogue, DialogueTurn, EventKind, GeneratorConfig, UserAct, dialogue_seeds,
+    generate_dialogue, split_counts,
+)
 from dialoforge.errors import DialoforgeError, ValidationError
 from dialoforge.injection import ErrorConfig, inject_errors, revert_errors
-from dialoforge.ontology import PRESET_NAMES, preset_ontology
+from dialoforge.ontology import PRESET_NAMES, UNK_TOKEN, IntentKind, preset_ontology
 
 from .conftest import preset_config
 
@@ -147,17 +150,97 @@ def test_pool_starts_no_more_workers_than_cpus(
     assert started == pools
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_write_generated_matches_write_dataset(preset, jobs, tmp_path):
-    ontology = preset_ontology(preset)
-    cfg = preset_config(ontology, seed=13, n_dialogues=60)
-    extra = {"subcommand": "generate", "preset": preset}
+def _spans_blocks(cfg: GeneratorConfig) -> bool:
+    """Whether a generation spans more than two blocks, with no split boundary
+    on a block edge, and so has a block cut short by the end of a split."""
+    n_train, n_val, _ = split_counts(cfg.n_dialogues, cfg.split_fractions)
+    edges = {n_train, n_train + n_val} - {0, cfg.n_dialogues}
+    return (cfg.n_dialogues > 2 * dataset.BLOCK_SIZE
+            and all(edge % dataset.BLOCK_SIZE for edge in edges))
+
+
+def _matches_write_dataset(ontology, cfg, jobs, tmp_path, extra=None) -> None:
     graph, lines = tmp_path / "graph", tmp_path / "lines"
     write_dataset(generate_dataset(ontology, cfg), graph, manifest_extra=extra)
     sizes = write_generated(ontology, cfg, lines, jobs=jobs, manifest_extra=extra)
     assert _dir_bytes(lines) == _dir_bytes(graph)
     assert sizes == read_dataset(lines).split_sizes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_write_generated_matches_write_dataset(preset, jobs, tmp_path):
+    ontology = preset_ontology(preset)
+    cfg = preset_config(ontology, seed=13, n_dialogues=700)
+    assert _spans_blocks(cfg)
+    extra = {"subcommand": "generate", "preset": preset}
+    _matches_write_dataset(ontology, cfg, jobs, tmp_path, extra)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_empty_split_is_written_as_an_empty_file(simple_ontology, jobs, tmp_path):
+    cfg = GeneratorConfig(n_dialogues=600, seed=13, split_fractions=(0.5, 0.0, 0.5))
+    assert _spans_blocks(cfg)
+    _matches_write_dataset(simple_ontology, cfg, jobs, tmp_path)
+    assert (tmp_path / "lines" / "val.jsonl").read_bytes() == b""
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failure_in_a_later_block_names_its_dialogue(simple_ontology, tmp_path, jobs):
+    # Three chit-chat turns in four make an occasional dialogue overflow the
+    # turn cap; the first to do so, found here one dialogue at a time, lies
+    # in the test split's first block.
+    cfg = GeneratorConfig(n_dialogues=600, p_chitchat=0.75, seed=0)
+    assert _spans_blocks(cfg)
+
+    def overflows(seed: int) -> bool:
+        try:
+            generate_dialogue(simple_ontology, cfg, seed)
+        except DialoforgeError:
+            return True
+        return False
+
+    first = next(i for i, seed in enumerate(dialogue_seeds(cfg)) if overflows(seed))
+    assert first > 2 * dataset.BLOCK_SIZE
+    with pytest.raises(DialoforgeError, match=rf"^dialogue {first}: .*60 turns"):
+        write_generated(simple_ontology, cfg, tmp_path / "ds", jobs=jobs)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_a_shared_fragment_memo_writes_the_same_lines(preset):
+    ontology = preset_ontology(preset)
+    clean = generate_dataset(ontology, preset_config(ontology, seed=3, n_dialogues=300))
+    mixed = ErrorConfig(p_intent=0.5, p_action=0.5, p_slot=0.5, mode_weights=(0.5, 0.5), seed=4)
+    noisy, records = inject_errors(clean, ontology, mixed)
+    assert records
+    for data in (clean, noisy):
+        memo: dict = {}
+        for _, dlg in data.iter_dialogues():
+            line = dumps_dialogue(dlg, memo)
+            assert line == dumps_dialogue(dlg) == dataset._compact(dlg.to_dict())
+        assert len(memo) < data.n_turns()
+
+
+def test_turns_that_differ_in_one_field_get_their_own_fragments():
+    inform = UserAct(IntentKind.INFORM, slot="cuisine", value="thai")
+    base = DialogueTurn([inform], ["restaurant-CONFIRM-cuisine"])
+    turns = [
+        base,
+        DialogueTurn([inform], base.system_acts, EventKind.MIND_CHANGE),
+        DialogueTurn([inform], base.system_acts, EventKind.DOMAIN_CHANGE),
+        DialogueTurn([UserAct(IntentKind.INFORM, slot="cuisine", value="greek")], base.system_acts),
+        DialogueTurn([UserAct(IntentKind.INFORM, slot="cuisine", value=None)], base.system_acts),
+        DialogueTurn([UserAct.unchecked(IntentKind.UNK, None, None, "cuisine", "thai")],
+                     base.system_acts),
+        DialogueTurn([UserAct.unchecked(IntentKind.INFORM, None, None, UNK_TOKEN, "thai")],
+                     base.system_acts),
+        DialogueTurn([inform], [UNK_TOKEN]),
+    ]
+    memo: dict = {}
+    lines = [dumps_dialogue(Dialogue("d", 0, [turn]), memo) for turn in turns]
+    assert lines == [dataset._compact(Dialogue("d", 0, [turn]).to_dict()) for turn in turns]
+    assert len(set(lines)) == len(memo) == len(turns)
 
 
 def test_manifest_extra_cannot_replace_a_dataset_key(simple_ontology, tmp_path):

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dialoforge.dataset import generate_dataset
+from dialoforge.engine import GeneratorConfig
 from dialoforge.errors import ValidationError
 from dialoforge.ontology import (
     GENERAL_CHIT_CHAT_ID,
+    PRESET_NAMES,
     ActionKind,
     AtomicActionId,
     IntentKind,
@@ -295,3 +299,26 @@ def test_request_table_defaults_to_mandatory_and_desired():
 def test_content_hash_stable(simple_ontology):
     assert simple_ontology.content_hash() == preset_ontology("simple").content_hash()
     assert simple_ontology.content_hash() != preset_ontology("medium").content_hash()
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_filled_lookup_tables_are_not_part_of_an_ontology(name):
+    used = preset_ontology(name)
+    generate_dataset(used, GeneratorConfig(n_dialogues=20, seed=1))
+    for domain, topic in used.topic_pairs:
+        spec = used.topic(domain, topic)
+        assert spec.slot(spec.slot_names[0]) is spec.slots[0]
+        assert spec.slot("no_such_slot") is None
+        assert set(spec.unrequestable_mandatory) <= set(spec.mandatory_slots)
+        assert not set(spec.desired_slots) & set(spec.mandatory_slots)
+    for aid in used.action_catalog:
+        act = parse_action_id(aid)
+        assert used.action(act.domain, act.kind, act.slot) == act
+        assert used.action(act.domain, act.kind, act.slot).id == aid
+    assert {"_topics", "topic_pairs", "_actions"} <= vars(used).keys()
+
+    fresh = preset_ontology(name)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert used.content_hash() == fresh.content_hash()
+    assert pickle.loads(pickle.dumps(used)) == fresh
+    assert pickle.loads(pickle.dumps(fresh)) == used

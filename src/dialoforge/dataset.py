@@ -14,7 +14,6 @@ from typing import Callable, Iterable, Iterator, Optional, TypeVar
 from . import __version__
 from .engine import (
     Dialogue,
-    DialogueTurn,
     GeneratorConfig,
     dialogue_seeds,
     generate_dialogue,
@@ -69,14 +68,9 @@ def _block_dialogues(task) -> Iterator[Dialogue]:
             raise type(exc)(f"dialogue {index}: {exc}") from None
 
 
-def _generate_block(task) -> list[Dialogue]:
-    return list(_block_dialogues(task))
-
-
 def _write_block(task) -> str:
-    """The block's JSONL text; its dialogues share one fragment memo."""
-    memo: dict = {}
-    return "".join([dumps_dialogue(dlg, memo) + "\n" for dlg in _block_dialogues(task)])
+    """The block's JSONL text."""
+    return "".join(_dialogue_lines(_block_dialogues(task)))
 
 
 def _generated(
@@ -117,13 +111,13 @@ def _generated(
 def generate_dataset(ontology: Ontology, cfg: GeneratorConfig) -> Dataset:
     """Generate cfg.n_dialogues dialogues in this process and split them in
     generation order; only ``write_generated`` pools, so no ``Dialogue`` is pickled."""
-    blocks = _generated(ontology, cfg, 1, _generate_block)
+    blocks = _generated(ontology, cfg, 1, _block_dialogues)
     splits = {split: [dlg for block in runs for dlg in block] for split, runs in blocks.items()}
     return Dataset(splits=splits, ontology_hash=ontology.content_hash(), config=cfg)
 
 
 # ---------------------------------------------------------------------------
-# Text formats: one writer and one reader each for JSON and JSON Lines
+# Text formats: JSON and JSON Lines
 
 
 def write_json(path, obj) -> None:
@@ -151,7 +145,7 @@ def _write_lines(path, lines: Iterable[str]) -> None:
 
 
 def write_jsonl(path, dicts: Iterable[dict]) -> None:
-    """One compact JSON object per line."""
+    """One compact JSON object per line; only the perturbation log is written so."""
     _write_lines(path, (_compact(d) + "\n" for d in dicts))
 
 
@@ -182,20 +176,16 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
 # On-disk layout: manifest.json + {train,val,test}.jsonl
 
 
-def _turn_key(turn: DialogueTurn) -> tuple:
-    """Every field ``DialogueTurn.to_dict`` writes."""
-    acts = tuple([(a.kind.value, a.domain, a.topic, a.slot, a.value) for a in turn.user_acts])
-    return acts, tuple(turn.system_acts), turn.event
-
-
 def dumps_dialogue(dialogue: Dialogue, memo: Optional[dict] = None) -> str:
-    """``_compact(dialogue.to_dict())``, assembled from one JSON fragment per
-    turn.  Dialogues that share ``memo`` serialize each distinct turn once:
-    it maps a turn's fields (``_turn_key``) to its fragment."""
+    """The one maker of a dataset line, ``_compact(dialogue.to_dict())``, from
+    a JSON fragment per turn.  Dialogues that share ``memo`` serialize each
+    distinct turn once: it maps a turn's fields to its fragment."""
     memo = {} if memo is None else memo
     fragments = []
     for turn in dialogue.turns:
-        key = _turn_key(turn)
+        # The key holds every field ``DialogueTurn.to_dict`` writes.
+        acts = tuple([(a.kind.value, a.domain, a.topic, a.slot, a.value) for a in turn.user_acts])
+        key = (acts, tuple(turn.system_acts), turn.event)
         fragment = memo.get(key)
         if fragment is None:
             fragment = memo[key] = _compact(turn.to_dict())
@@ -204,6 +194,16 @@ def dumps_dialogue(dialogue: Dialogue, memo: Optional[dict] = None) -> str:
         f'{{"id":{_compact(dialogue.id)},"seed":{_compact(dialogue.seed)},'
         f'"turns":[{",".join(fragments)}],"events_log":{_compact(dialogue._events_dicts())}}}'
     )
+
+
+def _dialogue_lines(dialogues: Iterable[Dialogue]) -> Iterator[str]:
+    """The JSONL lines of a split's dialogues, or of a block of them.  The
+    dialogues of a block share one fragment memo; a memo per split would
+    hold several MB on hard, while a block's holds a few hundred fragments."""
+    for index, dlg in enumerate(dialogues):
+        if index % BLOCK_SIZE == 0:
+            memo: dict = {}
+        yield dumps_dialogue(dlg, memo) + "\n"
 
 
 def write_manifest(outdir, payload: dict) -> None:
@@ -215,10 +215,18 @@ def write_manifest(outdir, payload: dict) -> None:
     )
 
 
-def _dataset_manifest(
-    ontology_hash: str, config: GeneratorConfig, sizes: dict[str, int], extra: Optional[dict]
-) -> dict:
-    manifest = {
+def _write_splits(
+    outdir, lines: dict[str, Iterable[str]], ontology_hash: str, config: GeneratorConfig,
+    sizes: dict[str, int], extra: Optional[dict],
+) -> None:
+    """The one writer of a dataset directory: each split's JSONL ``lines``,
+    then ``manifest.json``, in which no ``extra`` key replaces a dataset key."""
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    for split in SPLIT_NAMES:
+        _write_lines(out / f"{split}.jsonl", lines[split])
+    write_manifest(out, {
+        **(extra or {}),
         "format": "dialoforge-dataset",
         "version": FORMAT_VERSION,
         "ontology_hash": ontology_hash,
@@ -226,19 +234,14 @@ def _dataset_manifest(
         "seed": config.seed,
         "splits": sizes,
         "n_dialogues": sum(sizes.values()),
-    }
-    # An extra key never replaces one of the dataset's own.
-    return {**(extra or {}), **manifest}
+    })
 
 
 def write_dataset(dataset: Dataset, outdir, manifest_extra: Optional[dict] = None) -> None:
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    for split in SPLIT_NAMES:
-        write_jsonl(out / f"{split}.jsonl", (d.to_dict() for d in dataset.splits.get(split, [])))
-    write_manifest(out, _dataset_manifest(
-        dataset.ontology_hash, dataset.config, dataset.split_sizes(), manifest_extra
-    ))
+    """Write ``dataset`` into ``outdir`` in the bytes ``write_generated`` writes."""
+    lines = {split: _dialogue_lines(dataset.splits.get(split, [])) for split in SPLIT_NAMES}
+    _write_splits(outdir, lines, dataset.ontology_hash, dataset.config, dataset.split_sizes(),
+                  manifest_extra)
 
 
 def write_generated(
@@ -256,13 +259,9 @@ def write_generated(
     Every text exists before ``outdir`` or any file is created, so a failed
     generation writes nothing.
     """
-    splits = _generated(ontology, cfg, jobs, _write_block)
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    for split, texts in splits.items():
-        _write_lines(out / f"{split}.jsonl", texts)
+    texts = _generated(ontology, cfg, jobs, _write_block)
     sizes = dict(zip(SPLIT_NAMES, split_counts(cfg.n_dialogues, cfg.split_fractions)))
-    write_manifest(out, _dataset_manifest(ontology.content_hash(), cfg, sizes, manifest_extra))
+    _write_splits(outdir, texts, ontology.content_hash(), cfg, sizes, manifest_extra)
     return sizes
 
 

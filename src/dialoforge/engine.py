@@ -61,6 +61,8 @@ class EventKind(Enum):
 
 _ACT_LABELS = ("domain", "topic", "slot", "value")  # an act's optional string fields
 _TYPE_NAMES = {str: "a string", int: "an int", list: "a list"}
+_EVENT_VALUES = frozenset(e.value for e in EventKind)
+_NO_EVENT = object()  # a turn record's event key when it has none
 
 
 def _typed(record: str, obj: dict, key: str, kind: type):
@@ -256,7 +258,8 @@ class DialogueTurn:
             for name in ("user_acts", "system_acts"):  # raises for the first that is not
                 _typed("turn", obj, name, list)
         user_acts = [UserAct.from_dict(a, memo) for a in acts]
-        event = obj.get("event") or None
+        # An absent event is _NO_EVENT, so that a present null misses the memo.
+        event = obj.get("event", _NO_EVENT)
         # The memo holds every act it built, so an act's id names its content.
         # A string's tuple equals a list's, so the labels' type is checked first.
         key = (tuple(map(id, user_acts)), tuple(labels), event)
@@ -269,7 +272,12 @@ class DialogueTurn:
                 if not isinstance(label, str):
                     raise ValidationError(f"system act {label!r} is not a string")
             system_acts = [memo.setdefault(label, label) for label in key[1]]
-            event = EventKind(event) if event else None
+            if event is _NO_EVENT:
+                event = None
+            elif isinstance(event, str) and event in _EVENT_VALUES:
+                event = EventKind(event)
+            else:
+                raise ValidationError(f"turn key 'event': {event!r} is not an event kind")
             turn = memo[key] = cls(user_acts, system_acts, event)
         return turn
 
@@ -311,11 +319,10 @@ class Dialogue:
             seed=_typed("dialogue", obj, "seed", int),
             turns=[DialogueTurn.from_dict(t, memo) for t in _typed("dialogue", obj, "turns", list)],
         )
-        derived = dialogue._events_dicts()
-        if obj["events_log"] != derived:
-            raise ValidationError(
-                f"events_log {obj['events_log']!r} differs from the turns' events {derived!r}"
-            )
+        log, derived = obj["events_log"], dialogue._events_dicts()
+        # An equal log holds [turn index, event] pairs, but True and 1.0 equal 1.
+        if log != derived or any(type(entry[0]) is not int for entry in log):
+            raise ValidationError(f"events_log {log!r} differs from the turns' events {derived!r}")
         return dialogue
 
 

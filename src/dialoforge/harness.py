@@ -268,9 +268,23 @@ def save_model(model: Model, path, ontology_hash: str) -> None:
         np.savez(fh, **members, ontology_hash=ontology_hash)
 
 
-def _shape_mismatch(kind: str, arrays: dict) -> Optional[str]:
-    """The first model array whose shape disagrees with the others, if any."""
+# The dtype of each array member save_model writes, by model kind.
+_DTYPES = {
+    "memorizer": dict.fromkeys(("packed_states", "targets", "fallback"), np.dtype(np.uint8)),
+    "linear": dict.fromkeys(("weights", "bias", "loss_history"), np.dtype(np.float64)),
+}
+
+
+def _mismatch(kind: str, arrays: dict) -> Optional[str]:
+    """The first model array not of the dtype save_model writes, or whose
+    values or shape disagree with the others, if any."""
+    for name, dtype in _DTYPES[kind].items():
+        if arrays[name].dtype != dtype:
+            return f"{name} dtype {arrays[name].dtype}, expected {dtype}"
     if kind == "memorizer":
+        for name in ("targets", "fallback"):
+            if arrays[name].max(initial=0) > 1:
+                return f"{name} holds a value other than 0 and 1"
         packed, fallback = arrays["packed_states"], arrays["fallback"]
         n, width = len(packed), len(fallback)
         checks = (
@@ -296,7 +310,7 @@ def load_model(path) -> tuple[Model, str]:
     """Read a model written by save_model, with the ontology hash it was tagged
     with: the class its kind names, built from the members named after its
     fields.  A missing file raises OSError; a damaged one, or one whose arrays
-    disagree in shape, raises ValidationError."""
+    disagree in dtype, values or shape, raises ValidationError."""
     with open(path, "rb") as fh:
         try:
             with np.load(fh, allow_pickle=False) as blob:
@@ -304,7 +318,7 @@ def load_model(path) -> tuple[Model, str]:
             kind = str(arrays["kind"])
             if kind not in MODEL_KINDS:
                 raise ValidationError(f"{path}: unknown model kind {kind!r}")
-            mismatch = _shape_mismatch(kind, arrays)
+            mismatch = _mismatch(kind, arrays)
             if mismatch is not None:
                 raise ValidationError(f"{path}: {mismatch}")
             # An array field is read as stored, any other (a width, a loss

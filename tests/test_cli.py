@@ -174,6 +174,26 @@ def test_unknown_intent_kind_in_dataset_is_a_validation_error(tiny_dataset, tmp_
     ) == 1
 
 
+def _first_turn_event(value):
+    """A line whose first turn carries ``value`` as its event."""
+    def damage(line: str) -> str:
+        obj = json.loads(line)
+        obj["turns"][0]["event"] = value
+        return json.dumps(obj)
+    return damage
+
+
+def _mind_change_logged_at(index):
+    """A line whose second turn is a mind change, logged at ``index`` (which equals 1)."""
+    def damage(line: str) -> str:
+        obj = json.loads(line)
+        obj["turns"][1]["event"] = "mind_change"
+        log = [entry for entry in obj["events_log"] if entry[0] != 1] + [[index, "mind_change"]]
+        obj["events_log"] = sorted(log, key=lambda entry: entry[0])
+        return json.dumps(obj)
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage, says",
     [
@@ -201,10 +221,19 @@ def test_unknown_intent_kind_in_dataset_is_a_validation_error(tiny_dataset, tmp_
          "dialogue key 'seed': 'x' is not an int"),
         (lambda line: re.sub(r'"seed":\d+', '"seed":true', line, count=1),
          "dialogue key 'seed': True is not an int"),
+        (_first_turn_event(False), "turn key 'event': False is not an event kind"),
+        (_first_turn_event(0), "turn key 'event': 0 is not an event kind"),
+        (_first_turn_event(""), "turn key 'event': '' is not an event kind"),
+        (_first_turn_event([]), "turn key 'event': [] is not an event kind"),
+        (_first_turn_event(None), "turn key 'event': None is not an event kind"),
+        (_mind_change_logged_at(True), "[True, 'mind_change']"),
+        (_mind_change_logged_at(1.0), "[1.0, 'mind_change']"),
     ],
     ids=["truncated-line", "bogus-intent-kind", "events-log-differs-from-turns", "missing-key",
          "list-valued-slot", "numeric-system-act", "string-system-acts", "string-user-acts",
-         "string-user-act", "object-turns", "numeric-id", "string-seed", "bool-seed"],
+         "string-user-act", "object-turns", "numeric-id", "string-seed", "bool-seed",
+         "false-event", "zero-event", "empty-event", "list-event", "null-event",
+         "bool-logged-turn", "float-logged-turn"],
 )
 def test_bad_dataset_line_names_file_and_line(damage, says, tiny_dataset, tmp_path, capsys):
     train = tiny_dataset / "train.jsonl"
@@ -393,13 +422,18 @@ def _missing_model(dataset: Path, tmp_path: Path):
         (_resaved_model("memorizer", lambda a: a.update(target_width=np.array(5))), 1),
         (_resaved_model("linear", lambda a: a.update(bias=a["bias"][:5])), 1),
         (_resaved_model("linear", lambda a: a.pop("bias")), 1),
+        (_resaved_model("linear", lambda a: a.update(weights=a["weights"].astype(str))), 1),
+        (_resaved_model("memorizer",
+                        lambda a: a.update(packed_states=a["packed_states"].astype(np.int64))), 1),
+        (_resaved_model("memorizer", lambda a: a.update(targets=a["targets"] * 7)), 1),
         (_missing_model, 2),  # a missing file is a runtime error, not bad input
     ],
     ids=["truncated-bin", "wrong-magic", "wrong-width", "wrong-header-split",
          "swapped-header-lines", "extra-header-line", "repeated-rows-line", "text-model",
          "npy-model", "unknown-compression-model", "bad-directory-offset-model",
          "short-fallback-model", "narrow-targets-model", "wrong-target-width-model",
-         "short-bias-model", "no-bias-model", "missing-model"],
+         "short-bias-model", "no-bias-model", "string-weights-model", "int64-packed-states-model",
+         "non-binary-targets-model", "missing-model"],
 )
 def test_bad_binary_input_names_the_file(damage, code, tiny_dataset, tmp_path, capsys):
     assert run_cli(["encode", "--in", str(tiny_dataset)]) == 0

@@ -208,18 +208,26 @@ def test_a_failure_in_a_later_block_names_its_dialogue(simple_ontology, tmp_path
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_a_shared_fragment_memo_writes_the_same_lines(preset):
+def test_a_shared_fragment_memo_writes_the_same_lines(preset, tmp_path):
+    """Against ``to_dict``, the reference no writer calls: a line alone, a
+    line whose memo holds the dataset's earlier turns, and write_dataset's
+    files, whose train split spans more than one block."""
     ontology = preset_ontology(preset)
-    clean = generate_dataset(ontology, preset_config(ontology, seed=3, n_dialogues=300))
+    clean = generate_dataset(ontology, preset_config(ontology, seed=3, n_dialogues=500))
+    assert len(clean.splits["train"]) > dataset.BLOCK_SIZE
     mixed = ErrorConfig(p_intent=0.5, p_action=0.5, p_slot=0.5, mode_weights=(0.5, 0.5), seed=4)
     noisy, records = inject_errors(clean, ontology, mixed)
     assert records
-    for data in (clean, noisy):
+    for name, data in (("clean", clean), ("noisy", noisy)):
         memo: dict = {}
         for _, dlg in data.iter_dialogues():
             line = dumps_dialogue(dlg, memo)
             assert line == dumps_dialogue(dlg) == dataset._compact(dlg.to_dict())
         assert len(memo) < data.n_turns()
+        write_dataset(data, tmp_path / name)
+        for split, dialogues in data.splits.items():
+            expected = "".join(dataset._compact(dlg.to_dict()) + "\n" for dlg in dialogues)
+            assert (tmp_path / name / f"{split}.jsonl").read_text() == expected
 
 
 def test_turns_that_differ_in_one_field_get_their_own_fragments():

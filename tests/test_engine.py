@@ -15,6 +15,7 @@ import dialoforge
 from dialoforge import engine
 from dialoforge.dataset import dumps_dialogue
 from dialoforge.engine import (
+    Dialogue,
     DialogueStack,
     EventKind,
     GeneratorConfig,
@@ -388,3 +389,14 @@ def test_mind_change_reinform_changes_value(two_domain_ontology):
     assert act.kind is IntentKind.INFORM
     if act.value is not None:  # value change must actually change the value
         assert act.value != stack.top.fills[act.slot]
+
+
+def test_a_null_event_is_refused_where_its_turn_was_read_before():
+    # The memo of a read holds the turn with no event; a null is not that turn.
+    turn = {"user_acts": [{"kind": "inform", "slot": "food", "value": "thai"}],
+            "system_acts": ["restaurant-REQUEST-area"]}
+    memo: dict = {}
+    Dialogue.from_dict({"id": "a", "seed": 0, "turns": [turn], "events_log": []}, memo)
+    null = {"id": "b", "seed": 0, "turns": [{**turn, "event": None}], "events_log": []}
+    with pytest.raises(ValidationError, match="^turn key 'event': None is not an event kind$"):
+        Dialogue.from_dict(null, memo)

@@ -312,6 +312,10 @@ def _rows(encoded: EncodedDataset, enc_dir: Path, split: str) -> tuple:
 
 
 def _cmd_train(args) -> int:
+    settings = _given(args, _TRAIN_FLAGS)
+    if args.model == "memorizer" and settings:  # the memorizer has no such setting
+        name, value = next(iter(settings.items()))
+        raise ValidationError(f"{_flag(name)} must be unset for --model memorizer, got {value!r}")
     out = Path(args.out)
     if out.exists():
         try:  # a directory raises OSError
@@ -327,7 +331,7 @@ def _cmd_train(args) -> int:
         model = train_memorizer(train_split)
     else:
         seed = check_setting(f"--seed ({SEED_ENV_VAR})", _resolve_seed(args), LINEAR_RULES["seed"])
-        model = train_linear(train_split, seed=seed, **_given(args, _TRAIN_FLAGS))
+        model = train_linear(train_split, seed=seed, **settings)
     save_model(model, args.out, encoded.ontology_hash)
     _log(f"trained {args.model} on {train_split[0].shape[0]} turns -> {args.out}")
     return 0
@@ -358,6 +362,10 @@ def _cmd_sweep(args) -> int:
     for rate in rates:  # a rate is each p_ of an ErrorConfig
         check_setting("--rates", rate, ErrorConfig.RULES["p_intent"])
     models = [m.strip() for m in args.models.split(",")]
+    for kind in models:
+        if kind not in MODEL_KINDS:
+            kinds = ", ".join(MODEL_KINDS)
+            raise ValidationError(f"--models must be one or more of {kinds}, got {kind!r}")
     check_setting("--seeds", args.seeds, "an int >= 1")
     gen_cfg = _generator_config(args, ontology)
     result = robustness_sweep(

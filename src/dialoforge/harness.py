@@ -28,6 +28,7 @@ from .ontology import Ontology, check_setting
 from .rng import derive_seed
 
 BATCH_SIZE = 128  # minibatch rows per gradient step of train_linear
+_EPOCHS, _LEARNING_RATE, _L2 = 30, 0.5, 0.0  # train_linear's defaults, and the sweep's
 
 
 @dataclass
@@ -165,33 +166,25 @@ LINEAR_RULES = {
 
 
 def _train_linear_stack(
-    trains: list[tuple[np.ndarray, np.ndarray]],
+    train: tuple[np.ndarray, np.ndarray],
     seeds: list[int],
     epochs: int,
     learning_rate: float,
     l2: float,
 ) -> list[LinearModel]:
-    """One linear model per training set and seed, all trained in lockstep:
-    each pass of the loop takes every model's step at once.  Model i shuffles
-    with ``default_rng(seeds[i])``, so it gets the bits it gets trained alone."""
+    """One linear model per seed, all trained in lockstep: each pass of the
+    loop takes every model's step at once, with one index into ``train``,
+    which holds ``len(seeds)`` training sets of one size end to end.  Model i
+    trains on set i and shuffles with ``default_rng(seeds[i])``, so it gets
+    the bits it gets trained alone."""
     for seed in seeds:
         settings = {"learning_rate": learning_rate, "l2": l2, "epochs": epochs, "seed": seed}
         for name, rule in LINEAR_RULES.items():
             check_setting(name, settings[name], rule)
-    pairs = [_training_pair(train) for train in trains]
-    kinds = [tuple((rows.shape, rows.dtype) for rows in pair) for pair in pairs]
-    for i, kind in enumerate(kinds):
-        if kind != kinds[0]:
-            raise ValidationError(
-                f"training set {i} has (states, targets) shapes and dtypes {kind}, but "
-                f"training set 0 has {kinds[0]}; a stack trains on one shape"
-            )
-
-    # The rows of every training set, end to end: a stack of one is its own
-    # training set, so training one model copies no rows.  Each step takes
-    # every model's batch with one index into them.
-    m = len(pairs)
-    states, targets = (np.concatenate(arrays) if m > 1 else arrays[0] for arrays in zip(*pairs))
+    states, targets = _training_pair(train)
+    m = len(seeds)
+    if len(states) % m:
+        raise ValidationError(f"{len(states)} rows do not divide into {m} sets, one per seed")
     n = len(states) // m
     weights = np.zeros((m, states.shape[1], targets.shape[1]), dtype=np.float64)
     bias = np.zeros((m, targets.shape[1]), dtype=np.float64)
@@ -223,15 +216,15 @@ def _train_linear_stack(
 
 def train_linear(
     train: tuple[np.ndarray, np.ndarray],
-    epochs: int = 30,
-    learning_rate: float = 0.5,
-    l2: float = 0.0,
+    epochs: int = _EPOCHS,
+    learning_rate: float = _LEARNING_RATE,
+    l2: float = _L2,
     seed: int = 0,
 ) -> LinearModel:
     """Per-action logistic regression by mini-batch gradient descent, with
     batches of BATCH_SIZE rows drawn in the order ``default_rng(seed)``
     shuffles each epoch to."""
-    (model,) = _train_linear_stack([train], [seed], epochs, learning_rate, l2)
+    (model,) = _train_linear_stack(train, [seed], epochs, learning_rate, l2)
     return model
 
 
@@ -372,8 +365,12 @@ def _pack(pair: tuple[np.ndarray, np.ndarray]) -> tuple[tuple[np.ndarray, int], 
     return tuple((np.packbits(rows, axis=1), rows.shape[1]) for rows in pair)
 
 
-def _unpack(packed: tuple[tuple[np.ndarray, int], ...]) -> tuple[np.ndarray, ...]:
-    return tuple(np.unpackbits(bits, axis=1, count=width) for bits, width in packed)
+def _unpack(*packed: tuple[tuple[np.ndarray, int], ...]) -> tuple[np.ndarray, ...]:
+    """The rows of one or more packed (states, targets) pairs, end to end."""
+    return tuple(
+        np.unpackbits(np.concatenate([bits for bits, _ in rows]), axis=1, count=rows[0][1])
+        for rows in zip(*packed)
+    )
 
 
 class collector_paused:
@@ -401,7 +398,10 @@ def robustness_sweep(
     base_dataset: Optional[Dataset] = None,
 ) -> SweepResult:
     """Inject increasing error rates into one clean dataset and score each
-    model on the perturbed train/test splits."""
+    model on the perturbed train/test splits.  Injection relabels acts but
+    never adds or drops a turn, so every cell's train split has as many rows
+    as the clean one, and the linear cells' packed train rows join into one
+    block, unpacked once, on which one lockstep stack trains them all."""
     for i, rate in enumerate(error_rates):  # a rate is each p_ of an ErrorConfig
         check_setting(f"error_rates[{i}]", rate, ErrorConfig.RULES["p_intent"])
     if any(b <= a for a, b in zip(error_rates, error_rates[1:])):
@@ -466,9 +466,8 @@ def robustness_sweep(
 
         if linear_cells:
             trained = _train_linear_stack(
-                [_unpack(train) for _, _, train, _ in linear_cells],
-                [inj_seed for _, inj_seed, _, _ in linear_cells],
-                epochs=30, learning_rate=0.5, l2=0.0,  # train_linear's defaults
+                _unpack(*(train for _, _, train, _ in linear_cells)),
+                [inj_seed for _, inj_seed, _, _ in linear_cells], _EPOCHS, _LEARNING_RATE, _L2,
             )
             for (rate, inj_seed, _, test), model in zip(linear_cells, trained):
                 states, golds = _unpack(test)

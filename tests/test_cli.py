@@ -818,12 +818,21 @@ def test_there_is_no_stack_depth_flag(command, tmp_path):
          "--p-domain-change must be"),
         (["sweep", "--preset", "simple", "--rates", "0", "--dialogues", "30", "--models",
           "memorizer,memorizer"], None, "models must be"),
+        (["train", "--model", "memorizer", "--epochs", "0", "--l2", "-5"], None,
+         "error: --l2 must be a finite number >= 0, got -5.0"),
+        (["train", "--model", "memorizer", "--learning-rate", "0.1"], None,
+         "error: --learning-rate must be unset for --model memorizer, got 0.1"),
+        (["sweep", "--preset", "simple", "--rates", "0", "--dialogues", "30", "--models",
+          "bogus"], None, "error: --models must be one or more of"),
+        (["sweep", "--preset", "simple", "--rates", "0", "--dialogues", "30", "--models", ""],
+         None, "error: --models must be one or more of"),
     ],
     ids=["zero-dialogues", "non-integer-env-seed", "negative-linear-seed", "zero-seeds",
          "negative-l2", "nan-l2", "inf-l2", "nan-learning-rate", "inf-learning-rate",
          "negative-learning-rate", "zero-epochs", "generate-p-chitchat", "generate-p-mind-change",
          "two-split-fractions", "inject-p-intent", "inject-p-slot", "sweep-rates",
-         "sweep-p-domain-change", "repeated-models"],
+         "sweep-p-domain-change", "repeated-models", "memorizer-negative-l2",
+         "memorizer-learning-rate", "unknown-model", "empty-models"],
 )
 def test_bad_flag_value_names_the_flag(argv, env, name, tiny_dataset, tmp_path, monkeypatch,
                                        capsys):

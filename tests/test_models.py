@@ -213,7 +213,8 @@ def test_a_stack_trains_each_model_bit_for_bit_as_alone():
     n = 2 * BATCH_SIZE + 37  # the last batch of each epoch is short
     trains = [_random_split(rng, n, 9, 4) for _ in range(3)]
     seeds = [3, 11, 40]
-    stack = _train_linear_stack(trains, seeds, epochs=4, learning_rate=0.7, l2=0.01)
+    block = tuple(np.concatenate(rows) for rows in zip(*trains))
+    stack = _train_linear_stack(block, seeds, epochs=4, learning_rate=0.7, l2=0.01)
     for train, seed, model in zip(trains, seeds, stack):
         alone = train_linear(train, epochs=4, learning_rate=0.7, l2=0.01, seed=seed)
         weights, bias, history = _train_alone_reference(train, seed, 4, 0.7, 0.01)
@@ -223,21 +224,21 @@ def test_a_stack_trains_each_model_bit_for_bit_as_alone():
             assert np.array(got.loss_history).tobytes() == np.array(history).tobytes()
 
 
-@pytest.mark.parametrize(
-    "rows, width, actions", [(50, 6, 2), (60, 5, 2), (60, 6, 3)], ids=["rows", "width", "actions"]
-)
-def test_a_stack_refuses_training_sets_of_different_shapes(rows, width, actions):
-    rng = np.random.default_rng(8)
-    trains = [_random_split(rng, 60, 6, 2), _random_split(rng, rows, width, actions)]
-    with pytest.raises(ValidationError, match="^training set 1 has .* training set 0 has"):
-        _train_linear_stack(trains, [0, 1], epochs=2, learning_rate=0.5, l2=0.0)
+@pytest.mark.parametrize("rows, seeds", [(61, [0, 1]), (2, [0, 1, 2])],
+                         ids=["one-row-over", "fewer-rows-than-seeds"])
+def test_a_stack_refuses_a_block_that_does_not_divide_into_its_seeds(rows, seeds):
+    block = _random_split(np.random.default_rng(8), rows, 6, 2)
+    with pytest.raises(ValidationError,
+                       match=f"^{rows} rows do not divide into {len(seeds)} sets, one per seed$"):
+        _train_linear_stack(block, seeds, epochs=2, learning_rate=0.5, l2=0.0)
 
 
 def test_one_diverging_model_stops_the_stack():
     calm = _split(np.zeros((4, 4)), np.zeros((4, 2)))  # no bit set: its loss stays finite
     train_linear(calm, epochs=50, learning_rate=1e307, seed=0)
+    block = tuple(np.concatenate(rows) for rows in zip(calm, _toy()))
     with pytest.raises(DialoforgeError, match="loss became non-finite") as err:
-        _train_linear_stack([calm, _toy()], [0, 0], epochs=50, learning_rate=1e307, l2=0.0)
+        _train_linear_stack(block, [0, 0], epochs=50, learning_rate=1e307, l2=0.0)
     assert type(err.value) is DialoforgeError  # a runtime error: exit 2
 
 

@@ -75,7 +75,7 @@ def test_sweep_rows_sorted_and_reproducible(simple_ontology):
     ]
 
 
-def _sweep_rows_one_cell_at_a_time(ontology, cfg, rates, seed, n_seeds):
+def _sweep_rows_one_cell_at_a_time(ontology, cfg, rates, models, seed, n_seeds):
     """The sweep's rows, each cell's models trained alone on it."""
     clean = generate_dataset(ontology, cfg)
     rows = []
@@ -85,19 +85,22 @@ def _sweep_rows_one_cell_at_a_time(ontology, cfg, rates, seed, n_seeds):
             err_cfg = ErrorConfig(rate, rate, rate, mode_weights=(0.5, 0.5), seed=inj_seed)
             encoded = encode_dataset(inject_errors(clean, ontology, err_cfg)[0], ontology)
             train, (states, golds) = encoded.splits["train"], encoded.splits["test"]
-            for kind, model in (("memorizer", train_memorizer(train)),
-                                ("linear", train_linear(train, seed=inj_seed))):
+            trainers = {"memorizer": train_memorizer,
+                        "linear": lambda train: train_linear(train, seed=inj_seed)}
+            for kind in models:
+                model = trainers[kind](train)
                 rows.append((rate, kind, inj_seed, compute_metrics(predict(model, states), golds)))
     return sorted(rows, key=lambda row: row[:3])
 
 
-def test_sweep_rows_equal_each_cell_trained_alone(simple_ontology):
+@pytest.mark.parametrize("models", [["linear"], ["memorizer"], ["memorizer", "linear"]],
+                         ids="-".join)
+def test_sweep_rows_equal_each_cell_trained_alone(models, simple_ontology):
     cfg = _small_cfg(seed=6, n=120)
     rates = [0.0, 0.3, 0.8]
-    result = robustness_sweep(simple_ontology, cfg, rates, ["memorizer", "linear"], seed=8,
-                              n_seeds=2)
+    result = robustness_sweep(simple_ontology, cfg, rates, models, seed=8, n_seeds=2)
     got = [(row.error_rate, row.model, row.seed, row.report) for row in result.rows]
-    assert got == _sweep_rows_one_cell_at_a_time(simple_ontology, cfg, rates, 8, 2)
+    assert got == _sweep_rows_one_cell_at_a_time(simple_ontology, cfg, rates, models, 8, 2)
 
 
 def test_sweep_rate_validation(simple_ontology):

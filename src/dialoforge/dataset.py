@@ -176,34 +176,14 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
 # On-disk layout: manifest.json + {train,val,test}.jsonl
 
 
-def dumps_dialogue(dialogue: Dialogue, memo: Optional[dict] = None) -> str:
-    """The one maker of a dataset line, ``_compact(dialogue.to_dict())``, from
-    a JSON fragment per turn.  Dialogues that share ``memo`` serialize each
-    distinct turn once: it maps a turn's fields to its fragment."""
-    memo = {} if memo is None else memo
-    fragments = []
-    for turn in dialogue.turns:
-        # The key holds every field ``DialogueTurn.to_dict`` writes.
-        acts = tuple([(a.kind.value, a.domain, a.topic, a.slot, a.value) for a in turn.user_acts])
-        key = (acts, tuple(turn.system_acts), turn.event)
-        fragment = memo.get(key)
-        if fragment is None:
-            fragment = memo[key] = _compact(turn.to_dict())
-        fragments.append(fragment)
-    return (
-        f'{{"id":{_compact(dialogue.id)},"seed":{_compact(dialogue.seed)},'
-        f'"turns":[{",".join(fragments)}],"events_log":{_compact(dialogue._events_dicts())}}}'
-    )
+def dumps_dialogue(dialogue: Dialogue) -> str:
+    """The one definition of a dataset line, without its newline."""
+    return _compact(dialogue.to_dict())
 
 
 def _dialogue_lines(dialogues: Iterable[Dialogue]) -> Iterator[str]:
-    """The JSONL lines of a split's dialogues, or of a block of them.  The
-    dialogues of a block share one fragment memo; a memo per split would
-    hold several MB on hard, while a block's holds a few hundred fragments."""
-    for index, dlg in enumerate(dialogues):
-        if index % BLOCK_SIZE == 0:
-            memo: dict = {}
-        yield dumps_dialogue(dlg, memo) + "\n"
+    """The JSONL lines of a split's dialogues, or of a block of them."""
+    return (dumps_dialogue(dlg) + "\n" for dlg in dialogues)
 
 
 def write_manifest(outdir, payload: dict) -> None:
@@ -238,7 +218,8 @@ def _write_splits(
 
 
 def write_dataset(dataset: Dataset, outdir, manifest_extra: Optional[dict] = None) -> None:
-    """Write ``dataset`` into ``outdir`` in the bytes ``write_generated`` writes."""
+    """Write ``dataset`` into ``outdir``: one ``dumps_dialogue`` line per
+    dialogue, the bytes ``write_generated`` writes."""
     lines = {split: _dialogue_lines(dataset.splits.get(split, [])) for split in SPLIT_NAMES}
     _write_splits(outdir, lines, dataset.ontology_hash, dataset.config, dataset.split_sizes(),
                   manifest_extra)

@@ -18,9 +18,9 @@ from typing import ClassVar, Optional, Union
 
 import numpy as np
 
-from .dataset import Dataset, generate_dataset
+from .dataset import SPLIT_NAMES, Dataset, generate_dataset
 from .encoding import encode_dataset
-from .engine import GeneratorConfig
+from .engine import GeneratorConfig, split_counts
 from .errors import DialoforgeError, ValidationError
 from .injection import ErrorConfig, inject_errors
 from .metrics import MetricsReport, compute_metrics
@@ -427,17 +427,20 @@ def robustness_sweep(
                 f"the ontology's {ontology.content_hash()}"
             )
 
+    if base_dataset is None:
+        sizes = dict(zip(SPLIT_NAMES, split_counts(gen_cfg.n_dialogues, gen_cfg.split_fractions)))
+    else:
+        sizes = base_dataset.split_sizes()
+    for split in ("train", "test"):
+        if not sizes[split]:
+            raise ValidationError(
+                f"the {split} split is empty (train/val/test {sizes['train']}/"
+                f"{sizes['val']}/{sizes['test']} dialogues); the sweep trains on "
+                "train and scores on test"
+            )
+
     with collector_paused():  # the run builds and drops a dataset per cell
         clean = base_dataset if base_dataset is not None else generate_dataset(ontology, gen_cfg)
-        sizes = clean.split_sizes()
-        for split in ("train", "test"):
-            if not sizes[split]:
-                raise ValidationError(
-                    f"the {split} split is empty (train/val/test {sizes['train']}/"
-                    f"{sizes['val']}/{sizes['test']} dialogues); the sweep trains on "
-                    "train and scores on test"
-                )
-
         rows: list[SweepRow] = []
         # (rate, seed, train, test) of each linear cell, its 0/1 rows bit-packed
         # until every cell is encoded and one lockstep run trains them all.

@@ -192,6 +192,7 @@ def inject_errors(
     action_others = others[ElementKind.ACTION]
     weights = cfg.mode_weights
     any_p = cfg.p_intent > 0 or cfg.p_slot > 0 or cfg.p_action > 0
+    _turns_by_id(dataset)  # the log needs unique dialogue ids, checked before any draw
 
     records: list[PerturbationRecord] = []
     changed: dict[str, list[DialogueTurn]] = {}  # the new turn list of each edited dialogue
@@ -242,7 +243,6 @@ def inject_errors(
                 new_turns[ti] = _write_turn(
                     turn, [(r.element, r.index, r.new) for r in records[first:]]
                 )
-    _turns_by_id(dataset)  # the log needs unique dialogue ids
     return _with_turns(dataset, changed), records
 
 

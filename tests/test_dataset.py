@@ -208,10 +208,9 @@ def test_a_failure_in_a_later_block_names_its_dialogue(simple_ontology, tmp_path
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_a_shared_fragment_memo_writes_the_same_lines(preset, tmp_path):
-    """Against ``to_dict``, the reference no writer calls: a line alone, a
-    line whose memo holds the dataset's earlier turns, and write_dataset's
-    files, whose train split spans more than one block."""
+def test_write_dataset_writes_one_line_per_dialogue_in_order(preset, tmp_path):
+    """write_dataset's files hold ``to_dict``'s line for each dialogue, in
+    order, on clean and noisy data whose train split spans several blocks."""
     ontology = preset_ontology(preset)
     clean = generate_dataset(ontology, preset_config(ontology, seed=3, n_dialogues=500))
     assert len(clean.splits["train"]) > dataset.BLOCK_SIZE
@@ -219,11 +218,6 @@ def test_a_shared_fragment_memo_writes_the_same_lines(preset, tmp_path):
     noisy, records = inject_errors(clean, ontology, mixed)
     assert records
     for name, data in (("clean", clean), ("noisy", noisy)):
-        memo: dict = {}
-        for _, dlg in data.iter_dialogues():
-            line = dumps_dialogue(dlg, memo)
-            assert line == dumps_dialogue(dlg) == dataset._compact(dlg.to_dict())
-        assert len(memo) < data.n_turns()
         write_dataset(data, tmp_path / name)
         for split, dialogues in data.splits.items():
             expected = "".join(dataset._compact(dlg.to_dict()) + "\n" for dlg in dialogues)
@@ -245,10 +239,9 @@ def test_turns_that_differ_in_one_field_get_their_own_fragments():
                      base.system_acts),
         DialogueTurn([inform], [UNK_TOKEN]),
     ]
-    memo: dict = {}
-    lines = [dumps_dialogue(Dialogue("d", 0, [turn]), memo) for turn in turns]
+    lines = [dumps_dialogue(Dialogue("d", 0, [turn])) for turn in turns]
     assert lines == [dataset._compact(Dialogue("d", 0, [turn]).to_dict()) for turn in turns]
-    assert len(set(lines)) == len(memo) == len(turns)
+    assert len(set(lines)) == len(turns)
 
 
 def test_manifest_extra_cannot_replace_a_dataset_key(simple_ontology, tmp_path):

@@ -146,6 +146,19 @@ def test_inform_intent_creates_frame_in_same_turn(mini_ontology):
     assert acts == ["restaurant-CONFIRM-food", "restaurant-REQUEST-people"]
 
 
+def test_inform_intent_of_an_unknown_topic_is_refused(mini_ontology):
+    stack = DialogueStack(mini_ontology)
+    with pytest.raises(ValidationError, match="^unknown topic restaurant/order$"):
+        step_policy(stack, [UserAct(IntentKind.INFORM_INTENT, domain="restaurant", topic="order")])
+    assert stack.depth == 0
+
+
+def test_no_frame_and_no_slot_get_an_empty_reply(mini_ontology):
+    stack = DialogueStack(mini_ontology)
+    assert step_policy(stack, [UserAct(IntentKind.THANK)]) == []
+    assert stack.depth == 0
+
+
 # -- user act invariants -----------------------------------------------------
 
 
@@ -389,6 +402,27 @@ def test_mind_change_reinform_changes_value(two_domain_ontology):
     assert act.kind is IntentKind.INFORM
     if act.value is not None:  # value change must actually change the value
         assert act.value != stack.top.fills[act.slot]
+
+
+def test_mind_change_clears_a_slot_when_no_filled_slot_has_a_second_value():
+    """A draw for a value change becomes a clear when no filled slot could
+    take another value."""
+
+    class AlwaysHigh(random.Random):
+        def random(self):  # every mind change, and never a clear at first
+            return 0.9
+
+    doc = copy.deepcopy(MINI_DOC)
+    for slot in doc["domains"][0]["topics"][0]["slots"]:
+        slot["values"] = slot["values"][:1]
+    ontology = load_ontology(json.dumps(doc))
+    cfg = GeneratorConfig(n_dialogues=1, p_chitchat=0.0, p_mind_change=1.0, p_domain_change=0.0)
+    stack = _stack_with_frame(ontology, fills={"food": "italian", "people": "one"})
+    goal = GoalScript(topics=[TopicGoal("restaurant", "book", {"food": "italian", "people": "one"})])
+    acts, event = sample_user_turn(stack, goal, AlwaysHigh(0), cfg)
+    assert event is EventKind.MIND_CHANGE
+    assert len(acts) == 1 and acts[0].kind is IntentKind.INFORM
+    assert acts[0].slot in ("food", "people") and acts[0].value is None
 
 
 def test_a_null_event_is_refused_where_its_turn_was_read_before():

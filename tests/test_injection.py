@@ -184,12 +184,16 @@ def test_reversibility_byte_for_byte(simple_ontology, p, splits):
     assert _dataset_bytes(restored) == clean
 
 
-def test_repeated_dialogue_id_rejected(simple_ontology):
+def test_repeated_dialogue_id_rejected(simple_ontology, monkeypatch):
     ds = _dataset(simple_ontology, n=10)
     repeated = ds.splits["train"][0].id
     ds.splits["test"][0] = dataclasses.replace(ds.splits["test"][0], id=repeated)
     with pytest.raises(ValidationError, match=repeated):
         inject_errors(ds, simple_ontology, ErrorConfig(seed=1))
+    # The ids are checked before any label is drawn.
+    monkeypatch.setattr("dialoforge.injection.derive_seed", lambda *a: pytest.fail("drawn"))
+    with pytest.raises(ValidationError, match=repeated):
+        inject_errors(ds, simple_ontology, ErrorConfig(p_intent=0.5, seed=1))
     with pytest.raises(ValidationError, match=repeated):
         revert_errors(ds, [])
 

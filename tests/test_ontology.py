@@ -35,6 +35,11 @@ def test_minimal_ontology_loads(mini_ontology):
     assert len(mini_ontology.intent_catalog) == 9
 
 
+def test_domain_by_name(mini_ontology):
+    assert mini_ontology.domain("restaurant") is mini_ontology.domains[0]
+    assert mini_ontology.domain("taxi") is None
+
+
 def test_topic_without_mandatory_slot_rejected():
     doc = json.loads(json.dumps(MINI_DOC))
     doc["domains"][0]["topics"][0]["slots"][0]["category"] = "optional"

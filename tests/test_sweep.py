@@ -168,7 +168,9 @@ def test_linear_fit_r2_on_perfect_line():
         ("train", GeneratorConfig(n_dialogues=4, seed=1, split_fractions=(0.0, 0.5, 0.5))),
     ],
 )
-def test_sweep_rejects_an_empty_split(split, cfg, simple_ontology):
+def test_sweep_rejects_an_empty_split(split, cfg, simple_ontology, monkeypatch):
+    # The split sizes follow from cfg, so they are checked before it is built.
+    monkeypatch.setattr(harness, "generate_dataset", lambda *a: pytest.fail("generated"))
     with pytest.raises(ValidationError, match=f"the {split} split is empty"):
         robustness_sweep(simple_ontology, cfg, [0.0], ["memorizer"], n_seeds=1)
 
